@@ -1,6 +1,7 @@
 """Hot kernels: numba-compiled loops with pure-numpy fallbacks.
 
-Every public function here dispatches on the active backend.  The backend
+Every public function here but ``bv_max_scan`` and ``divisor_scatter``,
+which have one numpy form, dispatches on the active backend.  The backend
 is chosen at import time: numba when it is importable and the environment
 variable ``GPFLAB_NO_NUMBA`` is unset, numpy otherwise.  ``set_backend``
 lets the benchmark and the parity tests flip paths inside one process.
@@ -367,139 +368,54 @@ def compensated_cumsum(a: np.ndarray) -> np.ndarray:
 # per-modulus maximal discrepancy scan over prime counting functions
 
 
-@njit(cache=True)
-def _bv_max_nb(res, coprime, phi):
-    n = res.size
-    cnt = np.zeros(coprime.size, np.int64)
-    occ = np.zeros(n + 2, np.int64)
-    ncls = 0
-    for r in range(coprime.size):
-        if coprime[r]:
-            ncls += 1
-    occ[0] = ncls
-    minc = 0
-    maxc = 0
-    best = 0.0
-    for k in range(n):
-        r = res[k]
-        if coprime[r]:
-            c = cnt[r]
-            occ[c] -= 1
-            occ[c + 1] += 1
-            cnt[r] = c + 1
-            if c + 1 > maxc:
-                maxc = c + 1
-            if c == minc and occ[c] == 0:
-                minc += 1
-        t = (k + 1) / phi
-        dev = maxc - t
-        if t - minc > dev:
-            dev = t - minc
-        if dev > best:
-            best = dev
-    return best
-
-
-def _bv_max_np(res, coprime, phi):
-    n = res.size
-    if n == 0:
+def bv_max_scan(res: np.ndarray, q: int) -> float:
+    """max over y and residues a coprime to q of |pi(y;q,a) - pi(y)/phi(q)|,
+    from ``res``, the residues mod q of the primes up to x in order.  A class
+    count steps up with the prime index k while t = (k+1)/phi grows, so the
+    deviation peaks at a step (rank - t[k]), just before one (t[k-1] - rank
+    + 1) or after the last prime; a difference negates exactly."""
+    if not res.size:
         return 0.0
-    t = np.arange(1, n + 1, dtype=np.float64) / phi
-    best = 0.0
-    for a in np.flatnonzero(coprime):
-        counts = np.cumsum(res == a)
-        dev = float(np.max(np.abs(counts - t)))
-        if dev > best:
-            best = dev
-    return best
-
-
-def bv_max_scan(res: np.ndarray, coprime: np.ndarray, phi: int) -> float:
-    """max over y of max over residues a of |pi(y;q,a) - pi(y)/phi(q)|.
-
-    ``res`` holds the residues mod q of the primes up to x in ascending
-    order; ``coprime[r]`` says whether r is invertible mod q.
-    """
-    if _BACKEND == "numba":
-        return float(_bv_max_nb(res, coprime, phi))
-    return _bv_max_np(res, coprime, phi)
+    coprime = np.gcd(np.arange(q, dtype=np.int64), q) == 1
+    phi = int(np.count_nonzero(coprime))
+    res = res.astype(np.uint8 if q <= 1 << 8 else np.uint16 if q <= 1 << 16 else np.int64)
+    tt = np.arange(res.size + 1, dtype=np.float64) / phi  # tt[k + 1] = t[k]
+    cnt = np.bincount(res, minlength=q)
+    start = np.cumsum(cnt) - cnt
+    order = np.argsort(res, kind="stable")  # radix sort: each class in prime order
+    rank = np.arange(1, res.size + 1) - np.repeat(start, cnt)
+    at = rank - tt[1:][order]
+    before = tt[:-1][order] - (rank - 1)
+    # a class not coprime to q holds at most one prime, one dividing q
+    skip = start[~coprime & (cnt > 0)]
+    at[skip] = before[skip] = 0.0
+    return max(0.0, float(at.max()), float(before.max()),
+               float(tt[-1] - cnt[coprime].min()))
 
 
 # ---------------------------------------------------------------------------
 # divisor scatter: accumulate weights onto moduli dividing (value - shift)
 
 
-@njit(cache=True)
-def _divisor_scatter_nb(wlog, spf, a, q_lo, q_hi, acc):
-    divs = np.empty(4096, np.int64)
-    for s in range(2, wlog.size):
-        w = wlog[s]
-        if w == 0.0:
-            continue
-        v = s - a
-        if v < 0:
-            v = -v
-        if v == 0:
-            continue  # caller credits the exact-hit weight to every modulus
-        ndiv = 1
-        divs[0] = 1
-        while v > 1:
-            p = np.int64(spf[v])
-            e = 0
-            while v % p == 0:
-                v //= p
-                e += 1
-            m = ndiv
-            pk = np.int64(1)
-            for _ in range(e):
-                pk *= p
-                for i in range(m):
-                    divs[ndiv] = divs[i] * pk
-                    ndiv += 1
-        for i in range(ndiv):
-            d = divs[i]
-            if q_lo <= d < q_hi:
-                acc[d - q_lo] += w
-
-
-def _divisor_scatter_np(wlog, spf, a, q_lo, q_hi, acc):
-    nz = np.flatnonzero(wlog)
-    for s in nz:
-        s = int(s)
-        if s < 2:
-            continue
-        w = float(wlog[s])
-        v = abs(s - a)
-        if v == 0:
-            continue
-        divs = [1]
-        while v > 1:
-            p = int(spf[v])
-            e = 0
-            while v % p == 0:
-                v //= p
-                e += 1
-            m = len(divs)
-            pk = 1
-            for _ in range(e):
-                pk *= p
-                for i in range(m):
-                    divs.append(divs[i] * pk)
-        for d in divs:
-            if q_lo <= d < q_hi:
-                acc[d - q_lo] += w
-
-
-def divisor_scatter(wlog: np.ndarray, spf: np.ndarray, a: int, q_lo: int, q_hi: int) -> np.ndarray:
-    """For every s with wlog[s] > 0, add wlog[s] to each modulus q in
-    [q_lo, q_hi) dividing |s - a|.  Returns the accumulator indexed q - q_lo.
-    Entries with s == a are skipped here and handled by the caller."""
-    acc = np.zeros(q_hi - q_lo, dtype=np.float64)
-    if _BACKEND == "numba":
-        _divisor_scatter_nb(wlog, spf, a, q_lo, q_hi, acc)
-    else:
-        _divisor_scatter_np(wlog, spf, a, q_lo, q_hi, acc)
-    return acc
+def divisor_scatter(wlog: np.ndarray, a: int, q_lo: int, q_hi: int) -> np.ndarray:
+    """For every s >= 2, s != a, add wlog[s] to each modulus q in [q_lo, q_hi)
+    dividing |s - a|, in ascending s; returns the sums by q - q_lo.  Each q
+    sums its progression s = a (mod q) left to right as a zero-padded row of
+    a gather, in blocks of about 2**14 entries; |a| must fit in int64."""
+    q = np.arange(q_lo, q_hi, dtype=np.int64)
+    r = np.int64(a) % q
+    out = np.zeros(q.size, dtype=np.float64)
+    i, budget = 0, 1 << 14
+    while i < q.size:
+        L = (wlog.size - 1) // int(q[i]) + 1  # no later row is longer
+        rows = slice(i, i + max(1, budget // L))
+        for c0 in range(0, L, budget):
+            s = r[rows, None] + q[rows, None] * np.arange(c0, min(L, c0 + budget))
+            keep = (s >= 2) & (s < wlog.size) & (s != a)
+            vals = np.where(keep, wlog[np.minimum(s, wlog.size - 1)], 0.0)
+            out[rows] = np.cumsum(np.hstack([out[rows, None], vals]), axis=1)[:, -1]
+        i = rows.stop
+    return out
 
 
 # ---------------------------------------------------------------------------

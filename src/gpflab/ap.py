@@ -1,9 +1,13 @@
 """Prime counts in arithmetic progressions and discrepancy aggregates.
 
-All aggregates return a DiscrepancyReport whose per_q entries are exact
-per-modulus quantities and whose total is a compensated reduction of the
-per_q column in ascending modulus order, so results do not depend on the
-thread count.
+The five aggregates share one progression-mass engine: each call builds one
+weight table over the integers, reads the progression mass of a modulus q on
+the strided slice ``w[a % q::q]`` and the coprime mass by Moebius inversion
+over the squarefree d | q, for a whole modulus range at once.  fsum-defined
+masses are summed exactly in fixed point and rounded once, left-to-right
+ones keep their order, so every per_q entry is the exact per-modulus value
+and the total, a compensated sum in ascending q, ignores the thread count.
+The tables live only as long as the call.
 """
 
 from __future__ import annotations
@@ -16,7 +20,7 @@ import numpy as np
 
 from . import _accel
 from .errors import InvalidArgumentError, RangeBudgetError
-from .sieve import PrimeSieve, euler_phi, factorize, segmented_primes
+from .sieve import PrimeSieve, euler_phi, segmented_primes
 
 
 def _xi_in_sieve(x, sieve, what) -> int:
@@ -46,14 +50,7 @@ def theta_of(x, sieve: PrimeSieve) -> float:
 def psi_cheb(x, sieve: PrimeSieve) -> float:
     """Chebyshev psi: sum of Lambda(n) over n <= x."""
     xi = _xi_in_sieve(x, sieve, "psi_cheb")
-    terms = []
-    for p in sieve.primes[: int(np.searchsorted(sieve.primes, isqrt(xi), side="right"))].tolist():
-        lp = log(p)
-        pk = p * p
-        while pk <= xi:
-            terms.append(lp)
-            pk *= p
-    return theta_of(xi, sieve) + fsum(terms)
+    return theta_of(xi, sieve) + fsum(_higher_powers(xi, sieve)[2].tolist())
 
 
 def _primes_upto(x: int, sieve: PrimeSieve) -> np.ndarray:
@@ -61,20 +58,25 @@ def _primes_upto(x: int, sieve: PrimeSieve) -> np.ndarray:
     return sieve.primes[:idx]
 
 
+def _higher_powers(x: int, sieve: PrimeSieve) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Prime powers p**k <= x with k >= 2: (p**k, p, log p), x up to limit**2."""
+    rows = []
+    for p in _primes_upto(isqrt(x), sieve).tolist():
+        pk = p * p
+        while pk <= x:
+            rows.append((pk, p, log(p)))
+            pk *= p
+    pk, p, lp = zip(*rows) if rows else ((), (), ())
+    return (np.array(pk, dtype=np.int64), np.array(p, dtype=np.int64),
+            np.array(lp, dtype=np.float64))
+
+
 def _prime_powers(x: int, sieve: PrimeSieve) -> tuple[np.ndarray, np.ndarray]:
     """Prime powers n <= x with weights log p, sorted by n."""
     ps = _primes_upto(x, sieve)
-    ns = [ps]
-    ws = [np.log(ps.astype(np.float64))]
-    for p in ps[: int(np.searchsorted(ps, isqrt(x), side="right"))].tolist():
-        lp = log(p)
-        pk = p * p
-        while pk <= x:
-            ns.append(np.array([pk], dtype=np.int64))
-            ws.append(np.array([lp]))
-            pk *= p
-    n_all = np.concatenate(ns)
-    w_all = np.concatenate(ws)
+    pk, _, lp = _higher_powers(x, sieve)
+    n_all = np.concatenate([ps, pk])
+    w_all = np.concatenate([np.log(ps.astype(np.float64)), lp])
     order = np.argsort(n_all, kind="stable")
     return n_all[order], w_all[order]
 
@@ -124,6 +126,10 @@ class DiscrepancyReport:
     normalized: float
 
 
+# ---------------------------------------------------------------------------
+# the progression-mass engine
+
+
 def _ordered_map(fn, items, threads):
     if threads <= 1 or len(items) <= 1:
         return [fn(it) for it in items]
@@ -131,92 +137,154 @@ def _ordered_map(fn, items, threads):
         return list(ex.map(fn, items))
 
 
+def _check(what, Q, x, x_min=1, a=None, P=None) -> None:
+    if Q < 1:
+        raise InvalidArgumentError(f"{what} needs Q >= 1")
+    if a == 0:
+        raise InvalidArgumentError(f"{what} needs a != 0")
+    if P is not None and (P[0] < 1 or P[1] < P[0]):
+        raise InvalidArgumentError(f"{what} needs 1 <= P1 <= P2")
+    if x < x_min:
+        raise InvalidArgumentError(f"{what} needs x >= {x_min}")
+
+
+def _mobius_phi(lo: int, hi: int, sieve: PrimeSieve) -> tuple[np.ndarray, np.ndarray]:
+    """Moebius mu and Euler phi of every n in [lo, hi), 1 <= lo < hi."""
+    root = isqrt(hi - 1)
+    if root > sieve.limit:
+        raise RangeBudgetError(f"moduli up to {hi - 1} need a sieve limit of at least {root}")
+    n = np.arange(lo, hi, dtype=np.int64)
+    rem, phi = n.copy(), n.copy()
+    mu = np.ones(n.size, dtype=np.int64)
+    for p in _primes_upto(root, sieve).tolist():
+        s = (-lo) % p
+        phi[s::p] -= phi[s::p] // p
+        mu[s::p] = -mu[s::p]
+        mu[(-lo) % (p * p)::p * p] = 0
+        pk = p
+        while pk < hi:
+            rem[(-lo) % pk::pk] //= p
+            pk *= p
+    big = rem > 1  # the one prime factor above sqrt(hi) left over
+    phi[big] -= phi[big] // rem[big]
+    mu[big] = -mu[big]
+    return mu, phi
+
+
+def _squarefree(D: int, sieve: PrimeSieve) -> tuple[np.ndarray, np.ndarray]:
+    """The squarefree d <= D (D >= 1) and mu(d)."""
+    mu, _ = _mobius_phi(1, D + 1, sieve)
+    ds = np.flatnonzero(mu) + 1
+    return ds, mu[ds - 1]
+
+
+def _expand(counts: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """For sum(counts) items: the owner i of each and its index j < counts[i]."""
+    owner = np.repeat(np.arange(counts.size), counts)
+    j = np.arange(owner.size) - (np.cumsum(counts) - counts)[owner]
+    return owner, j
+
+
+def _multiples(ps: np.ndarray, Q: int) -> tuple[np.ndarray, np.ndarray]:
+    """The pairs (i, q) with ps[i] | q and Q <= q < 2Q, stably sorted by q."""
+    first = (Q - 1) // ps + 1
+    i, k = _expand((2 * Q - 1) // ps - first + 1)
+    q = (first[i] + k) * ps[i]
+    order = np.argsort(q, kind="stable")
+    return i[order], q[order]
+
+
+def _fixed(v: np.ndarray) -> tuple[np.ndarray, int]:
+    """Nonnegative floats as exact fixed-point limbs along a new last axis,
+    with their base: v == sum_k out[..., k] * 2**(base + 32*k)."""
+    # the smallest nonzero v, hence every v, is a whole multiple of 2**base
+    base = min(int(np.frexp(v[v > 0].min(initial=1.0))[1]) - 53, -1)
+    u = np.ldexp(v, -base)
+    top = int(np.frexp(u.max(initial=0.0))[1])
+    return np.stack([np.fmod(np.floor(np.ldexp(u, -32 * k)), 2.0**32).astype(np.int64)
+                     for k in range(top // 32 + 1)], axis=-1), base
+
+
+def _round_fixed(rows: np.ndarray, base: int) -> np.ndarray:
+    """The correctly rounded float of each row of limb sums, which is what
+    fsum gives for the same terms.  The sums must be >= 0."""
+    rows = np.concatenate([rows, np.zeros((rows.shape[0], 1), dtype=np.int64)], axis=1)
+    for k in range(rows.shape[1] - 1):  # carry every limb into [0, 2**32)
+        carry = rows[:, k] >> 32
+        rows[:, k] -= carry << 32
+        rows[:, k + 1] += carry
+    data = rows.astype("<u4").tobytes()
+    width, scale = 4 * rows.shape[1], 1 << -base
+    return np.fromiter((int.from_bytes(data[i:i + width], "little") / scale
+                        for i in range(0, len(data), width)), np.float64, rows.shape[0])
+
+
+# ---------------------------------------------------------------------------
+# aggregates
+
+
+def _report(x, mode, q_range, a, qs, errs, abs_total=True) -> DiscrepancyReport:
+    errs = [float(e) for e in errs]
+    total = fsum(abs(e) for e in errs) if abs_total else fsum(errs)
+    return DiscrepancyReport(float(x), mode, q_range, a, list(zip(qs, errs)),
+                             total, total / float(x))
+
+
 def bv_sum(x, Q: int, sieve: PrimeSieve, threads: int = 1) -> DiscrepancyReport:
     """Sum over q <= Q of the maximal progression discrepancy
 
         max_{y <= x} max_{a: gcd(a,q)=1} |pi(y; q, a) - pi(y)/phi(q)|.
     """
-    if Q < 1:
-        raise InvalidArgumentError("bv_sum needs Q >= 1")
-    if x < 1:
-        raise InvalidArgumentError("bv_sum needs x >= 1")
+    _check("bv_sum", Q, x)
     xi = _xi_in_sieve(x, sieve, "bv_sum")
     ps = _primes_upto(xi, sieve)
-
-    def one(q: int) -> float:
-        if q == 1:
-            return 0.0
-        res = (ps % q).astype(np.int64)
-        coprime = np.gcd(np.arange(q, dtype=np.int64), q) == 1
-        phi = int(np.count_nonzero(coprime))
-        return _accel.bv_max_scan(res, coprime, phi)
-
     qs = list(range(1, Q + 1))
-    devs = _ordered_map(one, qs, threads)
-    per_q = list(zip(qs, devs))
-    total = fsum(devs)
-    return DiscrepancyReport(float(x), "bv_max", f"q <= {Q}", None, per_q,
-                             total, total / float(x))
+    devs = _ordered_map(lambda q: _accel.bv_max_scan(ps % q, q) if q > 1 else 0.0,
+                        qs, threads)
+    return _report(x, "bv_max", f"q <= {Q}", None, qs, devs, abs_total=False)
+
+
+def _progression_errors(xi: int, qs: list[int], a: int, sieve: PrimeSieve,
+                        use_psi: bool, threads: int) -> np.ndarray:
+    """pi(x;q,a) - pi(x)/phi(q), or the psi analogue, for each q in qs."""
+    if use_psi:
+        ns, ws = _prime_powers(xi, sieve)
+        reduce, full = (lambda s: fsum(s[s != 0].tolist())), psi_cheb(xi, sieve)
+    else:
+        ns, ws = _primes_upto(xi, sieve), True
+        reduce, full = np.count_nonzero, ns.size
+    w = np.zeros(xi + 1, dtype=np.float64 if use_psi else bool)
+    w[ns] = ws
+    mass = np.asarray(_ordered_map(lambda q: reduce(w[a % q::q]), qs, threads))
+    return np.where(np.asarray(qs) == 1, 0.0, mass - full / _phi_of(qs, sieve))
+
+
+def _phi_of(qs: list[int], sieve: PrimeSieve) -> np.ndarray:
+    if not qs:
+        return np.empty(0, dtype=np.int64)
+    _, phi = _mobius_phi(qs[0], qs[-1] + 1, sieve)
+    return phi[np.asarray(qs) - qs[0]]
 
 
 def signed_sum(x, Q: int, a: int, sieve: PrimeSieve, threads: int = 1) -> DiscrepancyReport:
     """Signed sum over q <= Q, gcd(q, a) == 1, of pi(x;q,a) - pi(x)/phi(q)."""
-    if Q < 1:
-        raise InvalidArgumentError("signed_sum needs Q >= 1")
-    if x < 1:
-        raise InvalidArgumentError("signed_sum needs x >= 1")
+    _check("signed_sum", Q, x)
     xi = _xi_in_sieve(x, sieve, "signed_sum")
-    ps = _primes_upto(xi, sieve)
-    pix = int(ps.size)
     qs = [q for q in range(1, Q + 1) if gcd(q, a) == 1]
-
-    def one(q: int) -> float:
-        if q == 1:
-            return 0.0
-        cnt = int(np.count_nonzero(ps % q == a % q))
-        return cnt - pix / euler_phi(q, sieve)
-
-    errs = _ordered_map(one, qs, threads)
-    per_q = list(zip(qs, errs))
-    total = fsum(errs)
-    return DiscrepancyReport(float(x), "signed", f"q <= {Q} coprime to {a}", a,
-                             per_q, total, total / float(x))
+    errs = _progression_errors(xi, qs, a, sieve, False, threads)
+    return _report(x, "signed", f"q <= {Q} coprime to {a}", a, qs, errs,
+                   abs_total=False)
 
 
 def dyadic_abs_sum(x, Q: int, a: int, sieve: PrimeSieve, use_psi: bool = False,
                    threads: int = 1) -> DiscrepancyReport:
     """Sum over Q <= q < 2Q, gcd(q, a) == 1, of the absolute progression error
     at y = x, in the prime-counting or Chebyshev-psi normalization."""
-    if Q < 1:
-        raise InvalidArgumentError("dyadic_abs_sum needs Q >= 1")
-    if x < 1:
-        raise InvalidArgumentError("dyadic_abs_sum needs x >= 1")
+    _check("dyadic_abs_sum", Q, x)
     xi = _xi_in_sieve(x, sieve, "dyadic_abs_sum")
     qs = [q for q in range(Q, 2 * Q) if gcd(q, a) == 1]
-    if use_psi:
-        ns, ws = _prime_powers(xi, sieve)
-        full = psi_cheb(xi, sieve)
-
-        def one(q: int) -> float:
-            if q == 1:
-                return 0.0
-            s = fsum(ws[ns % q == a % q].tolist())
-            return s - full / euler_phi(q, sieve)
-    else:
-        ps = _primes_upto(xi, sieve)
-        pix = int(ps.size)
-
-        def one(q: int) -> float:
-            if q == 1:
-                return 0.0
-            cnt = int(np.count_nonzero(ps % q == a % q))
-            return cnt - pix / euler_phi(q, sieve)
-
-    errs = _ordered_map(one, qs, threads)
-    per_q = list(zip(qs, errs))
-    total = fsum(abs(e) for e in errs)
-    return DiscrepancyReport(float(x), "dyadic_abs", f"{Q} <= q < {2 * Q}", a,
-                             per_q, total, total / float(x))
+    errs = _progression_errors(xi, qs, a, sieve, use_psi, threads)
+    return _report(x, "dyadic_abs", f"{Q} <= q < {2 * Q}", a, qs, errs)
 
 
 def theorem4_sum(x, Q: int, P1, P2, a: int, sieve: PrimeSieve,
@@ -225,22 +293,11 @@ def theorem4_sum(x, Q: int, P1, P2, a: int, sieve: PrimeSieve,
     the absolute difference between the log-weight mass on the progression
     a (mod q) and its coprime average, summed over q.
 
-    The progression side scatters each product's weight onto the divisors
-    of |p*m - a| inside [Q, 2Q); the average side sums theta-window masses
-    over m coprime to q.  Requires the product range (and |a|) to stay
-    within the sieve limit so shifted values factorize by table lookup.
-    """
-    if Q < 1:
-        raise InvalidArgumentError("theorem4_sum needs Q >= 1")
-    if a == 0:
-        raise InvalidArgumentError("theorem4_sum needs a != 0")
-    if P1 < 1 or P2 < P1:
-        raise InvalidArgumentError("theorem4_sum needs 1 <= P1 <= P2")
+    The progression side adds the weight at s == a last; the average side
+    sums theta-window masses over m coprime to q.  Needs |p*m - a| <= limit."""
+    _check("theorem4_sum", Q, x, 2, a, (P1, P2))
     xi = _xi_in_sieve(x, sieve, "theorem4_sum")
-    if xi < 2:
-        raise InvalidArgumentError("theorem4_sum needs x >= 2")
-    vmax = max(abs(2 - a), abs(xi - a))
-    if vmax > sieve.limit:
+    if max(abs(2 - a), abs(xi - a)) > sieve.limit:
         raise RangeBudgetError("theorem4_sum needs |p*m - a| <= sieve.limit; "
                                "shrink x or |a| or enlarge the sieve")
     p2c = min(float(P2), float(xi))
@@ -252,41 +309,42 @@ def theorem4_sum(x, Q: int, P1, P2, a: int, sieve: PrimeSieve,
     wlog = np.zeros(xi + 1, dtype=np.float64)
     for p in window.tolist():
         wlog[p::p] += log(p)
-
-    acc = _accel.divisor_scatter(wlog, sieve.spf, a, Q, 2 * Q)
+    acc = _accel.divisor_scatter(wlog, a, Q, 2 * Q)
     exact_hit = float(wlog[a]) if 2 <= a <= xi else 0.0
-
-    m_max = xi // (int(floor(P1)) + 1) if window.size else 0
-    if window.size:
-        m_arr = np.arange(1, m_max + 1, dtype=np.int64)
-        caps = np.minimum(xi // m_arr, np.int64(floor(p2c)))
-        idxs = np.searchsorted(sieve.primes, caps, side="right")
-        theta_cum = sieve.theta_cumulative()
-        theta_p1 = float(theta_cum[i - 1]) if i > 0 else 0.0
-        # theta(cap_m) - theta(P1), zero when no window prime fits under the cap
-        tvals = np.where(idxs > i, theta_cum[np.maximum(idxs - 1, 0)] - theta_p1, 0.0)
-
     qs = [q for q in range(Q, 2 * Q) if gcd(q, a) == 1]
+    rows = np.asarray(qs, dtype=np.int64) - Q
+    a_side = acc[rows] + exact_hit
+    if not window.size:
+        return _report(x, "theorem4", f"{Q} <= q < {2 * Q}", a, qs, a_side)
+    phi = _phi_of(qs, sieve)
 
-    def one(q: int) -> float:
-        a_side = float(acc[q - Q]) + exact_hit
-        if not window.size:
-            return a_side
-        coprime_m = np.gcd(m_arr, q) == 1
-        base = fsum(tvals[coprime_m].tolist())
-        corr = 0.0
-        for pq, _ in factorize(q, sieve).factors:
-            if P1 < pq <= p2c:
-                hi_m = xi // pq
-                corr += log(pq) * int(np.count_nonzero(coprime_m[:hi_m]))
-        w_q = base - corr
-        return a_side - w_q / euler_phi(q, sieve)
+    m_max = xi // (int(floor(P1)) + 1)
+    caps = np.minimum(xi // np.arange(1, m_max + 1, dtype=np.int64), int(floor(p2c)))
+    idxs = np.searchsorted(sieve.primes, caps, side="right")
+    theta_cum = sieve.theta_cumulative()
+    theta_p1 = float(theta_cum[i - 1]) if i > 0 else 0.0
+    # theta(cap_m) - theta(P1), zero when no window prime fits under the cap
+    tvals = np.where(idxs > i, theta_cum[np.maximum(idxs - 1, 0)] - theta_p1, 0.0)
 
-    errs = _ordered_map(one, qs, threads)
-    per_q = list(zip(qs, errs))
-    total = fsum(abs(e) for e in errs)
-    return DiscrepancyReport(float(x), "theorem4", f"{Q} <= q < {2 * Q}", a,
-                             per_q, total, total / float(x))
+    # per q in [Q, 2Q): the fsum of tvals over m coprime to q and, for each
+    # window prime p | q, the count of m <= xi // p coprime to q, both by
+    # Moebius over the squarefree d | q
+    T, base = _fixed(tvals)
+    mass = np.zeros((Q, T.shape[1]), dtype=np.int64)
+    owner, pq = _multiples(window, Q)
+    wp = window[owner]  # the pairs (p, q), by q and then ascending p
+    cnt = np.zeros(pq.size, dtype=np.int64)
+    ds, mus = _squarefree(min(m_max, 2 * Q - 1), sieve)
+    for d, mu in zip(ds.tolist(), mus.tolist()):
+        mass[(-Q) % d::d] += mu * T[d - 1::d].sum(axis=0)
+        hit = pq % d == 0
+        cnt[hit] += mu * (xi // wp[hit] // d)
+    corr = np.zeros(Q, dtype=np.float64)
+    # add.at adds in index order: each q's terms go in ascending p, as before
+    np.add.at(corr, pq - Q, np.array([log(p) for p in wp.tolist()]) * cnt)
+
+    errs = a_side - (_round_fixed(mass[rows], base) - corr[rows]) / phi
+    return _report(x, "theorem4", f"{Q} <= q < {2 * Q}", a, qs, errs)
 
 
 def default_rough_z(x) -> float:
@@ -299,77 +357,94 @@ def default_rough_z(x) -> float:
     return exp(log(x) / (ll * ll))
 
 
+def _rough_stars(P1, p2c, z, xi, sieve) -> tuple[np.ndarray, ...]:
+    """Prime powers n in (P1, p2c] with prime p >= z and a nonempty block
+    (x/(2n), x/n]: (n, p, log p), by n."""
+    ps = segmented_primes(floor(P1), floor(p2c), sieve) if p2c > P1 else np.empty(0, np.int64)
+    ps = ps[(ps > P1) & (ps >= z)]
+    pk, pp, lp = _higher_powers(int(floor(p2c)), sieve)
+    keep = (pp >= z) & (pk > P1)
+    n = np.concatenate([ps, pk[keep]])
+    order = np.argsort(n, kind="stable")
+    order = order[xi // n[order] > xi // (2 * n[order])]  # drop empty blocks
+    w = np.concatenate([np.array([log(p) for p in ps.tolist()]), lp[keep]])
+    return n[order], np.concatenate([ps, pp[keep]])[order], w[order]
+
+
 def lambda_extension_sum(x, Q: int, P1, P2, a: int, z, sieve: PrimeSieve,
                          threads: int = 1) -> DiscrepancyReport:
     """Von Mangoldt mass on prime powers n in (P1, P2] with all prime factors
     >= z, paired with the dyadic block t in (x/(2n), x/n]: per modulus q ~ Q,
     |sum over n*t = a (mod q) - (1/phi(q)) * sum over gcd(n*t, q) = 1|,
-    summed over q coprime to a."""
-    if Q < 1:
-        raise InvalidArgumentError("lambda_extension_sum needs Q >= 1")
-    if a == 0:
-        raise InvalidArgumentError("lambda_extension_sum needs a != 0")
-    if P1 < 1 or P2 < P1:
-        raise InvalidArgumentError("lambda_extension_sum needs 1 <= P1 <= P2")
-    if x < 2:
-        raise InvalidArgumentError("lambda_extension_sum needs x >= 2")
+    summed over q coprime to a.
+
+    The pairs (n, t) are the products m = n*t in (x/2, x]: the progression side
+    counts them on the strided m = a (mod q), the coprime side counts coprime
+    t per block (x/(2n), x/n] by Moebius over d | q, once per block."""
+    _check("lambda_extension_sum", Q, x, 2, a, (P1, P2))
     xi = int(floor(x))
-    if z is None:
-        z = default_rough_z(x)
+    z = default_rough_z(x) if z is None else z
     p2c = min(float(P2), float(xi))
-
-    stars: list[tuple[int, float]] = []
-    if p2c > P1:
-        for p in segmented_primes(floor(P1), floor(p2c), sieve).tolist():
-            if p > P1 and p >= z:
-                stars.append((p, log(p)))
-        root = isqrt(int(floor(p2c)))
-        for p in _primes_upto(root, sieve).tolist():
-            if p < z:
-                continue
-            lp = log(p)
-            pk = p * p
-            while pk <= p2c:
-                if pk > P1:
-                    stars.append((pk, lp))
-                pk *= p
-        stars.sort()
-
     qs = [q for q in range(Q, 2 * Q) if gcd(q, a) == 1]
+    q_range, phi = f"{Q} <= q < {2 * Q}", _phi_of(qs, sieve)
 
-    def one(q: int) -> float:
-        if q == 1:
-            return 0.0
-        fact_q = factorize(q, sieve).factors
-        sq_divs = [(1, 1)]  # squarefree divisors of q with their moebius signs
-        for p, _ in fact_q:
-            sq_divs.extend([(d * p, -mu) for d, mu in sq_divs])
-        phi = euler_phi(q, sieve)
-        s1_terms = []
-        s2_terms = []
-        for n, w in stars:
-            if gcd(n, q) != 1:
-                continue
-            lo = xi // (2 * n)
-            hi = xi // n
-            if hi <= lo:
-                continue
-            c = (a * pow(n, -1, q)) % q
-            cnt1 = (hi - c) // q - (lo - c) // q
-            cnt2 = 0
-            for d, mu in sq_divs:
-                cnt2 += mu * (hi // d - lo // d)
-            if cnt1:
-                s1_terms.append(w * cnt1)
-            if cnt2:
-                s2_terms.append(w * cnt2)
-        return fsum(s1_terms) - fsum(s2_terms) / phi
+    n, pn, w = _rough_stars(P1, p2c, z, xi, sieve)
+    lo, hi = xi // (2 * n), xi // n
+    if not n.size or not qs:
+        return _report(x, "lambda_ext", q_range, a, qs, [0.0] * len(qs))
+    span = hi - lo
 
-    errs = _ordered_map(one, qs, threads)
-    per_q = list(zip(qs, errs))
-    total = fsum(abs(e) for e in errs)
-    return DiscrepancyReport(float(x), "lambda_ext", f"{Q} <= q < {2 * Q}", a,
-                             per_q, total, total / float(x))
+    # term table: row star_off[s] + c is log p * c, the term of star s at count c
+    star, c = _expand(span + 1)
+    star_off = np.cumsum(span + 1) - (span + 1)
+    terms, base = _fixed(w[star] * c)
+    # stars sharing a block (lo, hi) share their coprime count; group them
+    blocks, block_of = np.unique(lo * (xi + 1) + hi, return_inverse=True)
+    b_lo, b_hi = blocks // (xi + 1), blocks % (xi + 1)
+    b_off = np.cumsum(b_hi - b_lo + 1) - (b_hi - b_lo + 1)
+    block_terms = np.zeros((int(b_off[-1] + b_hi[-1] - b_lo[-1] + 1), terms.shape[1]),
+                           dtype=np.int64)
+    np.add.at(block_terms, b_off[block_of[star]] + c, terms)
+
+    # progression side: products m = n*t in (x/2, x], grouped by m
+    star_t, t = _expand(span)
+    m_of_pair = n[star_t] * (lo[star_t] + 1 + t)
+    order = np.argsort(m_of_pair, kind="stable")
+    m_lo = xi // 2 + 1
+    m_ptr = np.searchsorted(m_of_pair[order], np.arange(m_lo, xi + 2))
+    star_of_m = star_t[order]
+    q_arr = np.asarray(qs, dtype=np.int64)
+    first = m_lo + (np.array([a % q for q in qs], dtype=np.int64) - m_lo) % q_arr
+    row, k = _expand(np.where(first <= xi, (xi - first) // q_arr + 1, 0))
+    m = first[row] + k * q_arr[row] - m_lo
+    row2, k2 = _expand(m_ptr[m + 1] - m_ptr[m])
+    key = row[row2] * n.size + star_of_m[m_ptr[m][row2] + k2]
+    key, cnt = np.unique(key, return_counts=True)
+    prog = np.zeros((len(qs), terms.shape[1]), dtype=np.int64)
+    np.add.at(prog, key // n.size, terms[star_off[key % n.size] + cnt])
+
+    # coprime side, over all q in [Q, 2Q) in chunks: block sums, less the
+    # stars whose prime divides q
+    cop = np.zeros((Q, terms.shape[1]), dtype=np.int64)
+    ds, mus = _squarefree(min(int(b_hi.max()), 2 * Q - 1), sieve)
+    d_of, d_q = _multiples(ds, Q)  # every q has at least d = 1
+    ex_star, ex_q = _multiples(pn, Q)  # the stars whose prime divides q
+    # chunks of rows keep the per-d counts and the block gather near 128 KiB
+    step = max(1, (1 << 14) // (blocks.size * max(terms.shape[1], d_q.size // Q + 1)))
+    for r0 in range(0, Q, step):
+        r1 = min(Q, r0 + step)
+        f0, f1 = np.searchsorted(d_q, (Q + r0, Q + r1))
+        d, mu = ds[d_of[f0:f1], None], mus[d_of[f0:f1], None]
+        starts = np.searchsorted(d_q[f0:f1], np.arange(Q + r0, Q + r1))
+        cnt = np.add.reduceat(mu * (b_hi // d - b_lo // d), starts, axis=0)
+        cop[r0:r1] = block_terms[b_off + cnt].sum(axis=1)
+        e0, e1 = np.searchsorted(ex_q, (Q + r0, Q + r1))
+        er, es = ex_q[e0:e1] - Q, ex_star[e0:e1]
+        np.subtract.at(cop, er, terms[star_off[es] + cnt[er - r0, block_of[es]]])
+
+    s2 = _round_fixed(cop[q_arr - Q], base) / phi
+    errs = np.where(q_arr == 1, 0.0, _round_fixed(prog, base) - s2)
+    return _report(x, "lambda_ext", q_range, a, qs, errs)
 
 
 def trivial_bound_ratio(report: DiscrepancyReport) -> float:

@@ -30,9 +30,6 @@ def _kernel_suite(limit: int):
     sieve = build_sieve(limit)
     rng = np.random.default_rng(12345)
     values = rng.integers(1, limit * limit, size=50_000).astype(np.int64)
-    res = (np.arange(2_000, dtype=np.int64) * 7919) % 1009
-    wlog = np.zeros(limit // 10 + 1)
-    wlog[2::2] = 0.5
     lv_n = min(2_000, limit)
     tau_limit = limit // 10
 
@@ -41,9 +38,6 @@ def _kernel_suite(limit: int):
         ("gpf_batch", lambda: _accel.gpf_batch(values, sieve.spf, sieve.primes,
                                                sieve.limit)),
         ("product_mark", lambda: _accel.product_mark_count(lv_n)),
-        ("bv_max_scan", lambda: _accel.bv_max_scan(res, np.ones(1009, dtype=bool), 1008)),
-        ("divisor_scatter", lambda: _accel.divisor_scatter(wlog, sieve.spf, 1,
-                                                           11, len(wlog) // 2)),
         ("tau_table", lambda: _accel.tau_table(tau_limit, 4)),
         ("theta_scan", lambda: _accel.theta_count_scan(limit, max(2, limit // 100),
                                                        2, sieve.spf)),

@@ -9,7 +9,9 @@ from __future__ import annotations
 
 import argparse
 import csv
+import functools
 import json
+import os
 import sys
 from math import ceil, gcd, isqrt, log, sqrt
 
@@ -615,9 +617,18 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+@functools.cache
+def _main_parser() -> argparse.ArgumentParser:
+    # once per process: building 22 subparsers costs more than most calls
+    return build_parser()
+
+
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = _main_parser().parse_args(argv)
+    if args.threads < 1:
+        print("error: --threads needs a value >= 1", file=sys.stderr)
+        return 1
+    args.threads = min(args.threads, os.cpu_count() or 1)
     try:
         columns, rows = args.handler(args)
     except InvalidArgumentError as exc:

@@ -193,8 +193,12 @@ def adversarial_sets(N: int, eps: float) -> tuple[int, IndexSet, IndexSet]:
         raise InvalidArgumentError("adversarial_sets needs N >= 1")
     if not (0.0 < eps <= 0.5):
         raise InvalidArgumentError("adversarial_sets needs 0 < eps <= 1/2")
+    if 2.0 * eps * (N + 1) < 1.0:  # the test grows with cand: all candidates > N + 1
+        raise ConstructionFailedError(f"residue class -1 mod p is empty below N={N}")
+    cand = max(2, ceil(0.5 / eps))
+    while cand > 2 and 2.0 * eps * (cand - 1) >= 1.0:
+        cand -= 1
     p = 0
-    cand = 2
     while cand * eps <= 1.0:
         if 2.0 * eps * cand >= 1.0 and is_prime_u64(cand):
             p = cand

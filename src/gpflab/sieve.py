@@ -76,8 +76,7 @@ def build_sieve(limit: int) -> PrimeSieve:
     if limit > MAX_SIEVE_LIMIT:
         raise RangeBudgetError(f"sieve limit {limit} exceeds cap {MAX_SIEVE_LIMIT}")
     spf = _accel.spf_fill(limit)
-    idx = np.arange(limit + 1, dtype=np.int64)
-    is_prime = spf == idx
+    is_prime = spf == np.arange(limit + 1, dtype=spf.dtype)
     is_prime[:2] = False
     primes = np.flatnonzero(is_prime).astype(np.int64)
     pcc = np.cumsum(is_prime, dtype=np.int64)

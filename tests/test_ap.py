@@ -7,9 +7,12 @@ over residues) rather than reusing library internals.
 import math
 from math import gcd, log
 
+import numpy as np
 import pytest
 
 from gpflab.ap import (
+    _fixed,
+    _round_fixed,
     bv_sum,
     default_rough_z,
     dyadic_abs_sum,
@@ -25,6 +28,7 @@ from gpflab.ap import (
     trivial_bound_ratio,
 )
 from gpflab.errors import InvalidArgumentError, RangeBudgetError
+from gpflab.sieve import build_sieve
 
 
 def naive_is_prime(n: int) -> bool:
@@ -270,15 +274,120 @@ def test_reports_are_consistent(sieve_10k):
         assert rep.normalized == rep.total / rep.x
 
 
-def test_threads_do_not_change_results(sieve_10k):
-    one = bv_sum(2000, 25, sieve_10k, threads=1)
-    four = bv_sum(2000, 25, sieve_10k, threads=4)
-    assert one.total == four.total
-    assert one.per_q == four.per_q
-    t_one = theorem4_sum(400, 5, 3, 50, 7, sieve_10k, threads=1)
-    t_four = theorem4_sum(400, 5, 3, 50, 7, sieve_10k, threads=4)
-    assert t_one.total == t_four.total
-    assert t_one.per_q == t_four.per_q
+def _aggregates(sieve):
+    """The five aggregates at small sizes with a != 1, keyed by case name."""
+    return {
+        "bv": lambda **kw: bv_sum(20_000, 12, sieve, **kw),
+        "signed": lambda **kw: signed_sum(20_000, 24, 5, sieve, **kw),
+        "dyadic_pi": lambda **kw: dyadic_abs_sum(20_000, 10, 7, sieve, **kw),
+        "dyadic_psi": lambda **kw: dyadic_abs_sum(20_000, 10, 7, sieve,
+                                                  use_psi=True, **kw),
+        "thm4": lambda **kw: theorem4_sum(20_000, 12, 2, 3000, 101, sieve, **kw),
+        "thm4_neg": lambda **kw: theorem4_sum(20_000, 9, 150, 20_000, -3, sieve,
+                                              **kw),
+        "lambda": lambda **kw: lambda_extension_sum(20_000, 10, 30, 20_000, 7, 3.0,
+                                                    sieve, **kw),
+        "lambda_small_p1": lambda **kw: lambda_extension_sum(2_000, 9, 1, 2_000, -5,
+                                                             2.0, sieve, **kw),
+    }
+
+
+@pytest.fixture(scope="module")
+def sieve_20k():
+    return build_sieve(20_200)
+
+
+# float.hex of total and of every per_q value, recorded from the per-modulus
+# loops (divisor scatter, per-residue cumsum scans, per-star modular inverses)
+# that the progression-mass engine replaced; the engine must reproduce them bit
+# for bit
+GOLDEN = {
+    'bv': ('0x1.0dd5555555555p+7', [
+        # q = 1..12, 12 moduli
+        '0x0.0p+0', '0x1.0000000000000p+0', '0x1.c000000000000p+3',
+        '0x1.0000000000000p+4', '0x1.7800000000000p+3', '0x1.c000000000000p+3',
+        '0x1.0555555555550p+3', '0x1.4000000000000p+4', '0x1.8000000000000p+3',
+        '0x1.7800000000000p+3', '0x1.2000000000000p+3', '0x1.1400000000000p+4',
+    ]),
+    'signed': ('0x1.a3d7a91d7a924p+4', [
+        # q = 1..24, 20 moduli
+        '0x0.0p+0', '-0x1.0000000000000p+0', '0x1.8000000000000p+2',
+        '-0x1.8000000000000p+2', '0x1.4000000000000p+2', '0x1.0000000000000p+0',
+        '0x1.c000000000000p+1', '0x1.8000000000000p+1', '-0x1.1999999999980p+1',
+        '0x1.2000000000000p+2', '0x1.2000000000000p+2', '0x1.0000000000000p+0',
+        '0x1.0000000000000p-2', '-0x1.8000000000000p-2', '0x1.8000000000000p+1',
+        '0x1.5555555555550p+2', '0x1.4000000000000p+1', '-0x1.1999999999980p+1',
+        '0x1.745d1745d1800p-3', '-0x1.c000000000000p+0',
+    ]),
+    'dyadic_pi': ('0x1.457777777777cp+4', [
+        # q = 10..19, 9 moduli
+        '0x1.c000000000000p+1', '0x1.6666666666680p+1', '0x1.c000000000000p+1',
+        '0x1.8000000000000p+0', '0x1.1000000000000p+2', '-0x1.8000000000000p-1',
+        '-0x1.6000000000000p+0', '-0x1.0000000000000p+0', '-0x1.aaaaaaaaaaac0p+0',
+    ]),
+    'dyadic_psi': ('0x1.00c5a6a4b4c90p+7', [
+        # q = 10..19, 9 moduli
+        '-0x1.211d9d8c7c400p+2', '0x1.a6f0f04fbd000p+2', '-0x1.0912abb0fd600p+3',
+        '-0x1.741ef96234600p+2', '0x1.359bbc6f6ed80p+4', '-0x1.b0efb43fce200p+4',
+        '-0x1.a842e73233100p+4', '0x1.c618f9d089000p+3', '-0x1.00bda8b3d7a80p+4',
+    ]),
+    'thm4': ('0x1.93d8083576dc0p+7', [
+        # q = 12..23, 12 moduli
+        '-0x1.1cb5e6cd0a400p+3', '0x1.3318613f9d000p+1', '0x1.107137224d400p+5',
+        '-0x1.c84a6559ab000p+0', '-0x1.74cc77989e000p-1', '-0x1.639709b8b0000p-4',
+        '0x1.bd7c4afaed400p+3', '0x1.aaeff5b1b2800p+2', '-0x1.1cc38ba6198c0p+6',
+        '0x1.7d35d0bb5b400p+4', '0x1.2541fe6751e00p+4', '-0x1.4091121794c00p+4',
+    ]),
+    'thm4_neg': ('0x1.24aebb45cbd00p+6', [
+        # q = 10..17, 6 moduli
+        '0x1.a0be37f444800p+3', '0x1.7cff6b7bd0000p+3', '-0x1.b2c67b1f01e00p+3',
+        '-0x1.2a6aa8ba86600p+3', '0x1.7785e9041e000p+3', '0x1.b30129e0a3c00p+3',
+    ]),
+    'lambda': ('0x1.8eb2bfcff1700p+5', [
+        # q = 10..19, 9 moduli
+        '0x1.8a166ca0af000p+1', '0x1.0eb5d899c6000p-1', '-0x1.0344a3a54e000p+1',
+        '-0x1.f57ad828a1800p+2', '-0x1.dd1bcf442b000p+1', '0x1.6ab7195aff400p+2',
+        '0x1.2d1e04e014d00p+3', '-0x1.9c0b83d0f6c00p+2', '0x1.64052a493ed00p+3',
+    ]),
+    'lambda_small_p1': ('0x1.4f5fe549aa5c0p+4', [
+        # q = 9..17, 7 moduli
+        '-0x1.6bac67f4d9800p+0', '0x1.956a87c8e0c00p-1', '0x1.d7b801a010d00p+1',
+        '0x1.6d5ecb57c8400p-1', '0x1.3473b8fb0ee80p+2', '0x1.cab13314d8180p+1',
+        '-0x1.7c92fd6fda940p+2',
+    ]),
+}
+
+
+@pytest.mark.parametrize("name", sorted(GOLDEN))
+def test_aggregates_match_golden_bits(sieve_20k, name):
+    rep = _aggregates(sieve_20k)[name]()
+    total, per_q = GOLDEN[name]
+    assert rep.total.hex() == total
+    assert [float(v).hex() for _, v in rep.per_q] == per_q
+
+
+def test_threads_do_not_change_results(sieve_20k):
+    for name, call in _aggregates(sieve_20k).items():
+        one = call(threads=1)
+        two = call(threads=2)
+        assert one.total == two.total, name
+        assert one.per_q == two.per_q, name
+
+
+def test_fixed_point_sums_round_like_fsum():
+    # the engine's exact sums must agree with math.fsum to the last bit,
+    # including ties and terms far below the largest one
+    rng = np.random.default_rng(7)
+    cases = [np.array([2.0**53, 1.0, 2.0**-20]), np.array([1.0, 2.0**-53]),
+             np.array([1.0, 2.0**-53, 2.0**-105]), np.zeros(3)]
+    for _ in range(300):
+        v = rng.random(int(rng.integers(1, 40))) * 2.0 ** rng.integers(-8, 40)
+        v[rng.random(v.size) < 0.2] = 0.0
+        cases.append(v)
+    for v in cases:
+        limbs, base = _fixed(v)
+        got = _round_fixed(limbs.sum(axis=0, keepdims=True), base)[0]
+        assert got.hex() == math.fsum(v.tolist()).hex()
 
 
 def test_trivial_bound_ratio(sieve_10k):

@@ -14,7 +14,7 @@ import sys
 import numpy as np
 import pytest
 
-from gpflab import _accel, ap, shifted, smooth
+from gpflab import _accel, shifted, smooth
 from gpflab.errors import InvalidArgumentError
 from gpflab.sieve import (build_sieve, greatest_prime_factor_batch,
                           segmented_primes, tau_table, theta_count)
@@ -141,18 +141,6 @@ def test_psi_count_identical():
 
 
 @requires_numba
-def test_bv_pipeline_bit_identical():
-    def work():
-        sieve = build_sieve(20_000)
-        rep = ap.bv_sum(20_000.0, 12, sieve)
-        return rep.total, tuple(rep.per_q)
-
-    (t1, per1), (t2, per2) = run_both(work)
-    assert t1 == t2
-    assert per1 == per2
-
-
-@requires_numba
 def test_gamma_plus_identical():
     def work():
         sieve = build_sieve(40_001)
@@ -177,17 +165,6 @@ def test_compensated_cumsum_close():
         assert b[idx] == pytest.approx(exact, rel=1e-13)
 
 
-@requires_numba
-def test_theorem4_sum_close_across_backends():
-    def work():
-        sieve = build_sieve(2_100)
-        rep = ap.theorem4_sum(2_000.0, 4, 3.0, 50.0, 7, sieve)
-        return rep.total
-
-    a, b = run_both(work)
-    assert a == pytest.approx(b, rel=1e-12)
-
-
 def test_env_flag_forces_numpy_backend():
     env = dict(os.environ, GPFLAB_NO_NUMBA="1")
     out = subprocess.run(
@@ -205,6 +182,6 @@ def test_bench_smoke():
         capture_output=True, text=True, env=env, timeout=300)
     assert out.returncode == 0
     assert "kernel timings" in out.stdout
-    for name in ("spf_fill", "gpf_batch", "product_mark", "bv_max_scan",
-                 "divisor_scatter", "tau_table", "theta_scan"):
+    for name in ("spf_fill", "gpf_batch", "product_mark", "tau_table",
+                 "theta_scan"):
         assert name in out.stdout

@@ -9,6 +9,8 @@ import csv
 import io
 import json
 import math
+import os
+import time
 
 import pytest
 
@@ -424,6 +426,16 @@ def test_adversarial_infeasible_exits_two(capsys):
     assert err.startswith("error:")
 
 
+def test_adversarial_tiny_eps_exits_two_fast(capsys):
+    # the candidate primes start near 1/(2*eps), far beyond N + 1
+    t0 = time.perf_counter()
+    code, out, err = run_cli(capsys, ["adversarial", "--n", "10", "--eps", "1e-300"])
+    assert time.perf_counter() - t0 < 1.0
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error:") and err.count("\n") == 1
+
+
 def test_thm1_search_hit_and_miss(capsys):
     code, out, _ = run_cli(capsys, ["thm1-search", "--n", "10",
                                     "--lo", "90", "--hi", "101"])
@@ -525,6 +537,31 @@ def test_threads_do_not_change_output(capsys):
     _, out1, _ = run_cli(capsys, base + ["--threads", "1"])
     _, out3, _ = run_cli(capsys, base + ["--threads", "3"])
     assert out1 == out3
+
+
+@pytest.mark.parametrize("value", ["0", "-5"])
+def test_threads_below_one_exits_one(capsys, value):
+    code, out, err = run_cli(capsys, ["bv-sum", "--x", "1000", "--Q", "5",
+                                      "--threads", value])
+    assert code == 1
+    assert out == ""
+    assert err.startswith("error:") and err.count("\n") == 1
+
+
+def test_threads_capped_at_cpu_count(capsys, monkeypatch):
+    seen = []
+
+    def fake_bv_sum(x, Q, sieve, threads=1):
+        seen.append(threads)
+        return ap.DiscrepancyReport(x, "bv_max", "", None, [], 0.0, 0.0)
+
+    monkeypatch.setattr(ap, "bv_sum", fake_bv_sum)
+    monkeypatch.setattr(os, "cpu_count", lambda: 3)
+    for value, want in (("1", 1), ("3", 3), ("64", 3)):
+        code, _, _ = run_cli(capsys, ["bv-sum", "--x", "1000", "--Q", "5",
+                                      "--threads", value])
+        assert code == 0
+        assert seen.pop() == want
 
 
 def test_rng_seed_reproducible(capsys):
