@@ -13,7 +13,8 @@ import functools
 import json
 import os
 import sys
-from math import ceil, gcd, isqrt, log, sqrt
+from decimal import Decimal, InvalidOperation
+from math import ceil, gcd, isfinite, isinf, isnan, isqrt, log, sqrt
 
 import numpy as np
 
@@ -73,7 +74,35 @@ def _parse_x(text: str) -> float:
         x = float(text)
     except ValueError as exc:
         raise InvalidArgumentError(f"bad numeric value {text!r}") from exc
+    if not isfinite(x):
+        raise InvalidArgumentError(f"non-finite value {text!r}")
     return x
+
+
+# the magnitudes float() parses; beyond them int(Decimal) could run for minutes
+_INT_MAGNITUDE = Decimal(sys.float_info.max)
+
+
+def _parse_int(text: str) -> int:
+    """An exact integer: 9007199254740993 stays itself and 1e6 is accepted,
+    while 1.9 is an error rather than 1."""
+    try:
+        return int(text)
+    except ValueError:
+        pass
+    try:
+        value = Decimal(text)
+    except InvalidOperation:
+        raise InvalidArgumentError(f"bad integer value {text!r}") from None
+    if not (value.is_finite() and value.copy_abs() <= _INT_MAGNITUDE):
+        raise InvalidArgumentError(f"bad integer value {text!r}")
+    if value != value.to_integral_value():
+        raise InvalidArgumentError(f"not an integer: {text!r}")
+    return int(value)
+
+
+def _int_list(text: str) -> list[int]:
+    return [_parse_int(t) for t in text.split(",") if t.strip()]
 
 
 def _x_list(args) -> list[float]:
@@ -120,7 +149,7 @@ def _pair_of_sets(args, rng) -> tuple[shifted.IndexSet, shifted.IndexSet, int]:
 
 
 def _cmd_gpf(args):
-    values = [int(_parse_x(t)) for t in args.n.split(",") if t.strip()]
+    values = _int_list(args.n)
     if not values:
         raise InvalidArgumentError("--n needs at least one value")
     if min(values) < 1:
@@ -141,8 +170,7 @@ def _cmd_gamma_plus(args):
 
 
 def _cmd_lv_count(args):
-    ns = [int(_parse_x(t)) for t in args.n.split(",") if t.strip()]
-    rows = [{"N": n, "count": shifted.lv_count(n)} for n in ns]
+    rows = [{"N": n, "count": shifted.lv_count(n)} for n in _int_list(args.n)]
     return ["N", "count"], rows
 
 
@@ -150,9 +178,8 @@ def _cmd_ford_ratio(args):
     text = args.n_list if args.n_list else args.n
     if not text:
         raise InvalidArgumentError("need --n or --n-list")
-    ns = [int(_parse_x(t)) for t in text.split(",") if t.strip()]
     rows = [{"N": n, "count": shifted.lv_count(n), "ratio": shifted.ford_ratio(n)}
-            for n in ns]
+            for n in _int_list(text)]
     return ["N", "count", "ratio"], rows
 
 
@@ -287,7 +314,10 @@ def _load_sequence(args) -> sequences.WeightedSequence:
     if args.seq_file:
         return sequences.WeightedSequence.from_file(args.seq_file)
     if args.indicator:
-        lo, hi = (int(t) for t in args.indicator.split(","))
+        bounds = args.indicator.split(",")
+        if len(bounds) != 2:
+            raise InvalidArgumentError(f"--indicator needs LO,HI, got {args.indicator!r}")
+        lo, hi = (_parse_int(t) for t in bounds)
         return sequences.WeightedSequence.indicator(lo, hi)
     raise InvalidArgumentError("need --seq-file or --indicator lo,hi")
 
@@ -336,7 +366,7 @@ _SELECTOR_PARAM_KEYS = ("x", "y", "z", "w", "j", "ell", "k", "s", "nu",
 def _cmd_divisor_lhs(args):
     params = {}
     for key in _SELECTOR_PARAM_KEYS:
-        v = getattr(args, key if key != "w" else "w_lo")
+        v = getattr(args, key)
         if v is not None:
             params[key] = v
     need = params.get("x", 1)
@@ -447,6 +477,17 @@ def _add_common(sp):
 
 def _float_arg(sp, name, **kw):
     sp.add_argument(name, type=float, **kw)
+
+
+# float() takes "nan" and "inf": nan means nothing anywhere, and inf means
+# nothing as a size, while a threshold such as --p2 or --z may be inf (no bound)
+_SIZES = ("x", "y", "u", "lo", "hi")
+
+
+def _check_floats(args) -> None:
+    for dest, v in vars(args).items():
+        if isinstance(v, float) and (isnan(v) or (isinf(v) and dest in _SIZES)):
+            raise InvalidArgumentError(f"--{dest.replace('_', '-')} needs a finite value, got {v}")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -565,7 +606,7 @@ def build_parser() -> argparse.ArgumentParser:
     _float_arg(sp, "--x", default=None)
     _float_arg(sp, "--y", default=None)
     _float_arg(sp, "--z", default=None)
-    _float_arg(sp, "--w", dest="w_lo", default=None)
+    _float_arg(sp, "--w", default=None)
     sp.add_argument("--j", type=int, default=None)
     sp.add_argument("--ell", type=int, default=None)
     sp.add_argument("--k", type=int, default=None)
@@ -630,14 +671,15 @@ def main(argv=None) -> int:
         return 1
     args.threads = min(args.threads, os.cpu_count() or 1)
     try:
+        _check_floats(args)
         columns, rows = args.handler(args)
-    except InvalidArgumentError as exc:
+        _emit(columns, rows, args)
+    except (InvalidArgumentError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     except (RangeBudgetError, ConstructionFailedError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    _emit(columns, rows, args)
     return 0
 
 

@@ -11,9 +11,11 @@ from math import ceil, comb, floor, fsum, gcd, isqrt, log
 
 import numpy as np
 
+from . import _accel
 from .ap import default_rough_z
 from .errors import InvalidArgumentError, RangeBudgetError
-from .sieve import PrimeSieve, factorize, rough_table, tau_table
+from .sieve import (PrimeSieve, _tau_order, build_sieve, euler_phi, factorize,
+                    rough_indicator, rough_table, tau_ell)
 
 _CONVOLVE_SPAN_BUDGET = 100_000_000
 _SINGLE_SUM_BUDGET = 10_000_000
@@ -117,21 +119,9 @@ def convolve3(f: WeightedSequence, g: WeightedSequence, h: WeightedSequence) -> 
     return convolve(convolve(f, g), h)
 
 
-def _phi_small(q: int) -> int:
-    out = 1
-    v = q
-    p = 2
-    while p * p <= v:
-        if v % p == 0:
-            e = 0
-            while v % p == 0:
-                v //= p
-                e += 1
-            out *= (p - 1) * p ** (e - 1)
-        p += 1
-    if v > 1:
-        out *= v - 1
-    return out
+def _root_sieve(n_max: int) -> PrimeSieve:
+    """A sieve that factors every integer up to n_max (see sieve.factorize)."""
+    return build_sieve(max(2, isqrt(n_max) + 1))
 
 
 def delta(f: WeightedSequence, q: int, a: int) -> float:
@@ -142,7 +132,7 @@ def delta(f: WeightedSequence, q: int, a: int) -> float:
     ns = np.arange(f.lo, f.hi + 1, dtype=np.int64)
     main = fsum(f.values[ns % q == a % q].tolist())
     cop = fsum(f.values[np.gcd(ns, q) == 1].tolist())
-    return main - cop / _phi_small(q)
+    return main - cop / euler_phi(q, _root_sieve(q))
 
 
 def a1_lhs(f: WeightedSequence, d: int, k: int, ell: int) -> float:
@@ -158,7 +148,7 @@ def a1_lhs(f: WeightedSequence, d: int, k: int, ell: int) -> float:
     cop_d = np.gcd(ns, d) == 1
     main = fsum(f.values[cop_d & (ns % k == ell % k)].tolist())
     ref = fsum(f.values[np.gcd(ns, d * k) == 1].tolist())
-    return abs(main - ref / _phi_small(k))
+    return abs(main - ref / euler_phi(k, _root_sieve(k)))
 
 
 @dataclass(frozen=True)
@@ -173,42 +163,15 @@ class ConditionReport:
     rhs: float | None
 
 
-def _tau_small(n: int) -> int:
-    out = 1
-    v = n
-    p = 2
-    while p * p <= v:
-        if v % p == 0:
-            e = 0
-            while v % p == 0:
-                v //= p
-                e += 1
-            out *= e + 1
-        p += 1
-    if v > 1:
-        out *= 2
-    return out
-
-
-def _spf_small(n: int) -> int:
-    if n % 2 == 0:
-        return 2
-    p = 3
-    while p * p <= n:
-        if n % p == 0:
-            return p
-        p += 2
-    return n
-
-
 def check_A2(f: WeightedSequence, bound: float) -> ConditionReport:
     """Divisor-bounded weights: |f(n)| <= bound * tau(n)^bound on the support."""
     if bound <= 0:
         raise InvalidArgumentError("check_A2 needs a positive bound")
     worst = None
     worst_ratio = -1.0
+    sieve = _root_sieve(f.hi)
     for n in f.support().tolist():
-        cap = bound * _tau_small(n) ** bound
+        cap = bound * tau_ell(n, 2, sieve) ** bound
         ratio = abs(f.value(n)) / cap
         if ratio > worst_ratio:
             worst_ratio = ratio
@@ -217,7 +180,7 @@ def check_A2(f: WeightedSequence, bound: float) -> ConditionReport:
         return ConditionReport("A2", {"B": bound}, True, None, None, None)
     return ConditionReport("A2", {"B": bound}, worst_ratio <= 1.0, worst,
                            abs(f.value(worst)),
-                           bound * _tau_small(worst) ** bound)
+                           bound * tau_ell(worst, 2, sieve) ** bound)
 
 
 def check_A3(f: WeightedSequence, x) -> ConditionReport:
@@ -226,10 +189,11 @@ def check_A3(f: WeightedSequence, x) -> ConditionReport:
     z0 = default_rough_z(x)
     worst = None
     worst_spf = None
+    sieve = _root_sieve(f.hi)
     for n in f.support().tolist():
         if n == 1:
             continue  # no prime factors: vacuously rough
-        s = _spf_small(n)
+        s = factorize(n, sieve).factors[0][0]
         if worst_spf is None or s < worst_spf:
             worst_spf = s
             worst = n
@@ -260,8 +224,9 @@ def check_A4(f: WeightedSequence, z) -> ConditionReport:
             worst = n
             break
     if holds:
+        sieve = _root_sieve(l2)
         for n in range(l1, l2 + 1):
-            rough = 1 if (n == 1 or _spf_small(n) >= z) else 0
+            rough = rough_indicator(n, z, sieve)
             have = 1 if f.value(n) != 0.0 else 0
             if rough != have:
                 holds = False
@@ -391,21 +356,18 @@ def _ld_sum(arr) -> float:
     return float(np.sum(arr.astype(np.longdouble)))
 
 
-def _weight_table(limit: int, j: int, z, sieve: PrimeSieve) -> np.ndarray:
-    """tau_j(n) * [n is z-rough] as float64 over [0, limit]."""
-    tab = tau_table(limit, j).astype(np.float64)
-    tab[~rough_table(limit, z, sieve)] = 0.0
+def _weight_table(limit: int, j: int, z, sieve: PrimeSieve, glued=False) -> np.ndarray:
+    """tau_j(n) * [n is z-rough] as float64 over [0, limit], or with
+    ``glued`` its convolution with 1, which counts the glued free variable.
+
+    The convolution sums tau_j over the divisors of the z-rough part of n,
+    so it is tau_{j+1} of that part.
+    """
+    j = _tau_order(j)
+    tab = _accel.tau_table(sieve.spf[: limit + 1], j + glued, z).astype(np.float64)
+    if not glued:
+        tab[~rough_table(limit, z, sieve)] = 0.0
     return tab
-
-
-def _unit_convolve(w: np.ndarray) -> np.ndarray:
-    """(w * 1)(e) = sum over n | e of w[n]; counts the glued free variable."""
-    out = np.zeros_like(w)
-    limit = w.size - 1
-    for d in range(1, limit + 1):
-        if w[d]:
-            out[d::d] += w[d]
-    return out
 
 
 def _single_budget(xi: int) -> None:
@@ -498,7 +460,7 @@ def divisor_sum_lhs(selector: str, params: dict, sieve: PrimeSieve) -> float:
         _single_budget(xi)
         if xi > sieve.limit:
             raise RangeBudgetError("needs x <= sieve.limit")
-        tab = tau_table(xi, int(ell))
+        tab = _accel.tau_table(sieve.spf[: xi + 1], _tau_order(ell), 2)
         ns = np.arange(xi + 1, dtype=np.int64)
         mask = (ns > x - y) & (ns <= x) & (ns >= 1)
         vals = tab[mask].astype(np.float64) ** int(k)
@@ -577,9 +539,9 @@ def divisor_sum_lhs(selector: str, params: dict, sieve: PrimeSieve) -> float:
         _multi_budget(xi)
         if xi > sieve.limit:
             raise RangeBudgetError("needs x <= sieve.limit")
-        tables = [_weight_table(xi, int(j), z, sieve) for j in js]
-        if selector == "fourfold-glued":
-            tables[0] = _unit_convolve(tables[0])
+        glued = selector == "fourfold-glued"
+        tables = [_weight_table(xi, int(j), z, sieve, glued and i == 0)
+                  for i, j in enumerate(js)]
         return _fourfold(xi, float(y), float(w_lo), tables)
 
     # sfold-ordered / sfold-glued
@@ -594,13 +556,14 @@ def divisor_sum_lhs(selector: str, params: dict, sieve: PrimeSieve) -> float:
     _multi_budget(xi)
     if xi > sieve.limit:
         raise RangeBudgetError("needs x <= sieve.limit")
-    tables = [_weight_table(xi, int(j), z, sieve) for j in js]
+    nu = 0
     if selector == "sfold-glued":
         (nu,) = _need(params, ["nu"], selector)
         nu = int(nu)
         if not 1 <= nu <= s:
             raise InvalidArgumentError("nu must be in [1, s]")
-        tables[nu - 1] = _unit_convolve(tables[nu - 1])
+    tables = [_weight_table(xi, int(j), z, sieve, i == nu)
+              for i, j in enumerate(js, start=1)]
     return _sfold(xi, float(y), float(w_lo), tables)
 
 

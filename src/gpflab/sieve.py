@@ -195,7 +195,7 @@ def greatest_prime_factor_batch(values, sieve: PrimeSieve) -> np.ndarray:
         raise InvalidArgumentError("batch gpf needs values >= 1")
     if int(arr.max()) > _max_factor_input(sieve):
         raise RangeBudgetError("batch gpf value beyond certified range")
-    out = _accel.gpf_batch(arr, sieve.spf, sieve.primes, sieve.limit)
+    out = _accel.gpf_batch(arr, sieve.spf)
     pending = np.flatnonzero(out < 0)
     for i in pending:
         out[i] = greatest_prime_factor(int(arr[i]), sieve)
@@ -236,14 +236,19 @@ def von_mangoldt(n: int, sieve: PrimeSieve) -> float:
     return log(fact.factors[0][0])
 
 
+def _tau_order(ell) -> int:
+    ell = int(ell)
+    if ell < 0 or ell > 16:
+        raise InvalidArgumentError("tau_ell order must be in [0, 16]")
+    return ell
+
+
 def tau_ell(n: int, ell: int, sieve: PrimeSieve) -> int:
     """Number of ordered ell-tuples with product n (generalized divisor count).
 
     tau_0 is the indicator of n == 1; tau_ell(p^e) = C(e+ell-1, ell-1).
     """
-    ell = int(ell)
-    if ell < 0 or ell > 16:
-        raise InvalidArgumentError("tau_ell order must be in [0, 16]")
+    ell = _tau_order(ell)
     fact = factorize(n, sieve)
     if ell == 0:
         return 1 if fact.n == 1 else 0
@@ -342,9 +347,7 @@ def divisor_list(fact: Factorization) -> list[int]:
 
 def tau_table(limit: int, ell: int) -> np.ndarray:
     """tau_ell(n) for all n <= limit as an int64 array (index 0 unused)."""
-    if ell < 0 or ell > 16:
-        raise InvalidArgumentError("tau_ell order must be in [0, 16]")
-    return _accel.tau_table(int(limit), int(ell))
+    return _accel.tau_table(_accel.spf_fill(int(limit)), _tau_order(ell), 2)
 
 
 def rough_table(limit: int, z, sieve: PrimeSieve) -> np.ndarray:

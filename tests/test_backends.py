@@ -1,187 +1,167 @@
-"""Parity between the numba kernels and the pure-numpy fallbacks.
+"""The numpy kernels of ``gpflab._accel`` against independent oracles.
 
-Integer kernels must agree exactly; the one float kernel with differing
-summation strategies (compensated cumulative sum) gets a tight tolerance.
-Each test flips the backend inside try/finally so a failure cannot leak a
-forced backend into the rest of the suite.
+The loop forms of the divisor-function tables (Dirichlet steps over d, and
+the sum over divisors that glues a free variable) stay here as reference
+implementations for the tables the spf peel builds.
 """
 
 import math
-import os
 import subprocess
 import sys
 
 import numpy as np
 import pytest
 
-from gpflab import _accel, shifted, smooth
-from gpflab.errors import InvalidArgumentError
-from gpflab.sieve import (build_sieve, greatest_prime_factor_batch,
-                          segmented_primes, tau_table, theta_count)
-
-requires_numba = pytest.mark.skipif(not _accel.HAS_NUMBA,
-                                    reason="numba not importable")
+from gpflab import _accel, sequences
+from gpflab.sieve import (build_sieve, greatest_prime_factor,
+                          greatest_prime_factor_batch, rough_table,
+                          segmented_primes, tau_ell, tau_table)
 
 
-def run_both(fn):
-    """Evaluate fn() under the numba backend and again under numpy."""
-    saved = _accel.backend()
-    try:
-        _accel.set_backend("numba")
-        first = fn()
-        _accel.set_backend("numpy")
-        second = fn()
-    finally:
-        _accel.set_backend(saved)
-    return first, second
+def dirichlet_tau_table(limit: int, ell: int) -> np.ndarray:
+    """tau_ell over [0, limit] by ell - 1 Dirichlet steps with the ones."""
+    if ell == 0:
+        out = np.zeros(limit + 1, np.int64)
+        out[1:2] = 1
+        return out
+    cur = np.ones(limit + 1, np.int64)
+    cur[0] = 0
+    for _ in range(ell - 1):
+        nxt = np.zeros(limit + 1, np.int64)
+        for d in range(1, limit + 1):
+            if cur[d]:
+                nxt[d::d] += cur[d]
+        cur = nxt
+    return cur
+
+
+def divisor_sum_table(w: np.ndarray) -> np.ndarray:
+    """(w * 1)(n) = sum over d | n of w[d], for n >= 1."""
+    out = np.zeros_like(w)
+    for d in range(1, w.size):
+        if w[d]:
+            out[d::d] += w[d]
+    return out
 
 
 def test_backend_reports_valid_name():
-    assert _accel.backend() in ("numba", "numpy")
+    assert _accel.backend() == "numpy"
 
 
-def test_set_backend_rejects_unknown():
-    with pytest.raises(InvalidArgumentError):
-        _accel.set_backend("cuda")
+def test_fresh_process_reports_numpy_backend():
+    code = ("import gpflab, gpflab.cli\n"
+            "print(gpflab.backend(), gpflab.cli.main(['gpf', '--n', '91']))")
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                         text=True, check=True, timeout=120)
+    assert out.stdout.splitlines() == ["n,gpf", "91,13", "numpy 0"]
 
 
-def test_set_backend_round_trip():
-    saved = _accel.backend()
-    try:
-        _accel.set_backend("numpy")
-        assert _accel.backend() == "numpy"
-    finally:
-        _accel.set_backend(saved)
-    assert _accel.backend() == saved
+def test_spf_fill_matches_trial_division():
+    for limit in (0, 1, 2, 3, 4, 5000):
+        spf = _accel.spf_fill(limit)
+        assert spf.size == limit + 1
+        want = [0, 1][: limit + 1] + [next(p for p in range(2, n + 1) if n % p == 0)
+                                      for n in range(2, limit + 1)]
+        assert spf.tolist() == want
 
 
-@requires_numba
-def test_spf_fill_identical():
-    a, b = run_both(lambda: _accel.spf_fill(100_000))
-    assert np.array_equal(a, b)
-
-
-@requires_numba
-def test_roundtrip_identical():
+def test_roundtrip_finds_a_corrupted_entry():
     spf = _accel.spf_fill(50_000)
-    a, b = run_both(lambda: _accel.roundtrip_first_bad(spf, 50_000))
-    assert a == b == 0
+    assert _accel.roundtrip_first_bad(spf, 50_000) == 0
+    spf[1003] = 2  # 1003 = 17 * 59; the peel now divides 1003 by 2
+    assert _accel.roundtrip_first_bad(spf, 1002) == 0
+    assert _accel.roundtrip_first_bad(spf, 50_000) == 1003
 
 
-@requires_numba
-def test_gpf_batch_within_limit_identical():
+def test_gpf_batch_within_limit_matches_scalar():
     sieve = build_sieve(10_000)
-    values = np.arange(1, 10_001, dtype=np.int64)
-    a, b = run_both(lambda: _accel.gpf_batch(values, sieve.spf, sieve.primes,
-                                             sieve.limit))
-    assert np.array_equal(a, b)
+    values = np.arange(-2, 10_001, dtype=np.int64)
+    got = _accel.gpf_batch(values, sieve.spf)
+    assert got[:4].tolist() == [1, 1, 1, 1]
+    for v, g in zip(values[3:].tolist(), got[3:].tolist()):
+        assert g == greatest_prime_factor(v, sieve)
 
 
-@requires_numba
-def test_gpf_batch_beyond_limit_contract():
-    # numba resolves values past the sieve limit in-kernel, numpy defers
-    # them with -1; the public batch wrapper must agree across backends.
+def test_gpf_batch_beyond_limit():
     sieve = build_sieve(1_000)
-    # all values stay within the certified range limit * (limit + 2)
-    values = np.array([999_983, 1_001_000, 977 * 1_021, 64], dtype=np.int64)
-    raw_nb, raw_np = run_both(
-        lambda: _accel.gpf_batch(values, sieve.spf, sieve.primes, sieve.limit))
-    assert np.all(raw_np[values > sieve.limit] == -1)
-    assert np.array_equal(raw_nb[values <= sieve.limit],
-                          raw_np[values <= sieve.limit])
-
-    pub_nb, pub_np = run_both(
-        lambda: greatest_prime_factor_batch(values, sieve))
-    assert np.array_equal(pub_nb, pub_np)
     reference = build_sieve(2_000)
-    for v, g in zip(values, pub_nb):
-        from gpflab.sieve import greatest_prime_factor
-        assert g == greatest_prime_factor(int(v), reference)
+    # all values stay within the certified range limit * (limit + 2)
+    values = np.array([999_983, 1_001_000, 977 * 1_021, 64, 1_000, 1_001, 1],
+                      dtype=np.int64)
+    raw = _accel.gpf_batch(values, sieve.spf)
+    assert raw.tolist()[:4] == [-1, -1, -1, 2]
+    assert raw.tolist()[4:] == [5, -1, 1]
+    public = greatest_prime_factor_batch(values, sieve)
+    assert public.tolist() == [greatest_prime_factor(int(v), reference)
+                               for v in values]
 
 
-@requires_numba
-def test_theta_count_identical():
-    sieve = build_sieve(5_000)
-    cases = [(5_000, 7, 10), (5_000, 2, 2), (3_000, 50, 1), (1, 2, 2)]
-    for x, u, v in cases:
-        a, b = run_both(lambda: theta_count(x, u, v, sieve))
-        assert a == b
+def test_tau_table_matches_tau_ell():
+    sieve = build_sieve(4_000)
+    for limit in (0, 1, 2, 10, 4_000):
+        for ell in range(6):
+            tab = tau_table(limit, ell)
+            assert tab.dtype == np.int64 and tab.size == limit + 1
+            assert tab[0] == 0
+            assert tab[1:].tolist() == [tau_ell(n, ell, sieve)
+                                        for n in range(1, limit + 1)]
 
 
-@requires_numba
-def test_segmented_primes_identical():
+def test_tau_table_matches_dirichlet_steps():
+    for ell in (0, 1, 2, 3, 7, 16):
+        assert np.array_equal(tau_table(3_000, ell), dirichlet_tau_table(3_000, ell))
+    across_blocks = 3 * _accel._BLOCK // 2
+    assert np.array_equal(tau_table(across_blocks, 3), dirichlet_tau_table(across_blocks, 3))
+
+
+def test_theta_count_across_blocks():
+    x = 3 * _accel._BLOCK // 2
+    spf = _accel.spf_fill(x)
+    for u in (2, 7, 300):
+        smooth = np.ones(x + 1, np.int64)
+        for p in build_sieve(max(u, 2)).primes.tolist():
+            pk = p
+            while pk <= x:
+                smooth[pk::pk] *= p
+                pk *= p
+        for v in (1, 2, 64, 5_000):
+            want = int(np.count_nonzero(smooth[1:] >= v))
+            assert _accel.theta_count_scan(x, u, v, spf) == want
+
+
+def test_rough_and_glued_tables_match_loop_forms():
+    limit = 3_000
+    sieve = build_sieve(limit)
+    for z in (1, 2, 3, 5, 7.5, 60, 3_001):
+        rough = rough_table(limit, z, sieve)
+        for j in (0, 1, 2, 3, 5, 16):
+            want = dirichlet_tau_table(limit, j).astype(np.float64)
+            want[~rough] = 0.0
+            got = sequences._weight_table(limit, j, z, sieve)
+            assert np.array_equal(got, want)
+            glued = sequences._weight_table(limit, j, z, sieve, glued=True)
+            assert np.array_equal(glued, divisor_sum_table(want))
+
+
+def test_product_mark_count_matches_brute_set():
+    for n in (1, 2, 3, 7, 40, 300):
+        want = len({a * b for a in range(1, n + 1) for b in range(1, n + 1)})
+        assert _accel.product_mark_count(n) == want
+
+
+def test_segmented_primes_matches_plain_sieve():
     sieve = build_sieve(1_000)
-    a, b = run_both(lambda: segmented_primes(100_000, 110_000, sieve))
-    assert np.array_equal(a, b)
-    assert a.size > 0
+    plain = build_sieve(110_000).primes
+    for lo, hi in ((100_000, 110_000), (500, 5_000), (0, 1_000), (996, 1_010)):
+        want = plain[(plain > lo) & (plain <= hi)]
+        got = segmented_primes(lo, hi, sieve)
+        assert np.array_equal(got, want)
+        assert got.size > 0
 
 
-@requires_numba
-def test_product_mark_identical():
-    a, b = run_both(lambda: _accel.product_mark_count(700))
-    assert a == b == shifted.lv_count(700)
-
-
-@requires_numba
-def test_tau_table_identical():
-    for ell in (1, 2, 3, 4):
-        a, b = run_both(lambda: tau_table(4_000, ell))
-        assert np.array_equal(a, b)
-
-
-@requires_numba
-def test_psi_count_identical():
-    def work():
-        sieve = build_sieve(1_000)
-        return [smooth.psi_count(x, y, sieve)
-                for x in (10**4, 10**6) for y in (2, 10, 97)]
-
-    a, b = run_both(work)
-    assert a == b
-
-
-@requires_numba
-def test_gamma_plus_identical():
-    def work():
-        sieve = build_sieve(40_001)
-        res = shifted.gamma_plus(shifted.IndexSet.dense(200),
-                                 shifted.IndexSet.dense(200), sieve)
-        return res.gamma_plus, res.witness, res.c_count
-
-    a, b = run_both(work)
-    assert a == b
-
-
-@requires_numba
-def test_compensated_cumsum_close():
-    sieve = build_sieve(100_000)
-    logs = sieve.log_primes()
-    a, b = run_both(lambda: _accel.compensated_cumsum(logs))
-    # Kahan (numba) and longdouble (numpy) may differ in the last ulp
-    assert np.allclose(a, b, rtol=1e-14, atol=0.0)
-    for idx in (0, 100, logs.size - 1):
+def test_compensated_cumsum_matches_fsum():
+    logs = build_sieve(100_000).log_primes()
+    got = _accel.compensated_cumsum(logs)
+    for idx in (0, 1, 100, 5_000, logs.size - 1):
         exact = math.fsum(logs[: idx + 1].tolist())
-        assert a[idx] == pytest.approx(exact, rel=1e-13)
-        assert b[idx] == pytest.approx(exact, rel=1e-13)
-
-
-def test_env_flag_forces_numpy_backend():
-    env = dict(os.environ, GPFLAB_NO_NUMBA="1")
-    out = subprocess.run(
-        [sys.executable, "-c",
-         "from gpflab import _accel; print(_accel.backend())"],
-        capture_output=True, text=True, env=env, check=True)
-    assert out.stdout.strip() == "numpy"
-
-
-def test_bench_smoke():
-    env = dict(os.environ, GPFLAB_NO_NUMBA="1")
-    out = subprocess.run(
-        [sys.executable, "-m", "gpflab.bench", "--limit", "20000",
-         "--repeat", "1"],
-        capture_output=True, text=True, env=env, timeout=300)
-    assert out.returncode == 0
-    assert "kernel timings" in out.stdout
-    for name in ("spf_fill", "gpf_batch", "product_mark", "tau_table",
-                 "theta_scan"):
-        assert name in out.stdout
+        assert got[idx] == pytest.approx(exact, rel=1e-13)

@@ -15,7 +15,7 @@ import time
 import pytest
 
 from gpflab import ap, sequences, shifted, smooth
-from gpflab.cli import build_parser, main
+from gpflab.cli import _parse_int, build_parser, main
 from gpflab.sieve import build_sieve, greatest_prime_factor
 
 
@@ -562,6 +562,87 @@ def test_threads_capped_at_cpu_count(capsys, monkeypatch):
                                       "--threads", value])
         assert code == 0
         assert seen.pop() == want
+
+
+def assert_one_line_error(code, out, err):
+    assert code == 1
+    assert out == ""
+    assert err.startswith("error:") and err.count("\n") == 1
+
+
+def test_integer_parser_is_exact():
+    # gpf at 2^53 + 1 would need a sieve of about 1 GB, so the parser is tested alone
+    assert _parse_int(str(2**53 + 1)) == 2**53 + 1
+    assert _parse_int("9007199254740993") == 9007199254740993
+    assert _parse_int("1e6") == 10**6
+    assert _parse_int("9007199254740993.0") == 9007199254740993
+    assert _parse_int(" 2.50e1 ") == 25
+
+
+def test_integer_lists_accept_exponent_form(capsys):
+    code, out, _ = run_cli(capsys, ["gpf", "--n", "1e3,12"])
+    assert code == 0
+    assert out == "n,gpf\n1000,5\n12,3\n"
+    code, out, _ = run_cli(capsys, ["lv-count", "--n", "1e2"])
+    assert code == 0
+    assert out == "N,count\n100,2906\n"
+
+
+@pytest.mark.parametrize("argv", [
+    ["gpf", "--n", "12.7"],
+    ["gpf", "--n", "12,x"],
+    ["gpf", "--n", "1e999999999"],
+    ["lv-count", "--n", "1.9"],
+    ["lv-count", "--n", "1e-999999999"],
+    ["ford-ratio", "--n-list", "10,2.5"],
+])
+def test_non_integral_integers_exit_one(capsys, argv):
+    assert_one_line_error(*run_cli(capsys, argv))
+
+
+@pytest.mark.parametrize("argv", [
+    ["smooth", "--x", "nan", "--y", "10"],
+    ["smooth", "--x", "1000", "--y", "inf"],
+    ["bv-sum", "--x", "inf", "--Q", "3"],
+    ["bv-sum", "--x-list", "500,nan", "--Q", "3"],
+    ["rho", "--u=-inf"],
+    ["rho", "--u-list", "1,inf"],
+    ["divisor-lhs", "--selector", "rough-tau-harmonic-log", "--x", "100",
+     "--z", "3", "--j", "2", "--w", "nan"],
+    ["thm1-search", "--n", "10", "--lo", "1", "--hi", "inf"],
+    ["thm4-sum", "--x", "1000", "--p2", "nan"],
+])
+def test_non_finite_floats_exit_one(capsys, argv):
+    assert_one_line_error(*run_cli(capsys, argv))
+
+
+def test_infinite_threshold_still_answers(capsys):
+    code, out, _ = run_cli(capsys, ["lambda-ext", "--x", "1000", "--z", "inf"])
+    assert code == 0
+    _, rows = parse_csv(out)
+    assert rows[0]["z"] == "inf" and rows[0]["total"] == "0"
+
+
+@pytest.mark.parametrize("indicator", ["5", "1,x", "1,2,3", ""])
+def test_malformed_indicator_exits_one(capsys, indicator):
+    for argv in (["delta", "--q", "3", "--a", "1"],
+                 ["cond-check", "--condition", "A2", "--bound", "1"]):
+        assert_one_line_error(*run_cli(capsys, argv + ["--indicator", indicator]))
+
+
+def test_unwritable_output_exits_one(capsys, tmp_path):
+    target = tmp_path / "missing" / "out.csv"
+    assert_one_line_error(*run_cli(capsys, ["bv-sum", "--x", "1000", "--Q", "5",
+                                            "--output", str(target)]))
+    assert not target.exists()
+
+
+def test_missing_input_file_exits_one(capsys, tmp_path):
+    missing = str(tmp_path / "absent.txt")
+    assert_one_line_error(*run_cli(capsys, ["gamma-plus", "--set-a", missing,
+                                            "--set-b", missing]))
+    assert_one_line_error(*run_cli(capsys, ["delta", "--seq-file", missing,
+                                            "--q", "3", "--a", "1"]))
 
 
 def test_rng_seed_reproducible(capsys):
