@@ -6,8 +6,10 @@ the strided slice ``w[a % q::q]`` and the coprime mass by Moebius inversion
 over the squarefree d | q, for a whole modulus range at once.  fsum-defined
 masses are summed exactly in fixed point and rounded once, left-to-right
 ones keep their order, so every per_q entry is the exact per-modulus value
-and the total, a compensated sum in ascending q, ignores the thread count.
-The tables live only as long as the call.
+and the total is a compensated sum in ascending q.  Only bv_sum, whose
+per-modulus rank scans are long numpy calls, spreads its moduli over
+threads; the result does not depend on the thread count.  The tables live
+only as long as the call.
 """
 
 from __future__ import annotations
@@ -20,7 +22,8 @@ import numpy as np
 
 from . import _accel
 from .errors import InvalidArgumentError, RangeBudgetError
-from .sieve import PrimeSieve, euler_phi, segmented_primes
+from .sieve import (MAX_SIEVE_LIMIT, PrimeSieve, _higher_powers, euler_phi,
+                    segmented_primes)
 
 
 def _xi_in_sieve(x, sieve, what) -> int:
@@ -56,19 +59,6 @@ def psi_cheb(x, sieve: PrimeSieve) -> float:
 def _primes_upto(x: int, sieve: PrimeSieve) -> np.ndarray:
     idx = int(np.searchsorted(sieve.primes, x, side="right"))
     return sieve.primes[:idx]
-
-
-def _higher_powers(x: int, sieve: PrimeSieve) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Prime powers p**k <= x with k >= 2: (p**k, p, log p), x up to limit**2."""
-    rows = []
-    for p in _primes_upto(isqrt(x), sieve).tolist():
-        pk = p * p
-        while pk <= x:
-            rows.append((pk, p, log(p)))
-            pk *= p
-    pk, p, lp = zip(*rows) if rows else ((), (), ())
-    return (np.array(pk, dtype=np.int64), np.array(p, dtype=np.int64),
-            np.array(lp, dtype=np.float64))
 
 
 def _prime_powers(x: int, sieve: PrimeSieve) -> tuple[np.ndarray, np.ndarray]:
@@ -140,6 +130,8 @@ def _ordered_map(fn, items, threads):
 def _check(what, Q, x, x_min=1, a=None, P=None) -> None:
     if Q < 1:
         raise InvalidArgumentError(f"{what} needs Q >= 1")
+    if Q > MAX_SIEVE_LIMIT:  # every aggregate lists its moduli one by one
+        raise RangeBudgetError(f"{what} needs Q <= {MAX_SIEVE_LIMIT}")
     if a == 0:
         raise InvalidArgumentError(f"{what} needs a != 0")
     if P is not None and (P[0] < 1 or P[1] < P[0]):
@@ -245,7 +237,7 @@ def bv_sum(x, Q: int, sieve: PrimeSieve, threads: int = 1) -> DiscrepancyReport:
 
 
 def _progression_errors(xi: int, qs: list[int], a: int, sieve: PrimeSieve,
-                        use_psi: bool, threads: int) -> np.ndarray:
+                        use_psi: bool) -> np.ndarray:
     """pi(x;q,a) - pi(x)/phi(q), or the psi analogue, for each q in qs."""
     if use_psi:
         ns, ws = _prime_powers(xi, sieve)
@@ -255,7 +247,7 @@ def _progression_errors(xi: int, qs: list[int], a: int, sieve: PrimeSieve,
         reduce, full = np.count_nonzero, ns.size
     w = np.zeros(xi + 1, dtype=np.float64 if use_psi else bool)
     w[ns] = ws
-    mass = np.asarray(_ordered_map(lambda q: reduce(w[a % q::q]), qs, threads))
+    mass = np.asarray([reduce(w[a % q::q]) for q in qs])
     return np.where(np.asarray(qs) == 1, 0.0, mass - full / _phi_of(qs, sieve))
 
 
@@ -266,29 +258,28 @@ def _phi_of(qs: list[int], sieve: PrimeSieve) -> np.ndarray:
     return phi[np.asarray(qs) - qs[0]]
 
 
-def signed_sum(x, Q: int, a: int, sieve: PrimeSieve, threads: int = 1) -> DiscrepancyReport:
+def signed_sum(x, Q: int, a: int, sieve: PrimeSieve) -> DiscrepancyReport:
     """Signed sum over q <= Q, gcd(q, a) == 1, of pi(x;q,a) - pi(x)/phi(q)."""
     _check("signed_sum", Q, x)
     xi = _xi_in_sieve(x, sieve, "signed_sum")
     qs = [q for q in range(1, Q + 1) if gcd(q, a) == 1]
-    errs = _progression_errors(xi, qs, a, sieve, False, threads)
+    errs = _progression_errors(xi, qs, a, sieve, False)
     return _report(x, "signed", f"q <= {Q} coprime to {a}", a, qs, errs,
                    abs_total=False)
 
 
-def dyadic_abs_sum(x, Q: int, a: int, sieve: PrimeSieve, use_psi: bool = False,
-                   threads: int = 1) -> DiscrepancyReport:
+def dyadic_abs_sum(x, Q: int, a: int, sieve: PrimeSieve,
+                   use_psi: bool = False) -> DiscrepancyReport:
     """Sum over Q <= q < 2Q, gcd(q, a) == 1, of the absolute progression error
     at y = x, in the prime-counting or Chebyshev-psi normalization."""
     _check("dyadic_abs_sum", Q, x)
     xi = _xi_in_sieve(x, sieve, "dyadic_abs_sum")
     qs = [q for q in range(Q, 2 * Q) if gcd(q, a) == 1]
-    errs = _progression_errors(xi, qs, a, sieve, use_psi, threads)
+    errs = _progression_errors(xi, qs, a, sieve, use_psi)
     return _report(x, "dyadic_abs", f"{Q} <= q < {2 * Q}", a, qs, errs)
 
 
-def theorem4_sum(x, Q: int, P1, P2, a: int, sieve: PrimeSieve,
-                 threads: int = 1) -> DiscrepancyReport:
+def theorem4_sum(x, Q: int, P1, P2, a: int, sieve: PrimeSieve) -> DiscrepancyReport:
     """Windowed products p*m <= x with P1 < p <= P2: per modulus q ~ Q,
     the absolute difference between the log-weight mass on the progression
     a (mod q) and its coprime average, summed over q.
@@ -301,8 +292,9 @@ def theorem4_sum(x, Q: int, P1, P2, a: int, sieve: PrimeSieve,
         raise RangeBudgetError("theorem4_sum needs |p*m - a| <= sieve.limit; "
                                "shrink x or |a| or enlarge the sieve")
     p2c = min(float(P2), float(xi))
-    # primes strictly above P1: the first prime > floor(P1) already exceeds P1
-    i = int(np.searchsorted(sieve.primes, floor(P1), side="right"))
+    # primes strictly above P1: the first prime > floor(P1) already exceeds P1;
+    # past p2c (P1 may be inf) the window is empty either way
+    i = int(np.searchsorted(sieve.primes, floor(min(P1, p2c)), side="right"))
     j = int(np.searchsorted(sieve.primes, floor(p2c), side="right"))
     window = sieve.primes[i:j]
 
@@ -371,8 +363,8 @@ def _rough_stars(P1, p2c, z, xi, sieve) -> tuple[np.ndarray, ...]:
     return n[order], np.concatenate([ps, pp[keep]])[order], w[order]
 
 
-def lambda_extension_sum(x, Q: int, P1, P2, a: int, z, sieve: PrimeSieve,
-                         threads: int = 1) -> DiscrepancyReport:
+def lambda_extension_sum(x, Q: int, P1, P2, a: int, z,
+                         sieve: PrimeSieve) -> DiscrepancyReport:
     """Von Mangoldt mass on prime powers n in (P1, P2] with all prime factors
     >= z, paired with the dyadic block t in (x/(2n), x/n]: per modulus q ~ Q,
     |sum over n*t = a (mod q) - (1/phi(q)) * sum over gcd(n*t, q) = 1|,

@@ -14,7 +14,7 @@ import json
 import os
 import sys
 from decimal import Decimal, InvalidOperation
-from math import ceil, gcd, isfinite, isinf, isnan, isqrt, log, sqrt
+from math import ceil, gcd, isinf, isnan, isqrt, log, sqrt
 
 import numpy as np
 
@@ -69,13 +69,22 @@ def _sieve_for(args, needed: int):
     return build_sieve(limit)
 
 
-def _parse_x(text: str) -> float:
+def _parse_float(text: str) -> float:
+    """A float that is not nan; inf is allowed, as in a threshold like --p2."""
     try:
         x = float(text)
-    except ValueError as exc:
-        raise InvalidArgumentError(f"bad numeric value {text!r}") from exc
-    if not isfinite(x):
-        raise InvalidArgumentError(f"non-finite value {text!r}")
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"bad numeric value {text!r}") from None
+    if isnan(x):
+        raise argparse.ArgumentTypeError(f"needs a number, got {text!r}")
+    return x
+
+
+def _parse_x(text: str) -> float:
+    """A finite float: a size such as --x, --y or --u."""
+    x = _parse_float(text)
+    if isinf(x):
+        raise argparse.ArgumentTypeError(f"needs a finite value, got {text!r}")
     return x
 
 
@@ -87,45 +96,65 @@ def _parse_int(text: str) -> int:
     """An exact integer: 9007199254740993 stays itself and 1e6 is accepted,
     while 1.9 is an error rather than 1."""
     try:
-        return int(text)
-    except ValueError:
-        pass
-    try:
         value = Decimal(text)
     except InvalidOperation:
-        raise InvalidArgumentError(f"bad integer value {text!r}") from None
+        raise argparse.ArgumentTypeError(f"bad integer value {text!r}") from None
     if not (value.is_finite() and value.copy_abs() <= _INT_MAGNITUDE):
-        raise InvalidArgumentError(f"bad integer value {text!r}")
+        raise argparse.ArgumentTypeError(f"bad integer value {text!r}")
     if value != value.to_integral_value():
-        raise InvalidArgumentError(f"not an integer: {text!r}")
+        raise argparse.ArgumentTypeError(f"not an integer: {text!r}")
     return int(value)
 
 
-def _int_list(text: str) -> list[int]:
-    return [_parse_int(t) for t in text.split(",") if t.strip()]
+def _list_of(parse):
+    # an empty value is the option left out, while "," is an empty list
+    return lambda text: [parse(t) for t in text.split(",") if t.strip()] if text else None
+
+
+_int_list = _list_of(_parse_int)
+_x_items = _list_of(_parse_x)
+
+
+def _bounds(text: str) -> tuple[int, int] | None:
+    if not text:
+        return None
+    parts = text.split(",")
+    if len(parts) != 2:
+        raise argparse.ArgumentTypeError(f"needs LO,HI, got {text!r}")
+    return _parse_int(parts[0]), _parse_int(parts[1])
+
+
+def _threads(text: str) -> int:
+    n = _parse_int(text)
+    if n < 1:
+        raise argparse.ArgumentTypeError(f"needs a value >= 1, got {text!r}")
+    return min(n, os.cpu_count() or 1)
 
 
 def _x_list(args) -> list[float]:
-    if getattr(args, "x_list", None):
-        return [_parse_x(t) for t in args.x_list.split(",") if t.strip()]
-    if getattr(args, "x", None) is None:
+    if args.x_list is not None:
+        return args.x_list
+    if args.x is None:
         raise InvalidArgumentError("need --x or --x-list")
     return [args.x]
 
 
-def _load_set(path: str, n_max=None) -> shifted.IndexSet:
-    return shifted.IndexSet.from_file(path, n_max=n_max)
+def _rng(args):
+    if args.rng_seed < 0:
+        raise InvalidArgumentError("--rng-seed needs a value >= 0")
+    return np.random.default_rng(args.rng_seed)
 
 
 def _random_set(n: int, card: int, rng) -> shifted.IndexSet:
     if card < 1 or card > n:
         raise InvalidArgumentError("random cardinality must be in [1, N]")
-    members = rng.choice(n, size=card, replace=False) + 1
-    return shifted.IndexSet.from_iterable(np.sort(members), n_max=n)
+    out = shifted.IndexSet(n)
+    out.bits[rng.choice(n, size=card, replace=False) + 1] = True
+    return out
 
 
-def _pair_of_sets(args, rng) -> tuple[shifted.IndexSet, shifted.IndexSet, int]:
-    """Resolve --dense / --set-a,--set-b / --random-card into (A, B, n_max)."""
+def _pair_of_sets(args) -> tuple[shifted.IndexSet, shifted.IndexSet, int]:
+    """Resolve --dense / --random-card / --set-a,--set-b into (A, B, n_max)."""
     if args.dense:
         if not args.n:
             raise InvalidArgumentError("--dense needs --n")
@@ -134,14 +163,27 @@ def _pair_of_sets(args, rng) -> tuple[shifted.IndexSet, shifted.IndexSet, int]:
     if args.random_card:
         if not args.n:
             raise InvalidArgumentError("--random-card needs --n")
+        rng = _rng(args)
         A = _random_set(args.n, args.random_card, rng)
         B = _random_set(args.n, args.random_card, rng)
         return A, B, args.n
     if args.set_a and args.set_b:
-        A = _load_set(args.set_a)
-        B = _load_set(args.set_b)
+        A = shifted.IndexSet.from_file(args.set_a)
+        B = shifted.IndexSet.from_file(args.set_b)
         return A, B, max(A.n_max, B.n_max)
     raise InvalidArgumentError("need --dense, --random-card, or --set-a/--set-b")
+
+
+def _one_set(args, file_flag: str) -> shifted.IndexSet:
+    """Resolve --dense / the set file / --random-card into a set in [1, --n]."""
+    path = getattr(args, file_flag[2:].replace("-", "_"))
+    if args.dense:
+        return shifted.IndexSet.dense(args.n)
+    if path:
+        return shifted.IndexSet.from_file(path, n_max=args.n)
+    if args.random_card:
+        return _random_set(args.n, args.random_card, _rng(args))
+    raise InvalidArgumentError(f"need --dense, {file_flag}, or --random-card")
 
 
 # ---------------------------------------------------------------------------
@@ -149,19 +191,17 @@ def _pair_of_sets(args, rng) -> tuple[shifted.IndexSet, shifted.IndexSet, int]:
 
 
 def _cmd_gpf(args):
-    values = _int_list(args.n)
-    if not values:
+    if not args.n:
         raise InvalidArgumentError("--n needs at least one value")
-    if min(values) < 1:
+    if min(args.n) < 1:
         raise InvalidArgumentError("gpf needs n >= 1")
-    sieve = _sieve_for(args, isqrt(max(values)) + 1)
-    rows = [{"n": n, "gpf": greatest_prime_factor(n, sieve)} for n in values]
+    sieve = _sieve_for(args, isqrt(max(args.n)) + 1)
+    rows = [{"n": n, "gpf": greatest_prime_factor(n, sieve)} for n in args.n]
     return ["n", "gpf"], rows
 
 
 def _cmd_gamma_plus(args):
-    rng = np.random.default_rng(args.rng_seed)
-    A, B, n_max = _pair_of_sets(args, rng)
+    A, B, n_max = _pair_of_sets(args)
     sieve = _sieve_for(args, n_max + 1)
     res = shifted.gamma_plus(A, B, sieve)
     rows = [{"gamma_plus": res.gamma_plus,
@@ -170,16 +210,16 @@ def _cmd_gamma_plus(args):
 
 
 def _cmd_lv_count(args):
-    rows = [{"N": n, "count": shifted.lv_count(n)} for n in _int_list(args.n)]
+    rows = [{"N": n, "count": shifted.lv_count(n)} for n in args.n or []]
     return ["N", "count"], rows
 
 
 def _cmd_ford_ratio(args):
-    text = args.n_list if args.n_list else args.n
-    if not text:
+    ns = args.n_list if args.n_list is not None else args.n
+    if ns is None:
         raise InvalidArgumentError("need --n or --n-list")
     rows = [{"N": n, "count": shifted.lv_count(n), "ratio": shifted.ford_ratio(n)}
-            for n in _int_list(text)]
+            for n in ns]
     return ["N", "count", "ratio"], rows
 
 
@@ -192,8 +232,8 @@ def _cmd_smooth(args):
 
 
 def _cmd_rho(args):
-    if args.u_list:
-        us = [_parse_x(t) for t in args.u_list.split(",") if t.strip()]
+    if args.u_list is not None:
+        us = args.u_list
     elif args.u is not None:
         us = [args.u]
     else:
@@ -233,8 +273,9 @@ def _auto_window_q(x: float) -> int:
 
 def _cmd_bv_sum(args):
     xs = _x_list(args)
+    if not xs:  # the columns come from the first report
+        raise InvalidArgumentError("--x-list needs at least one value")
     all_rows = []
-    cols = None
     for x in xs:
         Q = args.Q if args.Q else _auto_bv_q(x)
         sieve = _sieve_for(args, int(x))
@@ -247,15 +288,14 @@ def _cmd_bv_sum(args):
 def _cmd_signed_sum(args):
     sieve = _sieve_for(args, int(args.x))
     Q = args.Q if args.Q else _auto_bv_q(args.x)
-    rep = ap.signed_sum(args.x, Q, args.a, sieve, threads=args.threads)
+    rep = ap.signed_sum(args.x, Q, args.a, sieve)
     return _report_rows(rep, args, {"Q": Q, "a": args.a})
 
 
 def _cmd_dyadic_sum(args):
     sieve = _sieve_for(args, int(args.x))
     Q = args.Q if args.Q else _auto_bv_q(args.x)
-    rep = ap.dyadic_abs_sum(args.x, Q, args.a, sieve, use_psi=args.psi,
-                            threads=args.threads)
+    rep = ap.dyadic_abs_sum(args.x, Q, args.a, sieve, use_psi=args.psi)
     extra = {"Q": Q, "a": args.a, "weight": "psi" if args.psi else "pi"}
     return _report_rows(rep, args, extra)
 
@@ -267,11 +307,11 @@ def _cmd_thm4_sum(args):
     cols = ["x", "Q", "P1", "P2", "a", "total", "normalized", "trivial_ratio"]
     all_rows = []
     for x in xs:
-        P1 = args.p1 if args.p1 is not None else sqrt(x)
+        P1 = args.p1 if args.p1 is not None else sqrt(max(x, 0.0))
         P2 = args.p2 if args.p2 is not None else x
         Q = args.Q if args.Q else _auto_window_q(x)
         sieve = _sieve_for(args, int(x) + abs(args.a) + 2)
-        rep = ap.theorem4_sum(x, Q, P1, P2, args.a, sieve, threads=args.threads)
+        rep = ap.theorem4_sum(x, Q, P1, P2, args.a, sieve)
         if args.per_q:
             return _report_rows(rep, args,
                                 {"Q": Q, "P1": P1, "P2": P2, "a": args.a})
@@ -283,20 +323,19 @@ def _cmd_thm4_sum(args):
 
 def _cmd_lambda_ext(args):
     x = args.x
-    P1 = args.p1 if args.p1 is not None else sqrt(x)
+    P1 = args.p1 if args.p1 is not None else sqrt(max(x, 0.0))
     P2 = args.p2 if args.p2 is not None else x
     z = args.z if args.z is not None else ap.default_rough_z(x)
     Q = args.Q if args.Q else _auto_window_q(x)
     sieve = _sieve_for(args, max(int(x), 2 * Q) + 1)
-    rep = ap.lambda_extension_sum(x, Q, P1, P2, args.a, z, sieve,
-                                  threads=args.threads)
+    rep = ap.lambda_extension_sum(x, Q, P1, P2, args.a, z, sieve)
     extra = {"Q": Q, "P1": P1, "P2": P2, "a": args.a, "z": z}
     return _report_rows(rep, args, extra)
 
 
 def _cmd_hb_verify(args):
     x = args.x if args.x is not None else float(args.n)
-    sieve = _sieve_for(args, isqrt(max(args.n, int(x))) + 1)
+    sieve = _sieve_for(args, isqrt(max(args.n, int(x), 0)) + 1)
     res = sequences.heath_brown_terms(args.n, x, args.j, sieve)
     lam = von_mangoldt(args.n, sieve)
     if args.terms:
@@ -314,11 +353,7 @@ def _load_sequence(args) -> sequences.WeightedSequence:
     if args.seq_file:
         return sequences.WeightedSequence.from_file(args.seq_file)
     if args.indicator:
-        bounds = args.indicator.split(",")
-        if len(bounds) != 2:
-            raise InvalidArgumentError(f"--indicator needs LO,HI, got {args.indicator!r}")
-        lo, hi = (_parse_int(t) for t in bounds)
-        return sequences.WeightedSequence.indicator(lo, hi)
+        return sequences.WeightedSequence.indicator(*args.indicator)
     raise InvalidArgumentError("need --seq-file or --indicator lo,hi")
 
 
@@ -335,28 +370,19 @@ def _cmd_cond_check(args):
     if cond == "A1":
         if args.d is None or args.k is None or args.ell is None:
             raise InvalidArgumentError("A1 needs --d, --k, --ell")
-        lhs = sequences.a1_lhs(f, args.d, args.k, args.ell)
-        rows = [{"condition": "A1", "holds": None, "worst_case": None,
-                 "lhs": lhs, "rhs": None}]
-    elif cond == "A2":
-        if args.bound is None:
-            raise InvalidArgumentError("A2 needs --bound")
-        rep = sequences.check_A2(f, args.bound)
-        rows = [{"condition": rep.condition, "holds": rep.holds,
-                 "worst_case": rep.worst_case, "lhs": rep.lhs, "rhs": rep.rhs}]
-    elif cond == "A3":
-        if args.x is None:
-            raise InvalidArgumentError("A3 needs --x")
-        rep = sequences.check_A3(f, args.x)
-        rows = [{"condition": rep.condition, "holds": rep.holds,
-                 "worst_case": rep.worst_case, "lhs": rep.lhs, "rhs": rep.rhs}]
+        row = {"condition": "A1", "holds": None, "worst_case": None,
+               "lhs": sequences.a1_lhs(f, args.d, args.k, args.ell), "rhs": None}
     else:
-        if args.z is None:
-            raise InvalidArgumentError("A4 needs --z")
-        rep = sequences.check_A4(f, args.z)
-        rows = [{"condition": rep.condition, "holds": rep.holds,
-                 "worst_case": rep.worst_case, "lhs": rep.lhs, "rhs": rep.rhs}]
-    return ["condition", "holds", "worst_case", "lhs", "rhs"], rows
+        check, dest = {"A2": (sequences.check_A2, "bound"),
+                       "A3": (sequences.check_A3, "x"),
+                       "A4": (sequences.check_A4, "z")}[cond]
+        value = getattr(args, dest)
+        if value is None:
+            raise InvalidArgumentError(f"{cond} needs --{dest}")
+        rep = check(f, value)
+        row = {"condition": rep.condition, "holds": rep.holds,
+               "worst_case": rep.worst_case, "lhs": rep.lhs, "rhs": rep.rhs}
+    return ["condition", "holds", "worst_case", "lhs", "rhs"], [row]
 
 
 _SELECTOR_PARAM_KEYS = ("x", "y", "z", "w", "j", "ell", "k", "s", "nu",
@@ -392,7 +418,7 @@ def _cmd_adversarial(args):
 
 
 def _cmd_thm1_search(args):
-    sieve = _sieve_for(args, isqrt(int(args.hi)) + 1)
+    sieve = _sieve_for(args, isqrt(max(int(args.hi), 0)) + 1)
     hit = shifted.prime_in_interval_search(args.n, args.lo, args.hi, sieve)
     row = {"N": args.n, "lo": args.lo, "hi": args.hi,
            "found": hit is not None,
@@ -412,15 +438,7 @@ def _cmd_thm1_sum(args):
 
 
 def _cmd_thm2_sum(args):
-    rng = np.random.default_rng(args.rng_seed)
-    if args.dense:
-        B = shifted.IndexSet.dense(args.n)
-    elif args.set_b:
-        B = _load_set(args.set_b, n_max=args.n)
-    elif args.random_card:
-        B = _random_set(args.n, args.random_card, rng)
-    else:
-        raise InvalidArgumentError("need --dense, --set-b, or --random-card")
+    B = _one_set(args, "--set-b")
     sieve = _sieve_for(args, args.n + 1)
     total = shifted.theorem2_sum(args.n, args.delta, B, sieve)
     rows = [{"N": args.n, "delta": args.delta, "card_b": len(B), "total": total}]
@@ -428,8 +446,7 @@ def _cmd_thm2_sum(args):
 
 
 def _cmd_ledger(args):
-    rng = np.random.default_rng(args.rng_seed)
-    A, B, n_max = _pair_of_sets(args, rng)
+    A, B, n_max = _pair_of_sets(args)
     N = args.n if args.n else n_max
     sieve = _sieve_for(args, max(N, 3))
     rep = products.ledger_report(A, B, N, sieve)
@@ -440,15 +457,7 @@ def _cmd_ledger(args):
 
 
 def _cmd_sqerr_check(args):
-    rng = np.random.default_rng(args.rng_seed)
-    if args.dense:
-        U = shifted.IndexSet.dense(args.n)
-    elif args.set_file:
-        U = _load_set(args.set_file, n_max=args.n)
-    elif args.random_card:
-        U = _random_set(args.n, args.random_card, rng)
-    else:
-        raise InvalidArgumentError("need --dense, --set-file, or --random-card")
+    U = _one_set(args, "--set-file")
     sieve = _sieve_for(args, max(args.n, 3))
     res = products.square_errors_check(U, args.n, sieve)
     rows = [{"N": args.n, "card": len(U), "lhs": res.lhs, "rhs": res.rhs,
@@ -462,32 +471,17 @@ def _cmd_sqerr_check(args):
 
 class _Parser(argparse.ArgumentParser):
     def error(self, message):
-        self.print_usage(sys.stderr)
-        print(f"error: {message}", file=sys.stderr)
-        raise SystemExit(1)
+        # argparse's own errors end like every other bad input: one line in main
+        raise InvalidArgumentError(message)
 
 
 def _add_common(sp):
     sp.add_argument("--output", default=None, help="write rows to a file")
     sp.add_argument("--format", choices=("csv", "json"), default="csv")
-    sp.add_argument("--threads", type=int, default=1)
-    sp.add_argument("--rng-seed", type=int, default=0)
-    sp.add_argument("--sieve-limit", type=int, default=None)
-
-
-def _float_arg(sp, name, **kw):
-    sp.add_argument(name, type=float, **kw)
-
-
-# float() takes "nan" and "inf": nan means nothing anywhere, and inf means
-# nothing as a size, while a threshold such as --p2 or --z may be inf (no bound)
-_SIZES = ("x", "y", "u", "lo", "hi")
-
-
-def _check_floats(args) -> None:
-    for dest, v in vars(args).items():
-        if isinstance(v, float) and (isnan(v) or (isinf(v) and dest in _SIZES)):
-            raise InvalidArgumentError(f"--{dest.replace('_', '-')} needs a finite value, got {v}")
+    sp.add_argument("--threads", type=_threads, default=1,
+                    help="worker threads for bv-sum, capped at the CPU count")
+    sp.add_argument("--rng-seed", type=_parse_int, default=0)
+    sp.add_argument("--sieve-limit", type=_parse_int, default=None)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -503,157 +497,157 @@ def build_parser() -> argparse.ArgumentParser:
         return sp
 
     sp = cmd("gpf", _cmd_gpf, "greatest prime factor of given integers")
-    sp.add_argument("--n", required=True, help="comma separated integers")
+    sp.add_argument("--n", type=_int_list, required=True, help="comma separated integers")
 
     sp = cmd("gamma-plus", _cmd_gamma_plus,
              "max greatest prime factor over shifted products of two sets")
-    sp.add_argument("--n", type=int, default=None)
+    sp.add_argument("--n", type=_parse_int, default=None)
     sp.add_argument("--dense", action="store_true")
     sp.add_argument("--set-a", default=None)
     sp.add_argument("--set-b", default=None)
-    sp.add_argument("--random-card", type=int, default=None)
+    sp.add_argument("--random-card", type=_parse_int, default=None)
 
     sp = cmd("lv-count", _cmd_lv_count, "count distinct products a*b, a,b <= N")
-    sp.add_argument("--n", required=True, help="comma separated N values")
+    sp.add_argument("--n", type=_int_list, required=True, help="comma separated N values")
 
     sp = cmd("ford-ratio", _cmd_ford_ratio,
              "distinct-product count against its density shape")
-    sp.add_argument("--n", default=None, help="comma separated N values")
-    sp.add_argument("--n-list", dest="n_list", default=None,
+    sp.add_argument("--n", type=_int_list, default=None, help="comma separated N values")
+    sp.add_argument("--n-list", type=_int_list, default=None,
                     help="comma separated N values, one output row each")
 
     sp = cmd("smooth", _cmd_smooth, "smooth-number count and its approximation")
-    _float_arg(sp, "--x", required=True)
-    _float_arg(sp, "--y", required=True)
+    sp.add_argument("--x", type=_parse_x, required=True)
+    sp.add_argument("--y", type=_parse_x, required=True)
 
     sp = cmd("rho", _cmd_rho, "Dickman rho values")
-    _float_arg(sp, "--u", default=None)
-    sp.add_argument("--u-list", default=None)
+    sp.add_argument("--u", type=_parse_x, default=None)
+    sp.add_argument("--u-list", type=_x_items, default=None)
 
     sp = cmd("pi-ap", _cmd_pi_ap, "primes in a progression, with error term")
-    _float_arg(sp, "--x", required=True)
-    sp.add_argument("--q", type=int, required=True)
-    sp.add_argument("--a", type=int, required=True)
+    sp.add_argument("--x", type=_parse_x, required=True)
+    sp.add_argument("--q", type=_parse_int, required=True)
+    sp.add_argument("--a", type=_parse_int, required=True)
 
     sp = cmd("bv-sum", _cmd_bv_sum, "max-over-residues discrepancy sum")
-    _float_arg(sp, "--x", default=None)
-    sp.add_argument("--x-list", default=None)
-    sp.add_argument("--Q", type=int, default=None)
+    sp.add_argument("--x", type=_parse_x, default=None)
+    sp.add_argument("--x-list", type=_x_items, default=None)
+    sp.add_argument("--Q", type=_parse_int, default=None)
     sp.add_argument("--per-q", action="store_true")
 
     sp = cmd("signed-sum", _cmd_signed_sum, "signed discrepancy sum at fixed a")
-    _float_arg(sp, "--x", required=True)
-    sp.add_argument("--Q", type=int, default=None)
-    sp.add_argument("--a", type=int, default=1)
+    sp.add_argument("--x", type=_parse_x, required=True)
+    sp.add_argument("--Q", type=_parse_int, default=None)
+    sp.add_argument("--a", type=_parse_int, default=1)
     sp.add_argument("--per-q", action="store_true")
 
     sp = cmd("dyadic-sum", _cmd_dyadic_sum,
              "absolute discrepancy summed over dyadic modulus blocks")
-    _float_arg(sp, "--x", required=True)
-    sp.add_argument("--Q", type=int, default=None)
-    sp.add_argument("--a", type=int, default=1)
+    sp.add_argument("--x", type=_parse_x, required=True)
+    sp.add_argument("--Q", type=_parse_int, default=None)
+    sp.add_argument("--a", type=_parse_int, default=1)
     sp.add_argument("--psi", action="store_true", help="weight by log p")
     sp.add_argument("--per-q", action="store_true")
 
     sp = cmd("thm4-sum", _cmd_thm4_sum,
              "windowed product discrepancy over a dyadic modulus block")
-    _float_arg(sp, "--x", default=None)
-    sp.add_argument("--x-list", default=None)
-    sp.add_argument("--Q", type=int, default=None)
-    _float_arg(sp, "--p1", default=None)
-    _float_arg(sp, "--p2", default=None)
-    sp.add_argument("--a", type=int, default=1)
+    sp.add_argument("--x", type=_parse_x, default=None)
+    sp.add_argument("--x-list", type=_x_items, default=None)
+    sp.add_argument("--Q", type=_parse_int, default=None)
+    sp.add_argument("--p1", type=_parse_float, default=None)
+    sp.add_argument("--p2", type=_parse_float, default=None)
+    sp.add_argument("--a", type=_parse_int, default=1)
     sp.add_argument("--per-q", action="store_true")
 
     sp = cmd("lambda-ext", _cmd_lambda_ext,
              "extension discrepancy with rough cofactors and prime powers")
-    _float_arg(sp, "--x", required=True)
-    sp.add_argument("--Q", type=int, default=None)
-    _float_arg(sp, "--p1", default=None)
-    _float_arg(sp, "--p2", default=None)
-    sp.add_argument("--a", type=int, default=1)
-    _float_arg(sp, "--z", default=None)
+    sp.add_argument("--x", type=_parse_x, required=True)
+    sp.add_argument("--Q", type=_parse_int, default=None)
+    sp.add_argument("--p1", type=_parse_float, default=None)
+    sp.add_argument("--p2", type=_parse_float, default=None)
+    sp.add_argument("--a", type=_parse_int, default=1)
+    sp.add_argument("--z", type=_parse_float, default=None)
     sp.add_argument("--per-q", action="store_true")
 
     sp = cmd("hb-verify", _cmd_hb_verify,
              "check the divisor expansion of the von Mangoldt function")
-    sp.add_argument("--n", type=int, required=True)
-    _float_arg(sp, "--x", default=None)
-    sp.add_argument("--j", type=int, default=3, help="number of levels J")
+    sp.add_argument("--n", type=_parse_int, required=True)
+    sp.add_argument("--x", type=_parse_x, default=None)
+    sp.add_argument("--j", type=_parse_int, default=3, help="number of levels J")
     sp.add_argument("--terms", action="store_true", help="emit raw terms")
 
     sp = cmd("delta", _cmd_delta, "progression discrepancy of a weighted sequence")
     sp.add_argument("--seq-file", default=None)
-    sp.add_argument("--indicator", default=None, metavar="LO,HI")
-    sp.add_argument("--q", type=int, required=True)
-    sp.add_argument("--a", type=int, required=True)
+    sp.add_argument("--indicator", type=_bounds, default=None, metavar="LO,HI")
+    sp.add_argument("--q", type=_parse_int, required=True)
+    sp.add_argument("--a", type=_parse_int, required=True)
 
     sp = cmd("cond-check", _cmd_cond_check,
              "structural condition checks on a weighted sequence")
     sp.add_argument("--seq-file", default=None)
-    sp.add_argument("--indicator", default=None, metavar="LO,HI")
+    sp.add_argument("--indicator", type=_bounds, default=None, metavar="LO,HI")
     sp.add_argument("--condition", choices=("A1", "A2", "A3", "A4"), required=True)
-    sp.add_argument("--d", type=int, default=None)
-    sp.add_argument("--k", type=int, default=None)
-    sp.add_argument("--ell", type=int, default=None)
-    _float_arg(sp, "--bound", default=None)
-    _float_arg(sp, "--x", default=None)
-    _float_arg(sp, "--z", default=None)
+    sp.add_argument("--d", type=_parse_int, default=None)
+    sp.add_argument("--k", type=_parse_int, default=None)
+    sp.add_argument("--ell", type=_parse_int, default=None)
+    sp.add_argument("--bound", type=_parse_float, default=None)
+    sp.add_argument("--x", type=_parse_x, default=None)
+    sp.add_argument("--z", type=_parse_float, default=None)
 
     sp = cmd("divisor-lhs", _cmd_divisor_lhs,
              "exact multi-variable divisor sums with reference shapes")
     sp.add_argument("--selector", choices=sequences.DIVISOR_SELECTORS, required=True)
-    _float_arg(sp, "--x", default=None)
-    _float_arg(sp, "--y", default=None)
-    _float_arg(sp, "--z", default=None)
-    _float_arg(sp, "--w", default=None)
-    sp.add_argument("--j", type=int, default=None)
-    sp.add_argument("--ell", type=int, default=None)
-    sp.add_argument("--k", type=int, default=None)
-    sp.add_argument("--s", type=int, default=None)
-    sp.add_argument("--nu", type=int, default=None)
+    sp.add_argument("--x", type=_parse_x, default=None)
+    sp.add_argument("--y", type=_parse_x, default=None)
+    sp.add_argument("--z", type=_parse_float, default=None)
+    sp.add_argument("--w", type=_parse_float, default=None)
+    sp.add_argument("--j", type=_parse_int, default=None)
+    sp.add_argument("--ell", type=_parse_int, default=None)
+    sp.add_argument("--k", type=_parse_int, default=None)
+    sp.add_argument("--s", type=_parse_int, default=None)
+    sp.add_argument("--nu", type=_parse_int, default=None)
     for i in range(1, 7):
-        sp.add_argument(f"--j{i}", type=int, default=None)
+        sp.add_argument(f"--j{i}", type=_parse_int, default=None)
 
     sp = cmd("adversarial", _cmd_adversarial,
              "congruence sets whose shifted products all share one prime")
-    sp.add_argument("--n", type=int, required=True)
-    _float_arg(sp, "--eps", required=True)
+    sp.add_argument("--n", type=_parse_int, required=True)
+    sp.add_argument("--eps", type=_parse_float, required=True)
     sp.add_argument("--write-a", default=None)
     sp.add_argument("--write-b", default=None)
 
     sp = cmd("thm1-search", _cmd_thm1_search,
              "largest prime in [lo, hi] of the form a*b + 1 with a,b <= N")
-    sp.add_argument("--n", type=int, required=True)
-    _float_arg(sp, "--lo", required=True)
-    _float_arg(sp, "--hi", required=True)
+    sp.add_argument("--n", type=_parse_int, required=True)
+    sp.add_argument("--lo", type=_parse_x, required=True)
+    sp.add_argument("--hi", type=_parse_x, required=True)
 
     sp = cmd("thm1-sum", _cmd_thm1_sum,
              "progression-prime pair count over the near-N window")
-    sp.add_argument("--n", type=int, required=True)
-    _float_arg(sp, "--a-exp", default=1.0)
+    sp.add_argument("--n", type=_parse_int, required=True)
+    sp.add_argument("--a-exp", type=_parse_float, default=1.0)
 
     sp = cmd("thm2-sum", _cmd_thm2_sum,
              "progression-prime pair count over a delta window for a set B")
-    sp.add_argument("--n", type=int, required=True)
-    _float_arg(sp, "--delta", required=True)
+    sp.add_argument("--n", type=_parse_int, required=True)
+    sp.add_argument("--delta", type=_parse_float, required=True)
     sp.add_argument("--dense", action="store_true")
     sp.add_argument("--set-b", default=None)
-    sp.add_argument("--random-card", type=int, default=None)
+    sp.add_argument("--random-card", type=_parse_int, default=None)
 
     sp = cmd("ledger", _cmd_ledger, "full log-mass ledger for a pair of sets")
-    sp.add_argument("--n", type=int, default=None)
+    sp.add_argument("--n", type=_parse_int, default=None)
     sp.add_argument("--dense", action="store_true")
     sp.add_argument("--set-a", default=None)
     sp.add_argument("--set-b", default=None)
-    sp.add_argument("--random-card", type=int, default=None)
+    sp.add_argument("--random-card", type=_parse_int, default=None)
 
     sp = cmd("sqerr-check", _cmd_sqerr_check,
              "residue concentration inequality for a set in [1, N]")
-    sp.add_argument("--n", type=int, required=True)
+    sp.add_argument("--n", type=_parse_int, required=True)
     sp.add_argument("--dense", action="store_true")
     sp.add_argument("--set-file", default=None)
-    sp.add_argument("--random-card", type=int, default=None)
+    sp.add_argument("--random-card", type=_parse_int, default=None)
 
     return parser
 
@@ -665,19 +659,15 @@ def _main_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    args = _main_parser().parse_args(argv)
-    if args.threads < 1:
-        print("error: --threads needs a value >= 1", file=sys.stderr)
-        return 1
-    args.threads = min(args.threads, os.cpu_count() or 1)
     try:
-        _check_floats(args)
+        args = _main_parser().parse_args(argv)
         columns, rows = args.handler(args)
         _emit(columns, rows, args)
     except (InvalidArgumentError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
-    except (RangeBudgetError, ConstructionFailedError) as exc:
+    # OverflowError: an integer too wide for the int64 tables, such as --q 1e20
+    except (RangeBudgetError, ConstructionFailedError, OverflowError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     return 0

@@ -13,7 +13,7 @@ import numpy as np
 
 from .errors import InvalidArgumentError
 from .shifted import IndexSet
-from .sieve import PrimeSieve
+from .sieve import PrimeSieve, _higher_powers
 
 
 def _members_checked(U: IndexSet, N: int, name: str) -> np.ndarray:
@@ -48,19 +48,13 @@ class LogSplitResult:
     sigma2: float
 
 
-def _prime_power_moduli(N: int, cap: int, sieve: PrimeSieve):
-    """(p, m) with p prime <= N and m = p^k <= cap."""
+def _moduli(N: int, cap: int, sieve: PrimeSieve) -> list[tuple[int, int]]:
+    """(p, m) with p prime <= N and m = p^k <= cap, in no particular order."""
     if sieve.limit < N:
         raise InvalidArgumentError("sieve limit below N")
-    idx = int(np.searchsorted(sieve.primes, N, side="right"))
-    out = []
-    for p in sieve.primes[:idx].tolist():
-        m = p
-        while m <= cap:
-            out.append((p, m))
-            m *= p
-    out.sort(key=lambda t: t[1])
-    return out
+    ps = sieve.primes[:np.searchsorted(sieve.primes, N, side="right")].tolist()
+    pk, pp, _ = _higher_powers(cap, sieve)
+    return list(zip(ps + pp.tolist(), ps + pk.tolist()))
 
 
 def log_E1(A: IndexSet, B: IndexSet, N: int, sieve: PrimeSieve) -> LogSplitResult:
@@ -79,7 +73,7 @@ def log_E1(A: IndexSet, B: IndexSet, N: int, sieve: PrimeSieve) -> LogSplitResul
         raise InvalidArgumentError("log_E1 needs nonempty sets")
     parts_small = []
     parts_large = []
-    for p, m in _prime_power_moduli(N, N * N + 1, sieve):
+    for p, m in _moduli(N, N * N + 1, sieve):
         cnt_a = np.bincount(arr_a % m, minlength=m)
         cnt_b = np.bincount(arr_b % m, minlength=m)
         pairs = 0
@@ -119,7 +113,7 @@ def square_errors_check(U: IndexSet, N: int, sieve: PrimeSieve) -> SquareErrorsR
     arr = _members_checked(U, N, "U")
     parts = []
     if arr.size:
-        for p, m in _prime_power_moduli(N, N, sieve):
+        for p, m in _moduli(N, N, sieve):
             cnt = np.bincount(arr % m, minlength=m).astype(np.int64)
             parts.append(float(np.sum(cnt * cnt)) * log(p))
     lhs = fsum(parts)

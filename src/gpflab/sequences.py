@@ -17,9 +17,18 @@ from .errors import InvalidArgumentError, RangeBudgetError
 from .sieve import (PrimeSieve, _tau_order, build_sieve, euler_phi, factorize,
                     rough_indicator, rough_table, tau_ell)
 
-_CONVOLVE_SPAN_BUDGET = 100_000_000
+_SPAN_BUDGET = 100_000_000  # widest window of a dense sequence
 _SINGLE_SUM_BUDGET = 10_000_000
 _MULTI_SUM_BUDGET = 1_000_000
+
+
+def _width(lo: int, hi: int) -> int:
+    """The width of the window [lo, hi], checked before a table that wide is made."""
+    if lo < 1 or hi < lo:
+        raise InvalidArgumentError("WeightedSequence needs 1 <= lo <= hi")
+    if hi - lo + 1 > _SPAN_BUDGET:
+        raise RangeBudgetError(f"window [{lo}, {hi}] exceeds budget {_SPAN_BUDGET}")
+    return hi - lo + 1
 
 
 class WeightedSequence:
@@ -30,8 +39,7 @@ class WeightedSequence:
     def __init__(self, lo: int, hi: int, values):
         lo = int(lo)
         hi = int(hi)
-        if lo < 1 or hi < lo:
-            raise InvalidArgumentError("WeightedSequence needs 1 <= lo <= hi")
+        _width(lo, hi)
         vals = np.asarray(values, dtype=np.float64)
         if vals.shape != (hi - lo + 1,):
             raise InvalidArgumentError("values length must equal hi - lo + 1")
@@ -41,7 +49,7 @@ class WeightedSequence:
 
     @classmethod
     def indicator(cls, lo: int, hi: int) -> "WeightedSequence":
-        return cls(lo, hi, np.ones(hi - lo + 1))
+        return cls(lo, hi, np.ones(_width(lo, hi)))
 
     @classmethod
     def from_pairs(cls, pairs) -> "WeightedSequence":
@@ -55,7 +63,7 @@ class WeightedSequence:
             seen.add(n)
         lo = min(n for n, _ in pairs)
         hi = max(n for n, _ in pairs)
-        out = cls(lo, hi, np.zeros(hi - lo + 1))
+        out = cls(lo, hi, np.zeros(_width(lo, hi)))
         for n, v in pairs:
             out.values[n - lo] = v
         return out
@@ -102,9 +110,7 @@ def convolve(f: WeightedSequence, g: WeightedSequence) -> WeightedSequence:
     """Dirichlet convolution: (f*g)(n) = sum over d*e = n of f(d) g(e)."""
     lo = f.lo * g.lo
     hi = f.hi * g.hi
-    if hi - lo + 1 > _CONVOLVE_SPAN_BUDGET:
-        raise RangeBudgetError("convolution output window exceeds budget")
-    out = np.zeros(hi - lo + 1)
+    out = np.zeros(_width(lo, hi))
     g_idx = np.flatnonzero(g.values)
     g_ns = g_idx + g.lo
     g_vs = g.values[g_idx]

@@ -9,7 +9,7 @@ import numpy as np
 
 from . import _accel
 from .errors import ConstructionFailedError, InvalidArgumentError, RangeBudgetError
-from .sieve import (PrimeSieve, divisor_list, factorize,
+from .sieve import (MAX_SIEVE_LIMIT, PrimeSieve, divisor_list, factorize,
                     greatest_prime_factor_batch, is_prime_u64, segmented_primes)
 
 LV_COUNT_CAP = 10_000
@@ -28,6 +28,9 @@ class IndexSet:
         n_max = int(n_max)
         if n_max < 1:
             raise InvalidArgumentError("IndexSet needs n_max >= 1")
+        # a set this wide could not be sieved anyway; refuse it before allocating
+        if n_max > MAX_SIEVE_LIMIT:
+            raise RangeBudgetError(f"IndexSet n_max {n_max} exceeds cap {MAX_SIEVE_LIMIT}")
         self.n_max = n_max
         if bits is None:
             bits = np.zeros(n_max + 1, dtype=bool)
@@ -208,12 +211,10 @@ def adversarial_sets(N: int, eps: float) -> tuple[int, IndexSet, IndexSet]:
         raise ConstructionFailedError(f"no prime in [1/(2*eps), 1/eps] for eps={eps}")
     if p - 1 > N:
         raise ConstructionFailedError(f"residue class -1 mod {p} is empty below N={N}")
-    a_bits = np.zeros(N + 1, dtype=bool)
-    a_bits[1::p] = True
-    b_bits = np.zeros(N + 1, dtype=bool)
-    b_bits[p - 1 :: p] = True
-    b_bits[0] = False
-    return p, IndexSet(N, a_bits), IndexSet(N, b_bits)
+    A, B = IndexSet(N), IndexSet(N)
+    A.bits[1::p] = True
+    B.bits[p - 1::p] = True
+    return p, A, B
 
 
 def prime_in_interval_search(N: int, lo, hi, sieve: PrimeSieve,

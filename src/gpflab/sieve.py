@@ -332,6 +332,20 @@ def segmented_primes(lo, hi, sieve: PrimeSieve) -> np.ndarray:
     return np.concatenate(out) if out else np.empty(0, dtype=np.int64)
 
 
+def _higher_powers(x: int, sieve: PrimeSieve) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Prime powers p**k <= x with k >= 2: (p**k, p, log p), x up to limit**2."""
+    rows = []
+    roots = sieve.primes[:np.searchsorted(sieve.primes, isqrt(x), side="right")]
+    for p in roots.tolist():
+        pk = p * p
+        while pk <= x:
+            rows.append((pk, p, log(p)))
+            pk *= p
+    pk, p, lp = zip(*rows) if rows else ((), (), ())
+    return (np.array(pk, dtype=np.int64), np.array(p, dtype=np.int64),
+            np.array(lp, dtype=np.float64))
+
+
 def divisor_list(fact: Factorization) -> list[int]:
     """All divisors of the factored integer, ascending."""
     divs = [1]

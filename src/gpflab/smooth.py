@@ -210,8 +210,8 @@ def psi_approx_report(x, y, sieve: PrimeSieve,
     """
     if table is None:
         table = default_dickman_table()
-    if y <= 1:
-        raise InvalidArgumentError("psi_approx_report needs y > 1")
+    if x < 1 or y <= 1:
+        raise InvalidArgumentError("psi_approx_report needs x >= 1 and y > 1")
     u = log(x) / log(y)
     if u > table.u_max:
         raise InvalidArgumentError(f"log x/log y = {u:.3f} beyond table u_max")

@@ -5,17 +5,21 @@ against direct library calls; the CLI's job is wiring, parsing, and output
 formatting, so the math itself is only spot-checked here.
 """
 
+import contextlib
 import csv
 import io
 import json
 import math
 import os
+import random
 import time
 
 import pytest
+from hypothesis import given, note, settings, strategies as st
 
 from gpflab import ap, sequences, shifted, smooth
-from gpflab.cli import _parse_int, build_parser, main
+from gpflab.cli import (_bounds, _int_list, _parse_float, _parse_int, _parse_x,
+                        _threads, _x_items, build_parser, main)
 from gpflab.sieve import build_sieve, greatest_prime_factor
 
 
@@ -32,6 +36,12 @@ def run_cli(capsys, argv):
     code = main(argv)
     captured = capsys.readouterr()
     return code, captured.out, captured.err
+
+
+def assert_one_line_error(code, out, err):
+    assert code == 1
+    assert out == ""
+    assert err.startswith("error:") and err.count("\n") == 1
 
 
 def parse_csv(text):
@@ -67,17 +77,15 @@ def test_top_level_help(capsys):
 
 
 def test_unknown_command_exits_one(capsys):
-    with pytest.raises(SystemExit) as exc:
-        main(["no-such-command"])
-    assert exc.value.code == 1
-    assert "error" in capsys.readouterr().err
+    code, out, err = run_cli(capsys, ["no-such-command"])
+    assert_one_line_error(code, out, err)
+    assert "no-such-command" in err
 
 
 def test_missing_required_argument(capsys):
-    with pytest.raises(SystemExit) as exc:
-        main(["gpf"])
-    assert exc.value.code == 1
-    assert "--n" in capsys.readouterr().err
+    code, out, err = run_cli(capsys, ["gpf"])
+    assert_one_line_error(code, out, err)
+    assert "--n" in err
 
 
 def test_gpf_rows(capsys):
@@ -370,10 +378,10 @@ def test_cond_check_missing_param(capsys):
 
 
 def test_cond_check_bad_condition(capsys):
-    with pytest.raises(SystemExit) as exc:
-        main(["cond-check", "--indicator", "1,30", "--condition", "A5"])
-    assert exc.value.code == 1
-    assert "invalid choice" in capsys.readouterr().err
+    code, out, err = run_cli(capsys, ["cond-check", "--indicator", "1,30",
+                                      "--condition", "A5"])
+    assert_one_line_error(code, out, err)
+    assert "invalid choice" in err
 
 
 def test_divisor_lhs_row(capsys):
@@ -564,12 +572,6 @@ def test_threads_capped_at_cpu_count(capsys, monkeypatch):
         assert seen.pop() == want
 
 
-def assert_one_line_error(code, out, err):
-    assert code == 1
-    assert out == ""
-    assert err.startswith("error:") and err.count("\n") == 1
-
-
 def test_integer_parser_is_exact():
     # gpf at 2^53 + 1 would need a sieve of about 1 GB, so the parser is tested alone
     assert _parse_int(str(2**53 + 1)) == 2**53 + 1
@@ -621,6 +623,12 @@ def test_infinite_threshold_still_answers(capsys):
     assert code == 0
     _, rows = parse_csv(out)
     assert rows[0]["z"] == "inf" and rows[0]["total"] == "0"
+    # no window prime lies above P1 = inf, as none lies above a P1 beyond x
+    code, out, _ = run_cli(capsys, ["thm4-sum", "--x", "1000", "--Q", "3",
+                                    "--p1", "inf", "--p2", "inf"])
+    assert code == 0
+    _, rows = parse_csv(out)
+    assert rows[0]["P1"] == "inf" and rows[0]["total"] == "0"
 
 
 @pytest.mark.parametrize("indicator", ["5", "1,x", "1,2,3", ""])
@@ -663,8 +671,129 @@ def test_sieve_limit_too_small_exits_two(capsys):
     assert err.startswith("error:")
 
 
+@pytest.mark.parametrize("argv", [
+    ["gamma-plus", "--n", "100000000000000000000", "--dense"],
+    ["gamma-plus", "--n", "1e20", "--random-card", "3"],
+    ["ledger", "--n", "1e20", "--dense"],
+    ["sqerr-check", "--n", "1e20", "--dense"],
+    ["thm2-sum", "--n", "1e20", "--delta", "0.2", "--dense"],
+    ["adversarial", "--n", "100000000000000000000", "--eps", "0.2"],
+    ["pi-ap", "--x", "100", "--q", "1e20", "--a", "3"],
+    ["signed-sum", "--x", "1000", "--Q", "1e20"],
+    ["bv-sum", "--x", "1000", "--Q", "1e20"],
+])
+def test_huge_sizes_exit_two(capsys, argv):
+    # refused before any table is made; numpy could not even shape one this wide
+    code, out, err = run_cli(capsys, argv)
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error:") and err.count("\n") == 1
+
+
+def test_exponent_form_size_answers_as_integer(capsys):
+    _, out1, _ = run_cli(capsys, ["gamma-plus", "--n", "1e2", "--dense"])
+    _, out2, _ = run_cli(capsys, ["gamma-plus", "--n", "100", "--dense"])
+    assert out1 == out2 != ""
+
+
 def test_random_card_validation(capsys):
     code, _, err = run_cli(capsys, ["gamma-plus", "--n", "10",
                                     "--random-card", "50"])
     assert code == 1
     assert "cardinality" in err
+
+
+# ---------------------------------------------------------------------------
+# the CLI contract under fuzzing: every subcommand, every option of it, tiny
+# sizes and malformed values.  Sizes stay at or below 1e3 and --eps at or above
+# 1e-6, so that no call allocates more than a few MB or runs for long.
+
+_VALUES = {  # (well-formed, malformed or out-of-range) values by option type
+    _parse_int: (["0", "1", "2", "3", "7", "30", "1e2", "-3"],
+                 ["-1e5", "1.9", "abc", "", "nan", "1e20"]),
+    _parse_x: (["0", "1", "2.5", "10", "97", "1e3", "-5"],
+               ["-1e5", "1.9e", "nan", "inf", "abc", ""]),
+    _parse_float: (["0", "1e-6", "0.2", "0.5", "1", "3", "40", "-1", "inf"],
+                   ["nan", "abc", ""]),
+    _int_list: (["12", "1,97", "1e2,5", "300", "0"], ["", ",", "3,x", "1.9", "-1e5"]),
+    _x_items: (["1,2.5", "500,1000", "7"], ["", ",", "1,nan", "inf", "abc"]),
+    _bounds: (["1,20", "1,1e2", "3,1"], ["5", "1,x", "1,2,3", ""]),
+    _threads: (["1", "2", "64"], ["0", "abc"]),
+}
+
+
+@pytest.fixture(scope="module")
+def fuzz_files(tmp_path_factory):
+    d = tmp_path_factory.mktemp("fuzz")
+    for name, text in (("set.txt", "1\n2\n3\n5\n8\n"), ("seq.txt", "3 1.5\n4 -0.5\n7 2\n"),
+                       ("bad_set.txt", "3\n2\n"), ("bad_seq.txt", "3 x\n")):
+        (d / name).write_text(text)
+    inputs = ([str(d / "set.txt"), str(d / "seq.txt")],
+              [str(d / "bad_set.txt"), str(d / "bad_seq.txt"), str(d / "absent.txt")])
+    outputs = ([str(d / "out.txt")], [str(d / "missing" / "out.txt")])
+    return inputs, outputs
+
+
+def _option_values(action, files):
+    if action.choices:
+        return list(action.choices), ["A5"]
+    if action.type is None:  # a path
+        return files[1] if action.dest in ("output", "write_a", "write_b") else files[0]
+    return _VALUES.get(action.type, _VALUES[_parse_int])  # --rng-seed
+
+
+def _cli_call(rnd, files):
+    name = rnd.choice(ALL_COMMANDS)
+    sub = next(a for a in build_parser()._actions if isinstance(a.choices, dict))
+    options = [a for a in sub.choices[name]._actions if a.dest != "help"]
+    argv = [name]
+    for action in options:
+        # required options mostly present, so that many calls get to the handler
+        if rnd.random() < (0.9 if action.required else 0.3):
+            argv.append(action.option_strings[0])
+            if action.nargs != 0:
+                good, bad = _option_values(action, files)
+                argv.append(rnd.choice(bad if rnd.random() < 0.125 else good))
+    extra = rnd.choice([None] * 12 + ["--bogus", "--help", "stray"])
+    if extra:
+        argv.insert(rnd.randint(1, len(argv)), extra)
+    if rnd.random() < 0.05:  # an option left without its value
+        argv.append(rnd.choice(options).option_strings[0])
+    return argv
+
+
+def _parses(text, fmt):
+    if fmt == "json":
+        rows = json.loads(text)
+        return isinstance(rows, list) and all(isinstance(r, dict) for r in rows)
+    rows = list(csv.reader(io.StringIO(text)))
+    return bool(rows) and all(len(r) == len(rows[0]) for r in rows)
+
+
+@settings(max_examples=1000, deadline=None, derandomize=True)
+@given(seed=st.integers(0, 2**64))
+def test_fuzzed_calls_keep_the_contract(fuzz_files, seed):
+    # hypothesis draws favour boundary values; a seeded stream spreads the calls
+    argv = _cli_call(random.Random(seed), fuzz_files)
+    note(f"argv: {argv}")
+    out, err = io.StringIO(), io.StringIO()
+    try:
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = main(argv)
+    except SystemExit as exc:
+        assert exc.code == 0 and "--help" in argv
+        return
+    assert code in (0, 1, 2)
+    if code:
+        lines = err.getvalue().splitlines()
+        assert len(lines) == 1 and lines[0].startswith("error:"), lines
+        return
+    assert err.getvalue() == ""
+    fmt = argv[len(argv) - argv[::-1].index("--format")] if "--format" in argv else "csv"
+    if "--output" in argv:
+        assert out.getvalue() == ""
+        with open(argv[argv.index("--output") + 1], encoding="utf-8") as fh:
+            text = fh.read()
+    else:
+        text = out.getvalue()
+    assert _parses(text, fmt), text
