@@ -8,13 +8,15 @@ integer has prime factors, never once per integer.
 
 from __future__ import annotations
 
-from math import comb, isqrt
+from math import comb
 
 import numpy as np
 
-# integers peeled at once.  A round's temporaries then stay near 128 KiB
-# each, small enough for the holes that freed arrays leave in the heap: with
-# 2**16 the factor-tables benchmark peaked 6 MiB higher, from fragmentation
+# integers peeled at once; also the block of the wide-gpf strip and the
+# largest chunk of the smooth-count frontier.  A round's temporaries then
+# stay near 128 KiB each, small enough for the holes that freed arrays leave
+# in the heap: with 2**16 the factor-tables benchmark peaked 6 MiB higher,
+# from fragmentation
 _BLOCK = 1 << 14
 
 
@@ -219,28 +221,53 @@ def product_mark_count(n: int) -> int:
 
 
 # ---------------------------------------------------------------------------
-# smooth-number count via ascending prime DFS with bulk leaf closing
+# smooth-number count via an ascending prime DFS, a chunk of nodes at a time
+
+
+def _isqrt(m: np.ndarray) -> np.ndarray:
+    """floor(sqrt(m)) for int64 m < 2^53: the correctly rounded float sqrt
+    of such an m floors to isqrt(m) or one above it."""
+    r = np.sqrt(m).astype(np.int64)
+    return r - (r * r > m)
 
 
 def smooth_dfs_count(x: int, y_int: int, primes: np.ndarray, pi_table: np.ndarray) -> int:
     """Count of n <= x all of whose prime factors are <= y_int.
 
     ``primes`` must list the primes up to y_int and ``pi_table[t]`` the
-    count of primes <= t for t in [0, y_int].
+    count of primes <= t for t in [0, y_int]; x must be below 2^53.
+
+    A node (m, i) stands for the n = d * n' with d the product of the primes
+    taken so far, whose remaining primes have index >= i and multiply to at
+    most m.  It counts n' = 1 and each single prime p_j with j >= i and
+    sqrt(m) < p_j <= min(m, y), and has a child (m // p_j, j) for each
+    j >= i with p_j^2 <= m.  The frontier advances a chunk of at most ``_BLOCK`` child
+    nodes at a time, depth first over a stack of chunks whose nodes still
+    have children to expand.
     """
-    k = primes.size
-    primes_l = primes.tolist()
     total = 0
-    stack = [(x, 0)]
+    stack = []
+
+    def visit(m, i):
+        nonlocal total
+        hi = pi_table[np.minimum(_isqrt(m), y_int)]  # children j < hi
+        top = pi_table[np.minimum(m, y_int)]
+        total += m.size + int(np.maximum(0, top - np.maximum(i, hi)).sum())
+        more = hi > i
+        if more.any():
+            stack.append((m[more], i[more], hi[more]))
+
+    visit(np.array([x], dtype=np.int64), np.zeros(1, dtype=np.int64))
     while stack:
-        m, i = stack.pop()
-        r = isqrt(m)
-        pimin = int(pi_table[min(m, y_int)])
-        pisqrt = int(pi_table[min(r, y_int)])
-        total += 1 + max(0, pimin - max(i, pisqrt))
-        for j in range(i, k):
-            p = primes_l[j]
-            if p * p > m:
-                break
-            stack.append((m // p, j))
+        m, i, hi = stack.pop()
+        n_child = hi - i
+        end = np.cumsum(n_child)
+        # the leading nodes whose children fit one chunk (always at least one)
+        take = max(1, int(np.searchsorted(end, _BLOCK, side="right")))
+        if take < m.size:
+            stack.append((m[take:], i[take:], hi[take:]))
+        parent = np.repeat(np.arange(take), n_child[:take])
+        # child k of a node is j = i + k, its k-th prime index
+        j = np.arange(parent.size) + (i[:take] + n_child[:take] - end[:take])[parent]
+        visit(m[parent] // primes[j], j)
     return total

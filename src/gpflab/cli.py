@@ -395,6 +395,7 @@ def _cmd_divisor_lhs(args):
         v = getattr(args, key)
         if v is not None:
             params[key] = v
+    sequences.selector_params(args.selector, params)  # before the sieve
     need = params.get("x", 1)
     if args.selector in ("rough-tau-window-harmonic", "rough-tau-hyperbola-harmonic"):
         need = need * params.get("y", 1)

@@ -336,22 +336,36 @@ def heath_brown_terms(n: int, x, J: int, sieve: PrimeSieve) -> HeathBrownResult:
 # ---------------------------------------------------------------------------
 # exactly evaluated multi-variable divisor sums
 
-DIVISOR_SELECTORS = (
-    "window-tau-power",
-    "rough-tau",
-    "rough-tau-harmonic",
-    "rough-tau-harmonic-log",
-    "rough-tau-window-harmonic",
-    "rough-tau-hyperbola",
-    "rough-tau-hyperbola-harmonic",
-    "fourfold-ordered",
-    "fourfold-glued",
-    "sfold-ordered",
-    "sfold-glued",
-)
+# the parameters each selector reads; the s-fold sums also read j1..js
+_SELECTOR_KEYS = {
+    "window-tau-power": ("x", "y", "ell", "k"),
+    "rough-tau": ("x", "z", "j"),
+    "rough-tau-harmonic": ("x", "z", "j"),
+    "rough-tau-harmonic-log": ("w", "x", "z", "j"),
+    "rough-tau-window-harmonic": ("x", "y", "z", "j"),
+    "rough-tau-hyperbola": ("x", "z", "j"),
+    "rough-tau-hyperbola-harmonic": ("x", "y", "z", "j"),
+    "fourfold-ordered": ("x", "y", "z", "w", "j1", "j2", "j3", "j4"),
+    "fourfold-glued": ("x", "y", "z", "w", "j1", "j2", "j3", "j4"),
+    "sfold-ordered": ("x", "y", "z", "w", "s"),
+    "sfold-glued": ("x", "y", "z", "w", "s", "nu"),
+}
+
+DIVISOR_SELECTORS = tuple(_SELECTOR_KEYS)
 
 
-def _need(params, keys, selector):
+def selector_params(selector: str, params: dict) -> list:
+    """The values of the parameters ``selector`` reads, in the order of
+    ``_SELECTOR_KEYS`` and then j1..js.  An unknown selector, a missing
+    parameter or an s other than 5 or 6 raises, before any table is built."""
+    if selector not in DIVISOR_SELECTORS:
+        raise InvalidArgumentError(f"unknown selector {selector!r}")
+    keys = list(_SELECTOR_KEYS[selector])
+    if "s" in keys and "s" in params:
+        s = int(params["s"])
+        if s not in (5, 6):
+            raise InvalidArgumentError("s must be 5 or 6")
+        keys += [f"j{i}" for i in range(1, s + 1)]
     missing = [k for k in keys if k not in params]
     if missing:
         raise InvalidArgumentError(f"{selector} needs parameters {missing}")
@@ -453,11 +467,10 @@ def divisor_sum_lhs(selector: str, params: dict, sieve: PrimeSieve) -> float:
     the innermost free variable).  See divisor_sum_rhs_shape for the matching
     reference upper-bound shapes evaluated with constant 1.
     """
-    if selector not in DIVISOR_SELECTORS:
-        raise InvalidArgumentError(f"unknown selector {selector!r}")
+    given = selector_params(selector, params)
 
     if selector == "window-tau-power":
-        x, y, ell, k = _need(params, ["x", "y", "ell", "k"], selector)
+        x, y, ell, k = given
         if x < 1 or y < 1 or y > x:
             raise InvalidArgumentError("needs 1 <= y <= x")
         if k < 0 or ell < 1:
@@ -473,7 +486,7 @@ def divisor_sum_lhs(selector: str, params: dict, sieve: PrimeSieve) -> float:
         return _ld_sum(vals)
 
     if selector in ("rough-tau", "rough-tau-harmonic", "rough-tau-hyperbola"):
-        x, z, j = _need(params, ["x", "z", "j"], selector)
+        x, z, j = given
         if x < 1 or z < 1 or j < 0:
             raise InvalidArgumentError("needs x, z >= 1 and j >= 0")
         xi = int(floor(x))
@@ -490,7 +503,7 @@ def divisor_sum_lhs(selector: str, params: dict, sieve: PrimeSieve) -> float:
         return _ld_sum(w[1:] * counts)
 
     if selector == "rough-tau-harmonic-log":
-        w_lo, x, z, j = _need(params, ["w", "x", "z", "j"], selector)
+        w_lo, x, z, j = given
         if x < 1 or w_lo < 1 or z < 1 or j < 0:
             raise InvalidArgumentError("needs x, w, z >= 1 and j >= 0")
         xi = int(floor(x))
@@ -505,7 +518,7 @@ def divisor_sum_lhs(selector: str, params: dict, sieve: PrimeSieve) -> float:
         return _ld_sum(vals)
 
     if selector == "rough-tau-window-harmonic":
-        x, y, z, j = _need(params, ["x", "y", "z", "j"], selector)
+        x, y, z, j = given
         if x < 1 or y < 1 or z < 1 or j < 0:
             raise InvalidArgumentError("needs x, y, z >= 1 and j >= 0")
         hi = int(floor(x * y))
@@ -518,7 +531,7 @@ def divisor_sum_lhs(selector: str, params: dict, sieve: PrimeSieve) -> float:
         return _ld_sum(w[mask] / ns[mask])
 
     if selector == "rough-tau-hyperbola-harmonic":
-        x, y, z, j = _need(params, ["x", "y", "z", "j"], selector)
+        x, y, z, j = given
         if x < 1 or y < 1 or z < 1 or j < 0:
             raise InvalidArgumentError("needs x, y, z >= 1 and j >= 0")
         hi = int(floor(x * y))
@@ -537,8 +550,7 @@ def divisor_sum_lhs(selector: str, params: dict, sieve: PrimeSieve) -> float:
         return float(np.sum(vals))
 
     if selector in ("fourfold-ordered", "fourfold-glued"):
-        x, y, z, w_lo = _need(params, ["x", "y", "z", "w"], selector)
-        js = _need(params, ["j1", "j2", "j3", "j4"], selector)
+        x, y, z, w_lo, *js = given
         if x < 1 or y < 1 or z < 1 or w_lo < 1 or any(j < 0 for j in js):
             raise InvalidArgumentError("needs x, y, z, w >= 1 and j_i >= 0")
         xi = int(floor(x))
@@ -551,23 +563,16 @@ def divisor_sum_lhs(selector: str, params: dict, sieve: PrimeSieve) -> float:
         return _fourfold(xi, float(y), float(w_lo), tables)
 
     # sfold-ordered / sfold-glued
-    x, y, z, w_lo, s = _need(params, ["x", "y", "z", "w", "s"], selector)
-    s = int(s)
-    if s not in (5, 6):
-        raise InvalidArgumentError("s must be 5 or 6")
-    js = _need(params, [f"j{i}" for i in range(1, s + 1)], selector)
+    x, y, z, w_lo, s, *js = given
+    nu = int(js.pop(0)) if selector == "sfold-glued" else 0
     if x < 1 or y < 1 or z < 1 or w_lo < 1 or any(j < 0 for j in js):
         raise InvalidArgumentError("needs x, y, z, w >= 1 and j_i >= 0")
     xi = int(floor(x))
     _multi_budget(xi)
     if xi > sieve.limit:
         raise RangeBudgetError("needs x <= sieve.limit")
-    nu = 0
-    if selector == "sfold-glued":
-        (nu,) = _need(params, ["nu"], selector)
-        nu = int(nu)
-        if not 1 <= nu <= s:
-            raise InvalidArgumentError("nu must be in [1, s]")
+    if selector == "sfold-glued" and not 1 <= nu <= int(s):
+        raise InvalidArgumentError("nu must be in [1, s]")
     tables = [_weight_table(xi, int(j), z, sieve, i == nu)
               for i, j in enumerate(js, start=1)]
     return _sfold(xi, float(y), float(w_lo), tables)

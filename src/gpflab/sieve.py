@@ -25,6 +25,10 @@ _MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
 _SEGMENT_SPAN_BUDGET = 1_000_000_000
 _SEGMENT_CHUNK = 1 << 22
 
+# one value finished alone (a primality test, a block of prime remainders)
+# costs about as much as this many rounds of the batch strip
+_FINISH_ROUNDS = 4
+
 
 class PrimeSieve:
     """Smallest-prime-factor table with derived prime data.
@@ -84,7 +88,12 @@ def build_sieve(limit: int) -> PrimeSieve:
 
 
 def is_prime_u64(n: int) -> bool:
-    """Deterministic Miller-Rabin for 0 <= n < 2^64."""
+    """Deterministic Miller-Rabin for 0 <= n < 2^64.
+
+    The twelve bases certify nothing wider (318665857834031151167461 is a
+    strong pseudoprime to all of them), so n >= 2^64 raises."""
+    if n >= 1 << 64:
+        raise InvalidArgumentError(f"is_prime_u64 needs n < 2^64, got {n}")
     if n < 2:
         return False
     for p in _MR_BASES:
@@ -196,10 +205,74 @@ def greatest_prime_factor_batch(values, sieve: PrimeSieve) -> np.ndarray:
     if int(arr.max()) > _max_factor_input(sieve):
         raise RangeBudgetError("batch gpf value beyond certified range")
     out = _accel.gpf_batch(arr, sieve.spf)
-    pending = np.flatnonzero(out < 0)
-    for i in pending:
-        out[i] = greatest_prime_factor(int(arr[i]), sieve)
+    wide = np.flatnonzero(out < 0)
+    for lo in range(0, wide.size, _accel._BLOCK):
+        at = wide[lo:lo + _accel._BLOCK]
+        out[at] = _wide_gpf(arr[at], sieve)
     return out
+
+
+def _wide_gpf(values: np.ndarray, sieve: PrimeSieve) -> np.ndarray:
+    """P+ of values in (limit, limit*(limit+2)]: strip the primes <= limit
+    in ascending order from all of them at once.
+
+    A value retires as soon as its cofactor fits the spf table, which
+    finishes it, or lies below the next prime squared, which leaves it 1 or
+    prime.  Past the last prime every cofactor is 1 or prime, since two
+    factors above the limit would exceed the value.  A cofactor above the
+    limit that is prime stays live until the strip passes its square root,
+    so once fewer than one value per ``_FINISH_ROUNDS`` rounds left is live,
+    each is finished alone by ``_finish_wide``.
+    """
+    limit = sieve.limit
+    top = np.ones(values.size, dtype=np.int64)  # largest prime stripped
+    cof = np.empty_like(values)
+    idx = np.arange(values.size)
+    rem = values.copy()
+    # every value retires by the first prime whose square exceeds them all
+    cut = int(np.searchsorted(sieve.primes, isqrt(int(values.max())), side="right"))
+    primes = sieve.primes[:cut + 1].tolist() + [limit + 1]
+    for k, (p, nxt) in enumerate(zip(primes, primes[1:])):
+        if idx.size * _FINISH_ROUNDS < len(primes) - k:
+            for i, r in zip(idx.tolist(), rem.tolist()):
+                top[i], cof[i] = _finish_wide(r, k, int(top[i]), sieve)
+            break
+        hit = np.flatnonzero(rem % p == 0)
+        if hit.size:
+            top[idx[hit]] = p
+            while hit.size:
+                rem[hit] //= p
+                hit = hit[rem[hit] % p == 0]
+        live = (rem > limit) & (rem >= nxt * nxt)
+        if not live.all():
+            cof[idx[~live]] = rem[~live]
+            idx, rem = idx[live], rem[live]
+            if not idx.size:
+                break
+    # a cofactor's primes all exceed the ones stripped from its value
+    small = np.flatnonzero(cof <= limit)
+    cof[small] = np.maximum(top[small], _accel.gpf_batch(cof[small], sieve.spf))
+    return cof
+
+
+def _finish_wide(r: int, k: int, top: int, sieve: PrimeSieve) -> tuple[int, int]:
+    """(top, r) of one value whose cofactor r > limit has no prime factor
+    below sieve.primes[k]: test r for primality, and while it is composite,
+    strip the primes from k that divide it, a block at a time.
+
+    The cofactor returned is prime and above the limit, or fits the spf
+    table; top is the largest prime stripped.
+    """
+    primes = sieve.primes
+    for lo in range(k, primes.size, _accel._BLOCK):
+        if r <= sieve.limit or is_prime_u64(r):
+            break
+        block = primes[lo:lo + _accel._BLOCK]
+        for q in block[r % block == 0].tolist():
+            while r % q == 0:
+                r //= q
+            top = q
+    return top, r
 
 
 def verify_factorization_roundtrip(sieve: PrimeSieve, n_max: int) -> bool:

@@ -96,6 +96,56 @@ def test_gpf_batch_beyond_limit():
                                for v in values]
 
 
+@pytest.mark.parametrize("limit", [1_000, 7_919])
+def test_gpf_batch_matches_sympy_to_certified_range(limit):
+    sympy = pytest.importorskip("sympy")
+    sieve = build_sieve(limit)
+    top = limit * (limit + 2)
+    p, q = sieve.primes[-2:].tolist()
+    edges = [(limit + 1) ** 2 - 1, top, p * q, q * q, 1, limit, limit + 1]
+    rng = np.random.default_rng(limit)
+    values = np.concatenate([np.array(edges, dtype=np.int64),
+                             rng.integers(1, top + 1, size=3_000)])
+    want = [max(sympy.factorint(int(v)), default=1) for v in values]
+    assert greatest_prime_factor_batch(values, sieve).tolist() == want
+
+
+@pytest.mark.parametrize("finish_rounds", [0, 10**9, None])
+def test_wide_gpf_strip_and_finish_agree_with_sympy(monkeypatch, finish_rounds):
+    """0 finishes every wide value alone, 10**9 strips them all as a batch,
+    None keeps the switch between the two."""
+    sympy = pytest.importorskip("sympy")
+    from gpflab import sieve as sieve_mod
+
+    if finish_rounds is not None:
+        monkeypatch.setattr(sieve_mod, "_FINISH_ROUNDS", finish_rounds)
+    limit = 100_003
+    sieve = build_sieve(limit)
+    p, q = sieve.primes[-2:].tolist()
+    small = sieve.primes[:40].tolist()
+    edges = [(limit + 1) ** 2 - 1, limit * (limit + 2), p * q, q * q, q * 2**16,
+             3**4 * 7**2 * 11 * q, 65_537**2, 2 * 3 * 5 * 7 * 11 * 13 * 17 * 19 * 23,
+             limit + 1, limit, 1]
+    edges += [a * b * q for a, b in zip(small, small[1:])]
+    rng = np.random.default_rng(7)
+    values = np.concatenate([np.array(edges, dtype=np.int64),
+                             rng.integers(limit + 1, limit * (limit + 2), size=300)])
+    want = [max(sympy.factorint(int(v)), default=1) for v in values]
+    assert greatest_prime_factor_batch(values, sieve).tolist() == want
+
+
+def test_frontier_isqrt_matches_math_isqrt():
+    from gpflab.smooth import _PSI_X_BUDGET
+
+    # below the budget the float sqrt never rounds up to the next integer;
+    # near 2^53, the top of the kernel's domain, sqrt(k*k - 1) rounds to k
+    top = math.isqrt(2**53 - 2)
+    k = np.concatenate([np.arange(1, math.isqrt(_PSI_X_BUDGET) + 2),
+                        np.arange(top - 2_000, top + 1)]).astype(np.int64)
+    m = np.concatenate([k * k - 1, k * k, k * k + 1])
+    assert _accel._isqrt(m).tolist() == [math.isqrt(int(v)) for v in m]
+
+
 def test_tau_table_matches_tau_ell():
     sieve = build_sieve(4_000)
     for limit in (0, 1, 2, 10, 4_000):

@@ -406,6 +406,24 @@ def test_divisor_lhs_missing_param(capsys):
     assert "error:" in err
 
 
+@pytest.mark.parametrize("argv", [
+    ["--selector", "fourfold-glued", "--x", "1e7"],
+    ["--selector", "sfold-glued", "--x", "1e7", "--y", "2", "--z", "3",
+     "--w", "1", "--s", "5"],
+    ["--selector", "sfold-ordered", "--x", "1e7", "--s", "7"],
+])
+def test_divisor_lhs_checks_parameters_before_the_sieve(capsys, monkeypatch, argv):
+    from gpflab import cli
+
+    def no_sieve(limit):
+        raise AssertionError(f"sieve of {limit} built before the parameter check")
+
+    monkeypatch.setattr(cli, "build_sieve", no_sieve)
+    code, out, err = run_cli(capsys, ["divisor-lhs", *argv])
+    assert code == 1 and out == ""
+    assert len(err.splitlines()) == 1 and err.startswith("error:")
+
+
 def test_adversarial_row_and_files(capsys, tmp_path):
     fa = tmp_path / "adv_a.txt"
     fb = tmp_path / "adv_b.txt"

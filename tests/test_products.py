@@ -99,6 +99,42 @@ def test_log_E1_matches_factorization(sieve_10k):
         assert abs(log_E(A, B) - (want_total + want_large)) < 1e-9
 
 
+# float.hex of (total, sigma1, sigma2), recorded from a scalar loop over
+# residues with pow(h, -1, m); N = 1000 spans several blocks of moduli on
+# both sides of N
+LOG_E1_BITS = {
+    ("dense", 20): ("0x1.b30cf14e4c84fp+9", "0x1.7f7150e002b32p+9",
+                    "0x1.9cdd03724e8e9p+6"),
+    ("random", 20): ("0x1.ebce28e573f2cp+5", "0x1.ba2b39b750f1dp+5",
+                     "0x1.8d17797118078p+2"),
+    ("dense", 60): ("0x1.50a623e6dc41ap+13", "0x1.3ca1661c561b8p+13",
+                    "0x1.404bdca862618p+9"),
+    ("random", 60): ("0x1.72b974aaed79bp+9", "0x1.5f631551f0504p+9",
+                     "0x1.3565f58fd2977p+5"),
+    ("dense", 300): ("0x1.89be42e3e3755p+18", "0x1.82238eff90e16p+18",
+                     "0x1.e6acf914a4fc9p+12"),
+    ("random", 300): ("0x1.acf57cf5695acp+14", "0x1.a44238fb0e7f7p+14",
+                      "0x1.16687f4b5b6a7p+9"),
+    ("dense", 1000): ("0x1.57730787a2ed1p+22", "0x1.54a878b9e8307p+22",
+                      "0x1.654766dd5e539p+15"),
+    ("random", 1000): ("0x1.6fd77ca2a3875p+18", "0x1.6cde50f07fac9p+18",
+                       "0x1.7c95d911ed622p+11"),
+}
+
+
+@pytest.mark.parametrize("kind,N", sorted(LOG_E1_BITS))
+def test_log_E1_matches_recorded_bits(sieve_10k, kind, N):
+    if kind == "dense":
+        A = B = IndexSet.dense(N)
+    else:
+        rng = random.Random(N)
+        A = IndexSet.from_iterable(rng.sample(range(1, N + 1), N // 3), N)
+        B = IndexSet.from_iterable(rng.sample(range(1, N + 1), N // 5), N)
+    split = log_E1(A, B, N, sieve_10k)
+    got = (split.total.hex(), split.sigma1.hex(), split.sigma2.hex())
+    assert got == LOG_E1_BITS[kind, N]
+
+
 def test_log_E1_rejects_out_of_range(sieve_10k):
     A = IndexSet.from_iterable([5])
     B = IndexSet.from_iterable([1])

@@ -193,10 +193,17 @@ def test_is_prime_u64_spot_checks():
     carmichaels = (561, 1105, 1729, 41041, 25326001, 3215031751)
     for n in carmichaels:
         assert not is_prime_u64(n)
-    for n in (2, 3, 999983, 1_000_003, 2**31 - 1, 2**61 - 1):
+    # 3215031751 above and this one are strong pseudoprimes to the prime
+    # bases up to 7 and up to 23 respectively
+    assert not is_prime_u64(3825123056546413051)
+    for n in (2, 3, 999983, 1_000_003, 2**31 - 1, 2**61 - 1, 2**64 - 59):
         assert is_prime_u64(n)
     for n in (0, 1, 4, 2**61 - 3):
         assert not is_prime_u64(n)
+    # a strong pseudoprime to all twelve bases, beyond what they certify
+    for n in (318665857834031151167461, 2**64):
+        with pytest.raises(InvalidArgumentError):
+            is_prime_u64(n)
 
 
 def test_segmented_primes_beyond_limit(sieve_m):

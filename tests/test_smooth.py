@@ -31,6 +31,12 @@ def test_psi_count_known_values(sieve_m):
     assert psi_count(100, 5, sieve_m) == 34
 
 
+def test_psi_count_recorded_frontier_values(sieve_m):
+    # recorded from a scalar DFS that visits one node at a time
+    assert psi_count(3e8, 1000, sieve_m) == 25097381
+    assert psi_count(1e9, 1000, sieve_m) == 59244184
+
+
 def test_psi_count_y_at_least_x(sieve_m):
     for x in (2, 2.5, 17.9, 1000, 12345.6):
         assert psi_count(x, x, sieve_m) == floor(x)
