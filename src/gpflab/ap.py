@@ -38,13 +38,13 @@ def _xi_in_sieve(x, sieve, what) -> int:
 def pi_of(x, sieve: PrimeSieve) -> int:
     """Number of primes <= x."""
     xi = _xi_in_sieve(x, sieve, "pi_of")
-    return int(sieve.prime_count_cumulative[xi])
+    return int(sieve.pi(xi))
 
 
 def theta_of(x, sieve: PrimeSieve) -> float:
     """Chebyshev theta: sum of log p over primes p <= x."""
     xi = _xi_in_sieve(x, sieve, "theta_of")
-    idx = int(np.searchsorted(sieve.primes, xi, side="right"))
+    idx = int(sieve.pi(xi))
     if idx == 0:
         return 0.0
     return float(sieve.theta_cumulative()[idx - 1])
@@ -56,14 +56,9 @@ def psi_cheb(x, sieve: PrimeSieve) -> float:
     return theta_of(xi, sieve) + fsum(_higher_powers(xi, sieve)[2].tolist())
 
 
-def _primes_upto(x: int, sieve: PrimeSieve) -> np.ndarray:
-    idx = int(np.searchsorted(sieve.primes, x, side="right"))
-    return sieve.primes[:idx]
-
-
 def _prime_powers(x: int, sieve: PrimeSieve) -> tuple[np.ndarray, np.ndarray]:
     """Prime powers n <= x with weights log p, sorted by n."""
-    ps = _primes_upto(x, sieve)
+    ps = sieve.primes[:sieve.pi(x)]
     pk, _, lp = _higher_powers(x, sieve)
     n_all = np.concatenate([ps, pk])
     w_all = np.concatenate([np.log(ps.astype(np.float64)), lp])
@@ -76,7 +71,7 @@ def pi_ap(x, q: int, a: int, sieve: PrimeSieve) -> int:
     if q < 1:
         raise InvalidArgumentError("pi_ap needs q >= 1")
     xi = _xi_in_sieve(x, sieve, "pi_ap")
-    ps = _primes_upto(xi, sieve)
+    ps = sieve.primes[:sieve.pi(xi)]
     return int(np.count_nonzero(ps % q == a % q))
 
 
@@ -148,7 +143,7 @@ def _mobius_phi(lo: int, hi: int, sieve: PrimeSieve) -> tuple[np.ndarray, np.nda
     n = np.arange(lo, hi, dtype=np.int64)
     rem, phi = n.copy(), n.copy()
     mu = np.ones(n.size, dtype=np.int64)
-    for p in _primes_upto(root, sieve).tolist():
+    for p in sieve.primes[:sieve.pi(root)].tolist():
         s = (-lo) % p
         phi[s::p] -= phi[s::p] // p
         mu[s::p] = -mu[s::p]
@@ -229,7 +224,7 @@ def bv_sum(x, Q: int, sieve: PrimeSieve, threads: int = 1) -> DiscrepancyReport:
     """
     _check("bv_sum", Q, x)
     xi = _xi_in_sieve(x, sieve, "bv_sum")
-    ps = _primes_upto(xi, sieve)
+    ps = sieve.primes[:sieve.pi(xi)]
     qs = list(range(1, Q + 1))
     devs = _ordered_map(lambda q: _accel.bv_max_scan(ps % q, q) if q > 1 else 0.0,
                         qs, threads)
@@ -243,7 +238,7 @@ def _progression_errors(xi: int, qs: list[int], a: int, sieve: PrimeSieve,
         ns, ws = _prime_powers(xi, sieve)
         reduce, full = (lambda s: fsum(s[s != 0].tolist())), psi_cheb(xi, sieve)
     else:
-        ns, ws = _primes_upto(xi, sieve), True
+        ns, ws = sieve.primes[:sieve.pi(xi)], True
         reduce, full = np.count_nonzero, ns.size
     w = np.zeros(xi + 1, dtype=np.float64 if use_psi else bool)
     w[ns] = ws
@@ -294,8 +289,8 @@ def theorem4_sum(x, Q: int, P1, P2, a: int, sieve: PrimeSieve) -> DiscrepancyRep
     p2c = min(float(P2), float(xi))
     # primes strictly above P1: the first prime > floor(P1) already exceeds P1;
     # past p2c (P1 may be inf) the window is empty either way
-    i = int(np.searchsorted(sieve.primes, floor(min(P1, p2c)), side="right"))
-    j = int(np.searchsorted(sieve.primes, floor(p2c), side="right"))
+    i = int(sieve.pi(floor(min(P1, p2c))))
+    j = int(sieve.pi(floor(p2c)))
     window = sieve.primes[i:j]
 
     wlog = np.zeros(xi + 1, dtype=np.float64)
@@ -312,7 +307,7 @@ def theorem4_sum(x, Q: int, P1, P2, a: int, sieve: PrimeSieve) -> DiscrepancyRep
 
     m_max = xi // (int(floor(P1)) + 1)
     caps = np.minimum(xi // np.arange(1, m_max + 1, dtype=np.int64), int(floor(p2c)))
-    idxs = np.searchsorted(sieve.primes, caps, side="right")
+    idxs = sieve.pi(caps)
     theta_cum = sieve.theta_cumulative()
     theta_p1 = float(theta_cum[i - 1]) if i > 0 else 0.0
     # theta(cap_m) - theta(P1), zero when no window prime fits under the cap

@@ -52,7 +52,7 @@ def _moduli(N: int, cap: int, sieve: PrimeSieve) -> list[tuple[int, int]]:
     """(p, m) with p prime <= N and m = p^k <= cap, in no particular order."""
     if sieve.limit < N:
         raise InvalidArgumentError("sieve limit below N")
-    ps = sieve.primes[:np.searchsorted(sieve.primes, N, side="right")].tolist()
+    ps = sieve.primes[:sieve.pi(N)].tolist()
     pk, pp, _ = _higher_powers(cap, sieve)
     return list(zip(ps + pp.tolist(), ps + pk.tolist()))
 
@@ -175,7 +175,7 @@ def square_errors_check(U: IndexSet, N: int, sieve: PrimeSieve) -> SquareErrorsR
             cnt = np.bincount(arr % m, minlength=m).astype(np.int64)
             parts.append(float(np.sum(cnt * cnt)) * log(p))
     lhs = fsum(parts)
-    pi_n = int(np.searchsorted(sieve.primes, N, side="right"))
+    pi_n = int(sieve.pi(N))
     card = len(U)
     rhs = card * (card - 1 + pi_n) * log(N) if N > 1 else 0.0
     return SquareErrorsResult(lhs, rhs, lhs <= rhs * (1.0 + 1e-12) + 1e-12)

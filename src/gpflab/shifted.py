@@ -161,7 +161,7 @@ def gamma_plus(A: IndexSet, B: IndexSet, sieve: PrimeSieve) -> GammaResult:
     raise AssertionError("witness reconstruction failed")  # pragma: no cover
 
 
-def lv_count(N: int, sieve: PrimeSieve | None = None) -> int:
+def lv_count(N: int) -> int:
     """Number of distinct products a*b with 1 <= a, b <= N."""
     N = int(N)
     if N < 1:
@@ -171,7 +171,7 @@ def lv_count(N: int, sieve: PrimeSieve | None = None) -> int:
     return _accel.product_mark_count(N)
 
 
-def ford_ratio(N: int, sieve: PrimeSieve | None = None) -> float:
+def ford_ratio(N: int) -> float:
     """Distinct-product count normalized by its known density shape:
 
         lv_count(N) * (log N)^c * (log log N)^(3/2) / N^2,
@@ -180,7 +180,7 @@ def ford_ratio(N: int, sieve: PrimeSieve | None = None) -> float:
     N = int(N)
     if N < 3:
         raise InvalidArgumentError("ford_ratio needs N >= 3 (log log N > 0)")
-    lv = lv_count(N, sieve)
+    lv = lv_count(N)
     return lv * log(N) ** FORD_EXPONENT * log(log(N)) ** 1.5 / float(N) ** 2
 
 

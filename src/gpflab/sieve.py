@@ -31,7 +31,7 @@ _FINISH_ROUNDS = 4
 
 
 class PrimeSieve:
-    """Smallest-prime-factor table with derived prime data.
+    """Smallest-prime-factor table and the primes it holds.
 
     Attributes
     ----------
@@ -42,30 +42,25 @@ class PrimeSieve:
         (spf[1] == 1).
     primes : ndarray of int64
         All primes <= limit, ascending.
-    prime_count_cumulative : ndarray of int64
-        prime_count_cumulative[n] is the number of primes <= n.
     """
 
-    __slots__ = ("limit", "spf", "primes", "prime_count_cumulative",
-                 "_log_primes", "_theta_cum")
+    __slots__ = ("limit", "spf", "primes", "_theta_cum")
 
-    def __init__(self, limit, spf, primes, prime_count_cumulative):
+    def __init__(self, limit, spf, primes):
         self.limit = limit
         self.spf = spf
         self.primes = primes
-        self.prime_count_cumulative = prime_count_cumulative
-        self._log_primes = None
         self._theta_cum = None
 
-    def log_primes(self) -> np.ndarray:
-        if self._log_primes is None:
-            self._log_primes = np.log(self.primes.astype(np.float64))
-        return self._log_primes
+    def pi(self, x):
+        """Number of primes <= x, for a scalar or an array of x <= limit."""
+        return np.searchsorted(self.primes, x, side="right")
 
     def theta_cumulative(self) -> np.ndarray:
         """theta at each prime: compensated prefix sums of log p."""
         if self._theta_cum is None:
-            self._theta_cum = _accel.compensated_cumsum(self.log_primes())
+            self._theta_cum = _accel.compensated_cumsum(
+                np.log(self.primes.astype(np.float64)))
         return self._theta_cum
 
     def __repr__(self):
@@ -83,8 +78,7 @@ def build_sieve(limit: int) -> PrimeSieve:
     is_prime = spf == np.arange(limit + 1, dtype=spf.dtype)
     is_prime[:2] = False
     primes = np.flatnonzero(is_prime).astype(np.int64)
-    pcc = np.cumsum(is_prime, dtype=np.int64)
-    return PrimeSieve(limit, spf, primes, pcc)
+    return PrimeSieve(limit, spf, primes)
 
 
 def is_prime_u64(n: int) -> bool:
@@ -153,29 +147,9 @@ def factorize(n: int, sieve: PrimeSieve) -> Factorization:
     factors: list[tuple[int, int]] = []
     v = n
     if v > sieve.limit:
-        if is_prime_u64(v):
-            return Factorization(n, [(v, 1)])
-        hi = isqrt(v)
-        cut = int(np.searchsorted(sieve.primes, hi, side="right"))
-        for p in sieve.primes[:cut].tolist():
-            if p * p > v:
-                break
-            if v % p == 0:
-                e = 0
-                while v % p == 0:
-                    v //= p
-                    e += 1
-                factors.append((p, e))
-                if v == 1 or v <= sieve.limit:
-                    break
-                if is_prime_u64(v):
-                    factors.append((v, 1))
-                    v = 1
-                    break
+        factors, v = _strip_wide(v, 0, sieve)
         if v > sieve.limit:
-            # no factor up to sqrt: the cofactor is prime
-            factors.append((v, 1))
-            v = 1
+            return Factorization(n, factors + [(v, 1)])
     spf = sieve.spf
     while v > 1:
         p = int(spf[v])
@@ -222,7 +196,7 @@ def _wide_gpf(values: np.ndarray, sieve: PrimeSieve) -> np.ndarray:
     factors above the limit would exceed the value.  A cofactor above the
     limit that is prime stays live until the strip passes its square root,
     so once fewer than one value per ``_FINISH_ROUNDS`` rounds left is live,
-    each is finished alone by ``_finish_wide``.
+    each is finished alone by ``_strip_wide``.
     """
     limit = sieve.limit
     top = np.ones(values.size, dtype=np.int64)  # largest prime stripped
@@ -230,12 +204,14 @@ def _wide_gpf(values: np.ndarray, sieve: PrimeSieve) -> np.ndarray:
     idx = np.arange(values.size)
     rem = values.copy()
     # every value retires by the first prime whose square exceeds them all
-    cut = int(np.searchsorted(sieve.primes, isqrt(int(values.max())), side="right"))
+    cut = int(sieve.pi(isqrt(int(values.max()))))
     primes = sieve.primes[:cut + 1].tolist() + [limit + 1]
     for k, (p, nxt) in enumerate(zip(primes, primes[1:])):
         if idx.size * _FINISH_ROUNDS < len(primes) - k:
             for i, r in zip(idx.tolist(), rem.tolist()):
-                top[i], cof[i] = _finish_wide(r, k, int(top[i]), sieve)
+                stripped, cof[i] = _strip_wide(r, k, sieve)
+                if stripped:
+                    top[i] = stripped[-1][0]
             break
         hit = np.flatnonzero(rem % p == 0)
         if hit.size:
@@ -255,24 +231,28 @@ def _wide_gpf(values: np.ndarray, sieve: PrimeSieve) -> np.ndarray:
     return cof
 
 
-def _finish_wide(r: int, k: int, top: int, sieve: PrimeSieve) -> tuple[int, int]:
-    """(top, r) of one value whose cofactor r > limit has no prime factor
-    below sieve.primes[k]: test r for primality, and while it is composite,
-    strip the primes from k that divide it, a block at a time.
+def _strip_wide(r: int, k: int, sieve: PrimeSieve) -> tuple[list[tuple[int, int]], int]:
+    """(factors, r) of one value r > limit with no prime factor below
+    sieve.primes[k]: test r for primality, and while it is composite, strip
+    the primes from k that divide it, a block at a time.
 
-    The cofactor returned is prime and above the limit, or fits the spf
-    table; top is the largest prime stripped.
+    factors lists the (p, e) stripped, ascending.  The cofactor returned is
+    prime and above the limit, or fits the spf table; either way its primes
+    all exceed the ones stripped.
     """
+    factors = []
     primes = sieve.primes
     for lo in range(k, primes.size, _accel._BLOCK):
         if r <= sieve.limit or is_prime_u64(r):
             break
         block = primes[lo:lo + _accel._BLOCK]
         for q in block[r % block == 0].tolist():
+            e = 0
             while r % q == 0:
                 r //= q
-            top = q
-    return top, r
+                e += 1
+            factors.append((q, e))
+    return factors, r
 
 
 def verify_factorization_roundtrip(sieve: PrimeSieve, n_max: int) -> bool:
@@ -384,16 +364,12 @@ def segmented_primes(lo, hi, sieve: PrimeSieve) -> np.ndarray:
     if hi - lo > _SEGMENT_SPAN_BUDGET:
         raise RangeBudgetError(f"segment span {hi - lo} exceeds budget {_SEGMENT_SPAN_BUDGET}")
     if hi <= sieve.limit:
-        i = int(np.searchsorted(sieve.primes, lo, side="right"))
-        j = int(np.searchsorted(sieve.primes, hi, side="right"))
-        return sieve.primes[i:j].copy()
+        return sieve.primes[sieve.pi(lo):sieve.pi(hi)].copy()
     root = isqrt(hi)
-    cut = int(np.searchsorted(sieve.primes, root, side="right"))
-    base = sieve.primes[:cut]
+    base = sieve.primes[:sieve.pi(root)]
     out = []
     if lo < sieve.limit:
-        i = int(np.searchsorted(sieve.primes, lo, side="right"))
-        out.append(sieve.primes[i:].copy())
+        out.append(sieve.primes[sieve.pi(lo):].copy())
         lo = sieve.limit
     start = lo
     while start < hi:
@@ -408,7 +384,7 @@ def segmented_primes(lo, hi, sieve: PrimeSieve) -> np.ndarray:
 def _higher_powers(x: int, sieve: PrimeSieve) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Prime powers p**k <= x with k >= 2: (p**k, p, log p), x up to limit**2."""
     rows = []
-    roots = sieve.primes[:np.searchsorted(sieve.primes, isqrt(x), side="right")]
+    roots = sieve.primes[:sieve.pi(isqrt(x))]
     for p in roots.tolist():
         pk = p * p
         while pk <= x:

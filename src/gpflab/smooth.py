@@ -28,7 +28,7 @@ import numpy as np
 
 from . import _accel
 from .errors import InvalidArgumentError, RangeBudgetError
-from .sieve import PrimeSieve
+from .sieve import PrimeSieve, segmented_primes
 
 _PSI_X_BUDGET = 1_000_000_000
 
@@ -170,13 +170,9 @@ def psi_count(x, y, sieve: PrimeSieve) -> int:
         # every non-smooth n <= x has exactly one prime factor above y
         total = 0
         if xi <= sieve.limit:
-            i = int(np.searchsorted(sieve.primes, yi, side="right"))
-            j = int(np.searchsorted(sieve.primes, xi, side="right"))
-            ps = sieve.primes[i:j]
+            ps = sieve.primes[sieve.pi(yi):sieve.pi(xi)]
             total = int(np.sum(xi // ps)) if ps.size else 0
         else:
-            from .sieve import segmented_primes
-
             lo = yi
             while lo < xi:
                 hi_chunk = min(lo + (1 << 24), xi)
@@ -185,9 +181,8 @@ def psi_count(x, y, sieve: PrimeSieve) -> int:
                     total += int(np.sum(xi // ps))
                 lo = hi_chunk
         return xi - total
-    cut = int(np.searchsorted(sieve.primes, yi, side="right"))
-    primes_y = sieve.primes[:cut]
-    pi_table = sieve.prime_count_cumulative[: yi + 1]
+    primes_y = sieve.primes[:sieve.pi(yi)]
+    pi_table = sieve.pi(np.arange(yi + 1))
     return _accel.smooth_dfs_count(xi, yi, primes_y, pi_table)
 
 

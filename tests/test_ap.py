@@ -70,6 +70,11 @@ def test_global_counts_known_values(sieve_10k):
     assert abs(psi_cheb(10, sieve_10k) - log(2520)) < 1e-12
     assert pi_of(1, sieve_10k) == 0
     assert psi_cheb(1.9, sieve_10k) == 0.0
+    xs = np.arange(10_001)
+    want = np.cumsum([naive_is_prime(n) for n in range(10_001)]).tolist()
+    assert [pi_of(x, sieve_10k) for x in xs.tolist()] == want
+    assert [int(sieve_10k.pi(x)) for x in xs.tolist()] == want
+    assert sieve_10k.pi(xs).tolist() == want
 
 
 def test_pi_ap_matches_trial_division(sieve_10k):

@@ -13,7 +13,7 @@ import numpy as np
 import pytest
 
 from gpflab import _accel, sequences
-from gpflab.sieve import (build_sieve, greatest_prime_factor,
+from gpflab.sieve import (build_sieve, factorize, greatest_prime_factor,
                           greatest_prime_factor_batch, rough_table,
                           segmented_primes, tau_ell, tau_table)
 
@@ -108,6 +108,8 @@ def test_gpf_batch_matches_sympy_to_certified_range(limit):
                              rng.integers(1, top + 1, size=3_000)])
     want = [max(sympy.factorint(int(v)), default=1) for v in values]
     assert greatest_prime_factor_batch(values, sieve).tolist() == want
+    for v in values.tolist():
+        assert factorize(v, sieve).factors == sorted(sympy.factorint(v).items())
 
 
 @pytest.mark.parametrize("finish_rounds", [0, 10**9, None])
@@ -132,6 +134,8 @@ def test_wide_gpf_strip_and_finish_agree_with_sympy(monkeypatch, finish_rounds):
                              rng.integers(limit + 1, limit * (limit + 2), size=300)])
     want = [max(sympy.factorint(int(v)), default=1) for v in values]
     assert greatest_prime_factor_batch(values, sieve).tolist() == want
+    for v in values.tolist():
+        assert factorize(v, sieve).factors == sorted(sympy.factorint(v).items())
 
 
 def test_frontier_isqrt_matches_math_isqrt():
@@ -210,7 +214,7 @@ def test_segmented_primes_matches_plain_sieve():
 
 
 def test_compensated_cumsum_matches_fsum():
-    logs = build_sieve(100_000).log_primes()
+    logs = np.log(build_sieve(100_000).primes.astype(np.float64))
     got = _accel.compensated_cumsum(logs)
     for idx in (0, 1, 100, 5_000, logs.size - 1):
         exact = math.fsum(logs[: idx + 1].tolist())

@@ -1,5 +1,7 @@
 """Factorization layer against hand-rolled trial-division oracles."""
 
+import subprocess
+import sys
 from math import isqrt, log, prod
 
 import numpy as np
@@ -67,6 +69,19 @@ def test_small_sieve_contents():
     s = build_sieve(30)
     assert s.primes.tolist() == [2, 3, 5, 7, 11, 13, 17, 19, 23, 29]
     assert s.spf[12] == 2 and s.spf[25] == 5 and s.spf[29] == 29
+
+
+def test_build_sieve_peak_memory():
+    """At limit 2e7 the sieve keeps spf (76 MiB) and primes (10 MiB); the
+    build must grow the peak RSS of a fresh process by less than 256 MiB."""
+    code = ("import resource\n"
+            "from gpflab.sieve import build_sieve\n"
+            "before = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss\n"
+            "build_sieve(2 * 10**7)\n"
+            "print(resource.getrusage(resource.RUSAGE_SELF).ru_maxrss - before)")
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                         text=True, check=True, timeout=120)
+    assert int(out.stdout) < 256 * 1024  # ru_maxrss counts KiB on Linux
 
 
 def test_factorize_known_values(sieve_m):
