@@ -14,7 +14,7 @@ import json
 import os
 import sys
 from decimal import Decimal, InvalidOperation
-from math import ceil, gcd, isinf, isnan, isqrt, log, sqrt
+from math import gcd, isinf, isnan, isqrt, log, sqrt
 
 import numpy as np
 
@@ -385,21 +385,10 @@ def _cmd_cond_check(args):
     return ["condition", "holds", "worst_case", "lhs", "rhs"], [row]
 
 
-_SELECTOR_PARAM_KEYS = ("x", "y", "z", "w", "j", "ell", "k", "s", "nu",
-                        "j1", "j2", "j3", "j4", "j5", "j6")
-
-
 def _cmd_divisor_lhs(args):
-    params = {}
-    for key in _SELECTOR_PARAM_KEYS:
-        v = getattr(args, key)
-        if v is not None:
-            params[key] = v
-    sequences.selector_params(args.selector, params)  # before the sieve
-    need = params.get("x", 1)
-    if args.selector in ("rough-tau-window-harmonic", "rough-tau-hyperbola-harmonic"):
-        need = need * params.get("y", 1)
-    sieve = _sieve_for(args, int(ceil(need)))
+    params = {k: v for k, v in vars(args).items() if v is not None}
+    _, span = sequences.selector_params(args.selector, params)  # before the sieve
+    sieve = _sieve_for(args, span)
     lhs = sequences.divisor_sum_lhs(args.selector, params, sieve)
     rhs = sequences.divisor_sum_rhs_shape(args.selector, params)
     rows = [{"selector": args.selector, "lhs": lhs, "rhs_shape": rhs,

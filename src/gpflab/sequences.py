@@ -18,8 +18,6 @@ from .sieve import (PrimeSieve, _tau_order, build_sieve, euler_phi, factorize,
                     rough_indicator, rough_table, tau_ell)
 
 _SPAN_BUDGET = 100_000_000  # widest window of a dense sequence
-_SINGLE_SUM_BUDGET = 10_000_000
-_MULTI_SUM_BUDGET = 1_000_000
 
 
 def _width(lo: int, hi: int) -> int:
@@ -336,31 +334,40 @@ def heath_brown_terms(n: int, x, J: int, sieve: PrimeSieve) -> HeathBrownResult:
 # ---------------------------------------------------------------------------
 # exactly evaluated multi-variable divisor sums
 
-# the parameters each selector reads; the s-fold sums also read j1..js
-_SELECTOR_KEYS = {
-    "window-tau-power": ("x", "y", "ell", "k"),
-    "rough-tau": ("x", "z", "j"),
-    "rough-tau-harmonic": ("x", "z", "j"),
-    "rough-tau-harmonic-log": ("w", "x", "z", "j"),
-    "rough-tau-window-harmonic": ("x", "y", "z", "j"),
-    "rough-tau-hyperbola": ("x", "z", "j"),
-    "rough-tau-hyperbola-harmonic": ("x", "y", "z", "j"),
-    "fourfold-ordered": ("x", "y", "z", "w", "j1", "j2", "j3", "j4"),
-    "fourfold-glued": ("x", "y", "z", "w", "j1", "j2", "j3", "j4"),
-    "sfold-ordered": ("x", "y", "z", "w", "s"),
-    "sfold-glued": ("x", "y", "z", "w", "s", "nu"),
+_SINGLE = 10_000_000  # largest table of a single-variable sum
+_MULTI = 1_000_000  # largest table of a four- or s-fold sum
+
+# selector: the parameters it reads (the s-fold sums also read j1..js), the
+# parameters whose product its tables span, and the budget of that span
+_SELECTORS = {
+    "window-tau-power": (("x", "y", "ell", "k"), ("x",), _SINGLE),
+    "rough-tau": (("x", "z", "j"), ("x",), _SINGLE),
+    "rough-tau-harmonic": (("x", "z", "j"), ("x",), _SINGLE),
+    "rough-tau-harmonic-log": (("w", "x", "z", "j"), ("x",), _SINGLE),
+    "rough-tau-window-harmonic": (("x", "y", "z", "j"), ("x", "y"), _SINGLE),
+    "rough-tau-hyperbola": (("x", "z", "j"), ("x",), _SINGLE),
+    "rough-tau-hyperbola-harmonic": (("x", "y", "z", "j"), ("x", "y"), _SINGLE),
+    "fourfold-ordered": (("x", "y", "z", "w", "j1", "j2", "j3", "j4"), ("x",), _MULTI),
+    "fourfold-glued": (("x", "y", "z", "w", "j1", "j2", "j3", "j4"), ("x",), _MULTI),
+    "sfold-ordered": (("x", "y", "z", "w", "s"), ("x",), _MULTI),
+    "sfold-glued": (("x", "y", "z", "w", "s", "nu"), ("x",), _MULTI),
 }
 
-DIVISOR_SELECTORS = tuple(_SELECTOR_KEYS)
+DIVISOR_SELECTORS = tuple(_SELECTORS)
 
 
-def selector_params(selector: str, params: dict) -> list:
+def selector_params(selector: str, params: dict) -> tuple[list, int]:
     """The values of the parameters ``selector`` reads, in the order of
-    ``_SELECTOR_KEYS`` and then j1..js.  An unknown selector, a missing
-    parameter or an s other than 5 or 6 raises, before any table is built."""
-    if selector not in DIVISOR_SELECTORS:
+    ``_SELECTORS`` and then j1..js, and the largest integer its tables span.
+
+    Raises before any table is built: an unknown selector, a missing
+    parameter, an s other than 5 or 6 or a value below its lower bound
+    (``InvalidArgumentError``), or a span above the selector's budget
+    (``RangeBudgetError``)."""
+    if selector not in _SELECTORS:
         raise InvalidArgumentError(f"unknown selector {selector!r}")
-    keys = list(_SELECTOR_KEYS[selector])
+    keys, span, budget = _SELECTORS[selector]
+    keys = list(keys)
     if "s" in keys and "s" in params:
         s = int(params["s"])
         if s not in (5, 6):
@@ -369,7 +376,16 @@ def selector_params(selector: str, params: dict) -> list:
     missing = [k for k in keys if k not in params]
     if missing:
         raise InvalidArgumentError(f"{selector} needs parameters {missing}")
-    return [params[k] for k in keys]
+    for key in keys:
+        low = 0 if key == "k" or key[0] == "j" else 1
+        if key not in ("s", "nu") and params[key] < low:
+            raise InvalidArgumentError(f"{selector} needs {key} >= {low}")
+    if selector == "window-tau-power" and params["y"] > params["x"]:
+        raise InvalidArgumentError("needs 1 <= y <= x")
+    hi = int(floor(params["x"] * params["y"] if span == ("x", "y") else params["x"]))
+    if hi > budget:
+        raise RangeBudgetError(f"{selector} budget is {'*'.join(span)} <= {budget}")
+    return [params[k] for k in keys], hi
 
 
 def _ld_sum(arr) -> float:
@@ -390,72 +406,32 @@ def _weight_table(limit: int, j: int, z, sieve: PrimeSieve, glued=False) -> np.n
     return tab
 
 
-def _single_budget(xi: int) -> None:
-    if xi > _SINGLE_SUM_BUDGET:
-        raise RangeBudgetError(f"single-variable sum budget is x <= {_SINGLE_SUM_BUDGET}")
-
-
-def _multi_budget(xi: int) -> None:
-    if xi > _MULTI_SUM_BUDGET:
-        raise RangeBudgetError(f"multi-variable sum budget is x <= {_MULTI_SUM_BUDGET}")
-
-
-def _fourfold(xi: int, y: float, w_lo: float, tables: list[np.ndarray]) -> float:
-    t1, t2, t3, t4 = tables
-    pre1 = np.cumsum(t1.astype(np.longdouble))
-    e4_lo = max(1, ceil(w_lo))
-    parts = []
-    e4 = e4_lo
-    while e4 * e4 * e4 * e4 <= xi:
-        if t4[e4] != 0.0:
-            f4 = t4[e4]
-            e3 = e4
-            while e3 * e3 * e3 * e4 <= xi and e3 <= y * e4:
-                if t3[e3] != 0.0:
-                    f34 = f4 * t3[e3]
-                    e2 = e3
-                    while e2 * e2 * e3 * e4 <= xi:
-                        if t2[e2] != 0.0:
-                            hi1 = min(xi // (e2 * e3 * e4), int(floor(y * e2)))
-                            if hi1 >= e2:
-                                block = float(pre1[hi1] - pre1[e2 - 1])
-                                parts.append(f34 * t2[e2] * block)
-                        e2 += 1
-                e3 += 1
-        e4 += 1
-    return fsum(parts)
-
-
-def _sfold(xi: int, y: float, w_lo: float, tables: list[np.ndarray]) -> float:
-    s = len(tables)
+def _chain(xi: int, y: float, w_lo: float, tables: list[np.ndarray], caps: dict) -> float:
+    """Sum of tables[0][e_1] * ... * tables[s-1][e_s] over the chains
+    w_lo <= e_s <= ... <= e_1 with e_1 * ... * e_s <= xi, where each entry
+    i: r of ``caps`` also bounds e_i <= y * e_r.  The innermost variable is
+    summed from a prefix table."""
     pre1 = np.cumsum(tables[0].astype(np.longdouble))
+    chain = [0] * (len(tables) + 1)  # chain[i] holds e_i while it is fixed
     parts = []
-    e_last = [0]  # current value at position s, for the y-condition
 
     def rec(pos: int, lo: int, prod: int, wgt: float):
         # pos counts down; chain values ascend from position s to 1
+        cap = int(floor(y * chain[caps[pos]])) if pos in caps else xi
         if pos == 1:
-            hi1 = xi // prod
+            hi1 = min(xi // prod, cap)
             if hi1 >= lo:
                 parts.append(wgt * float(pre1[hi1] - pre1[lo - 1]))
             return
         tab = tables[pos - 1]
-        cap = int(floor(y * e_last[0])) if pos == s - 2 else None
         e = lo
-        while prod * e**pos <= xi:
-            if cap is not None and e > cap:
-                break
+        while prod * e**pos <= xi and e <= cap:
             if tab[e] != 0.0:
+                chain[pos] = e
                 rec(pos - 1, e, prod * e, wgt * tab[e])
             e += 1
 
-    tab_s = tables[s - 1]
-    e = max(1, ceil(w_lo))
-    while e**s <= xi:
-        if tab_s[e] != 0.0:
-            e_last[0] = e
-            rec(s - 1, e, e, float(tab_s[e]))
-        e += 1
+    rec(len(tables), max(1, ceil(w_lo)), 1, 1.0)
     return fsum(parts)
 
 
@@ -467,121 +443,66 @@ def divisor_sum_lhs(selector: str, params: dict, sieve: PrimeSieve) -> float:
     the innermost free variable).  See divisor_sum_rhs_shape for the matching
     reference upper-bound shapes evaluated with constant 1.
     """
-    given = selector_params(selector, params)
+    given, hi = selector_params(selector, params)
+    if hi > sieve.limit:
+        span = "*".join(_SELECTORS[selector][1])
+        raise RangeBudgetError(f"needs {span} <= sieve.limit")
 
     if selector == "window-tau-power":
         x, y, ell, k = given
-        if x < 1 or y < 1 or y > x:
-            raise InvalidArgumentError("needs 1 <= y <= x")
-        if k < 0 or ell < 1:
-            raise InvalidArgumentError("needs k >= 0 and ell >= 1")
-        xi = int(floor(x))
-        _single_budget(xi)
-        if xi > sieve.limit:
-            raise RangeBudgetError("needs x <= sieve.limit")
-        tab = _accel.tau_table(sieve.spf[: xi + 1], _tau_order(ell), 2)
-        ns = np.arange(xi + 1, dtype=np.int64)
+        tab = _accel.tau_table(sieve.spf[: hi + 1], _tau_order(ell), 2)
+        ns = np.arange(hi + 1, dtype=np.int64)
         mask = (ns > x - y) & (ns <= x) & (ns >= 1)
         vals = tab[mask].astype(np.float64) ** int(k)
         return _ld_sum(vals)
 
-    if selector in ("rough-tau", "rough-tau-harmonic", "rough-tau-hyperbola"):
-        x, z, j = given
-        if x < 1 or z < 1 or j < 0:
-            raise InvalidArgumentError("needs x, z >= 1 and j >= 0")
-        xi = int(floor(x))
-        _single_budget(xi)
-        if xi > sieve.limit:
-            raise RangeBudgetError("needs x <= sieve.limit")
-        w = _weight_table(xi, int(j), z, sieve)
-        ns = np.arange(xi + 1, dtype=np.float64)
+    if not selector.startswith(("fourfold", "sfold")):
+        *lead, z, j = given
+        w = _weight_table(hi, int(j), z, sieve)
         if selector == "rough-tau":
             return _ld_sum(w[1:])
+        if selector == "rough-tau-hyperbola":
+            return _ld_sum(w[1:] * (hi // np.arange(1, hi + 1, dtype=np.int64)))
+        ns = np.arange(hi + 1, dtype=np.float64)
         if selector == "rough-tau-harmonic":
             return _ld_sum(w[1:] / ns[1:])
-        counts = xi // np.arange(1, xi + 1, dtype=np.int64)
-        return _ld_sum(w[1:] * counts)
-
-    if selector == "rough-tau-harmonic-log":
-        w_lo, x, z, j = given
-        if x < 1 or w_lo < 1 or z < 1 or j < 0:
-            raise InvalidArgumentError("needs x, w, z >= 1 and j >= 0")
-        xi = int(floor(x))
-        _single_budget(xi)
-        if xi > sieve.limit:
-            raise RangeBudgetError("needs x <= sieve.limit")
-        w = _weight_table(xi, int(j), z, sieve)
-        ns = np.arange(xi + 1, dtype=np.float64)
-        mask = ns > w_lo
-        mask[0] = False
-        vals = w[mask] / (ns[mask] * np.log(2.0 * ns[mask]))
-        return _ld_sum(vals)
-
-    if selector == "rough-tau-window-harmonic":
-        x, y, z, j = given
-        if x < 1 or y < 1 or z < 1 or j < 0:
-            raise InvalidArgumentError("needs x, y, z >= 1 and j >= 0")
-        hi = int(floor(x * y))
-        _single_budget(hi)
-        if hi > sieve.limit:
-            raise RangeBudgetError("needs x*y <= sieve.limit")
-        w = _weight_table(hi, int(j), z, sieve)
-        ns = np.arange(hi + 1, dtype=np.float64)
-        mask = (ns > x) & (ns <= x * y)
-        return _ld_sum(w[mask] / ns[mask])
-
-    if selector == "rough-tau-hyperbola-harmonic":
-        x, y, z, j = given
-        if x < 1 or y < 1 or z < 1 or j < 0:
-            raise InvalidArgumentError("needs x, y, z >= 1 and j >= 0")
-        hi = int(floor(x * y))
-        _single_budget(hi)
-        if hi > sieve.limit:
-            raise RangeBudgetError("needs x*y <= sieve.limit")
-        w = _weight_table(hi, int(j), z, sieve)
-        ns = np.arange(1, hi + 1, dtype=np.int64)
-        ns_ld = ns.astype(np.longdouble)
-        harm = np.concatenate(([np.longdouble(0.0)],
-                               np.cumsum(1.0 / ns_ld)))
+        if selector == "rough-tau-harmonic-log":
+            w_lo = lead[0]
+            mask = ns > w_lo
+            mask[0] = False
+            return _ld_sum(w[mask] / (ns[mask] * np.log(2.0 * ns[mask])))
+        x, y = lead
+        if selector == "rough-tau-window-harmonic":
+            mask = (ns > x) & (ns <= x * y)
+            return _ld_sum(w[mask] / ns[mask])
+        # rough-tau-hyperbola-harmonic
+        ns_ld = np.arange(1, hi + 1, dtype=np.int64).astype(np.longdouble)
+        harm = np.concatenate(([np.longdouble(0.0)], np.cumsum(1.0 / ns_ld)))
         lo_t = np.floor(np.longdouble(x) / ns_ld).astype(np.int64)
         hi_t = np.floor(np.longdouble(x) * np.longdouble(y) / ns_ld).astype(np.int64)
         inner = harm[np.minimum(hi_t, hi)] - harm[np.minimum(lo_t, hi)]
-        vals = (w[1:].astype(np.longdouble) / ns_ld) * inner
-        return float(np.sum(vals))
+        return float(np.sum((w[1:].astype(np.longdouble) / ns_ld) * inner))
 
-    if selector in ("fourfold-ordered", "fourfold-glued"):
+    if selector.startswith("fourfold"):
         x, y, z, w_lo, *js = given
-        if x < 1 or y < 1 or z < 1 or w_lo < 1 or any(j < 0 for j in js):
-            raise InvalidArgumentError("needs x, y, z, w >= 1 and j_i >= 0")
-        xi = int(floor(x))
-        _multi_budget(xi)
-        if xi > sieve.limit:
-            raise RangeBudgetError("needs x <= sieve.limit")
-        glued = selector == "fourfold-glued"
-        tables = [_weight_table(xi, int(j), z, sieve, glued and i == 0)
-                  for i, j in enumerate(js)]
-        return _fourfold(xi, float(y), float(w_lo), tables)
-
-    # sfold-ordered / sfold-glued
-    x, y, z, w_lo, s, *js = given
-    nu = int(js.pop(0)) if selector == "sfold-glued" else 0
-    if x < 1 or y < 1 or z < 1 or w_lo < 1 or any(j < 0 for j in js):
-        raise InvalidArgumentError("needs x, y, z, w >= 1 and j_i >= 0")
-    xi = int(floor(x))
-    _multi_budget(xi)
-    if xi > sieve.limit:
-        raise RangeBudgetError("needs x <= sieve.limit")
-    if selector == "sfold-glued" and not 1 <= nu <= int(s):
-        raise InvalidArgumentError("nu must be in [1, s]")
-    tables = [_weight_table(xi, int(j), z, sieve, i == nu)
-              for i, j in enumerate(js, start=1)]
-    return _sfold(xi, float(y), float(w_lo), tables)
+        glued = [selector == "fourfold-glued", False, False, False]
+        caps = {3: 4, 1: 2}
+    else:
+        x, y, z, w_lo, s, *js = given
+        nu = int(js.pop(0)) if selector == "sfold-glued" else 0
+        if selector == "sfold-glued" and not 1 <= nu <= int(s):
+            raise InvalidArgumentError("nu must be in [1, s]")
+        glued = [i == nu for i in range(1, len(js) + 1)]
+        caps = {len(js) - 2: len(js)}
+    keys = [(int(j), g) for j, g in zip(js, glued)]
+    built = {(j, g): _weight_table(hi, j, z, sieve, g) for j, g in dict.fromkeys(keys)}
+    return _chain(hi, float(y), float(w_lo), [built[key] for key in keys], caps)
 
 
 def divisor_sum_rhs_shape(selector: str, params: dict) -> float:
-    """The reference upper-bound shape for a selector, with constant 1."""
-    if selector not in DIVISOR_SELECTORS:
-        raise InvalidArgumentError(f"unknown selector {selector!r}")
+    """The reference upper-bound shape for a selector, with constant 1, for
+    the parameters that ``selector_params`` accepts."""
+    selector_params(selector, params)
     p = params
 
     def lratio(*zs):

@@ -75,10 +75,14 @@ def build_sieve(limit: int) -> PrimeSieve:
     if limit > MAX_SIEVE_LIMIT:
         raise RangeBudgetError(f"sieve limit {limit} exceeds cap {MAX_SIEVE_LIMIT}")
     spf = _accel.spf_fill(limit)
-    is_prime = spf == np.arange(limit + 1, dtype=spf.dtype)
-    is_prime[:2] = False
-    primes = np.flatnonzero(is_prime).astype(np.int64)
-    return PrimeSieve(limit, spf, primes)
+    # n is prime when spf[n] == n; compared a block at a time, so nothing
+    # near the size of spf is made beside it
+    parts = []
+    for lo in range(2, limit + 1, _accel._BLOCK):
+        blk = spf[lo:lo + _accel._BLOCK]
+        at = np.arange(lo, lo + blk.size, dtype=blk.dtype)
+        parts.append(np.flatnonzero(blk == at) + lo)
+    return PrimeSieve(limit, spf, np.concatenate(parts))
 
 
 def is_prime_u64(n: int) -> bool:
@@ -410,7 +414,11 @@ def divisor_list(fact: Factorization) -> list[int]:
 
 def tau_table(limit: int, ell: int) -> np.ndarray:
     """tau_ell(n) for all n <= limit as an int64 array (index 0 unused)."""
-    return _accel.tau_table(_accel.spf_fill(int(limit)), _tau_order(ell), 2)
+    limit = int(limit)
+    if limit < 0:
+        raise InvalidArgumentError("tau_table needs limit >= 0")
+    ell = _tau_order(ell)
+    return _accel.tau_table(build_sieve(max(2, limit)).spf[: limit + 1], ell, 2)
 
 
 def rough_table(limit: int, z, sieve: PrimeSieve) -> np.ndarray:

@@ -13,8 +13,9 @@ import numpy as np
 import pytest
 
 from gpflab import _accel, sequences
-from gpflab.sieve import (build_sieve, factorize, greatest_prime_factor,
-                          greatest_prime_factor_batch, rough_table,
+from gpflab.errors import InvalidArgumentError, RangeBudgetError
+from gpflab.sieve import (MAX_SIEVE_LIMIT, build_sieve, factorize,
+                          greatest_prime_factor, greatest_prime_factor_batch, rough_table,
                           segmented_primes, tau_ell, tau_table)
 
 
@@ -159,6 +160,17 @@ def test_tau_table_matches_tau_ell():
             assert tab[0] == 0
             assert tab[1:].tolist() == [tau_ell(n, ell, sieve)
                                         for n in range(1, limit + 1)]
+
+
+def test_tau_table_refuses_limits_out_of_range(monkeypatch):
+    def no_fill(limit):
+        raise AssertionError(f"spf table of {limit} allocated")
+
+    monkeypatch.setattr(_accel, "spf_fill", no_fill)
+    with pytest.raises(RangeBudgetError):
+        tau_table(MAX_SIEVE_LIMIT + 1, 2)
+    with pytest.raises(InvalidArgumentError):
+        tau_table(-1, 2)
 
 
 def test_tau_table_matches_dirichlet_steps():

@@ -399,6 +399,26 @@ def test_divisor_lhs_row(capsys):
     assert float(rows[0]["ratio"]) == pytest.approx(lhs / rhs, rel=1e-10)
 
 
+def test_divisor_lhs_sieve_covers_the_span(capsys, monkeypatch):
+    from gpflab import cli
+
+    limits = []
+
+    def recording_sieve(limit):
+        limits.append(limit)
+        return build_sieve(limit)
+
+    monkeypatch.setattr(cli, "build_sieve", recording_sieve)
+    code, out, _ = run_cli(capsys, ["divisor-lhs", "--selector",
+                                    "rough-tau-window-harmonic", "--x", "50",
+                                    "--y", "3", "--z", "7", "--j", "2"])
+    assert code == 0 and limits == [150]
+    _, rows = parse_csv(out)
+    lhs = sequences.divisor_sum_lhs("rough-tau-window-harmonic",
+                                    {"x": 50, "y": 3.0, "z": 7, "j": 2}, build_sieve(150))
+    assert float(rows[0]["lhs"]) == pytest.approx(lhs, rel=1e-12)
+
+
 def test_divisor_lhs_missing_param(capsys):
     code, _, err = run_cli(capsys, ["divisor-lhs", "--selector", "rough-tau",
                                     "--x", "300"])
@@ -406,11 +426,21 @@ def test_divisor_lhs_missing_param(capsys):
     assert "error:" in err
 
 
+_OVER_BUDGET = [
+    ["--selector", "rough-tau", "--x", "1e8", "--z", "5", "--j", "1"],
+    ["--selector", "rough-tau-window-harmonic", "--x", "1e4", "--y", "1e4",
+     "--z", "3", "--j", "1"],
+    ["--selector", "fourfold-glued", "--x", "5e7", "--y", "2", "--z", "3",
+     "--w", "1", "--j1", "2", "--j2", "2", "--j3", "2", "--j4", "2"],
+]
+
+
 @pytest.mark.parametrize("argv", [
     ["--selector", "fourfold-glued", "--x", "1e7"],
     ["--selector", "sfold-glued", "--x", "1e7", "--y", "2", "--z", "3",
      "--w", "1", "--s", "5"],
     ["--selector", "sfold-ordered", "--x", "1e7", "--s", "7"],
+    *_OVER_BUDGET,
 ])
 def test_divisor_lhs_checks_parameters_before_the_sieve(capsys, monkeypatch, argv):
     from gpflab import cli
@@ -420,7 +450,7 @@ def test_divisor_lhs_checks_parameters_before_the_sieve(capsys, monkeypatch, arg
 
     monkeypatch.setattr(cli, "build_sieve", no_sieve)
     code, out, err = run_cli(capsys, ["divisor-lhs", *argv])
-    assert code == 1 and out == ""
+    assert code == (2 if argv in _OVER_BUDGET else 1) and out == ""
     assert len(err.splitlines()) == 1 and err.startswith("error:")
 
 

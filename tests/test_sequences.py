@@ -430,6 +430,94 @@ def test_divisor_sum_rejects(sieve_10k):
         divisor_sum_lhs("sfold-ordered",
                         {"x": 100, "y": 2, "z": 2, "w": 1, "s": 7,
                          **{f"j{i}": 1 for i in range(1, 8)}}, sieve_10k)
+    # the shape reads its parameters through the same check as the sum
+    with pytest.raises(InvalidArgumentError):
+        divisor_sum_rhs_shape("rough-tau", {"x": 100})
+    with pytest.raises(InvalidArgumentError):
+        divisor_sum_rhs_shape("sfold-ordered",
+                              {"x": 100, "y": 2, "z": 2, "w": 1, "s": 5})
+
+
+def _every_param(x, y, z, w, j, nu):
+    return {"x": x, "y": y, "z": z, "w": w, "j": j, "ell": 2, "k": 2,
+            "s": 6 if nu == 6 else 5, "nu": nu, **{f"j{i}": j for i in range(1, 7)}}
+
+
+# float.hex of (lhs, rhs_shape), recorded before the sums shared one
+# parameter check and one chain enumerator: every selector at the two
+# parameter sets of the factor-tables benchmark, widened to every parameter,
+# and at the parameters of the brute-force tests above
+_FACTOR_TABLES = (_every_param(5e5, 2, 5, 1, 3, 2), _every_param(1e5, 2, 3, 1, 2, 6))
+_PINNED = {
+    0: """window-tau-power 0x1.c200000000000p+10 0x1.499e30c9d307fp+12
+rough-tau 0x1.5789c00000000p+21 0x1.dd2152b270d40p+22
+rough-tau-harmonic 0x1.2c765e8857840p+5 0x1.afffffffffffdp+7
+rough-tau-harmonic-log 0x1.201badf18ff1cp+2 0x1.379f43d5cb684p+8
+rough-tau-window-harmonic 0x1.214ab949f640bp+2 0x1.91a54dc943783p+4
+rough-tau-hyperbola 0x1.0cc0510000000p+24 0x1.116d72bb34bffp+28
+rough-tau-hyperbola-harmonic 0x1.e396de46acb24p+4 0x1.d49799ce1a220p+9
+fourfold-ordered 0x1.8ff4200000000p+20 0x1.9dfb1bf19203bp+44
+fourfold-glued 0x1.8169640000000p+22 0x1.f54ca5e53cc10p+49
+sfold-ordered 0x1.edfaf40000000p+23 0x1.f7f5e1399f7ecp+56
+sfold-glued 0x1.65560b8000000p+25 0x1.270e1a77edc28p+68""",
+    1: """window-tau-power 0x1.6800000000000p+10 0x1.c6a3e5e9030abp+11
+rough-tau 0x1.3eb0000000000p+18 0x1.734af7b627911p+18
+rough-tau-harmonic 0x1.866a62a3a83cbp+4 0x1.734380dd568f3p+5
+rough-tau-harmonic-log 0x1.da83c54e527dcp+1 0x1.0bcf653f33441p+6
+rough-tau-window-harmonic 0x1.3f69a9188625ep+1 0x1.78ba284b347c7p+2
+rough-tau-hyperbola 0x1.193d900000000p+21 0x1.66f7739dafe89p+23
+rough-tau-hyperbola-harmonic 0x1.33962fd6b2f61p+4 0x1.73e8b4d29a042p+7
+fourfold-ordered 0x1.19df800000000p+18 0x1.902da5af9303fp+33
+fourfold-glued 0x1.1977900000000p+20 0x1.972bceb3b6267p+38
+sfold-ordered 0x1.f0e7f80000000p+21 0x1.20d754c766dcap+49
+sfold-glued 0x1.06b55c0000000p+22 0x1.3611ec27e13d7p+61""",
+}
+_BRUTE_PINNED = [
+    ("window-tau-power", {"x": 10, "y": 10, "ell": 1, "k": 1},
+     "0x1.4000000000000p+3", "0x1.4000000000000p+3"),
+    ("window-tau-power", {"x": 50.5, "y": 20.3, "ell": 3, "k": 2},
+     "0x1.b120000000000p+12", "0x1.fe00164d0ffa7p+21"),
+    ("rough-tau", {"x": 50, "z": 51, "j": 3},
+     "0x1.0000000000000p+0", "0x1.56fde9c8d1b7fp+3"),
+    ("rough-tau", {"x": 300, "z": 7, "j": 2},
+     "0x1.8600000000000p+7", "0x1.138bf31e59092p+8"),
+    ("rough-tau-harmonic", {"x": 300, "z": 7, "j": 2},
+     "0x1.ba835baedebddp+1", "0x1.78085729a8197p+2"),
+    ("rough-tau-hyperbola", {"x": 300, "z": 7, "j": 2},
+     "0x1.df00000000000p+9", "0x1.a66fa9fbe7a8cp+11"),
+    ("rough-tau-harmonic-log", {"w": 5, "x": 300, "z": 7, "j": 2},
+     "0x1.30c1784214425p-1", "0x1.469e24ccb3a6bp+1"),
+    ("rough-tau-window-harmonic", {"x": 50, "y": 3.0, "z": 7, "j": 2},
+     "0x1.52fc96d4cdeedp-1", "0x1.d14459feb4bc8p+0"),
+    ("rough-tau-hyperbola-harmonic", {"x": 50, "y": 3.0, "z": 7, "j": 2},
+     "0x1.a0b1db1f56823p+1", "0x1.e4b7e1395ccd6p+3"),
+    ("fourfold-ordered", {"x": 2000, "y": 4.0, "z": 3.0, "w": 2,
+                          "j1": 2, "j2": 1, "j3": 1, "j4": 1},
+     "0x1.6c00000000000p+7", "0x1.97a70d9ef8091p+18"),
+    ("fourfold-glued", {"x": 2000, "y": 4.0, "z": 3.0, "w": 2,
+                        "j1": 2, "j2": 1, "j3": 1, "j4": 1},
+     "0x1.0280000000000p+9", "0x1.fe3b788d3ffcbp+22"),
+    ("sfold-ordered", {"x": 500, "y": 3.0, "z": 3.0, "w": 1, "s": 5,
+                       **{f"j{i}": 1 for i in range(1, 6)}},
+     "0x1.1a80000000000p+9", "0x1.a4b7b4d7d7836p+19"),
+    ("sfold-glued", {"x": 500, "y": 3.0, "z": 3.0, "w": 1, "s": 5, "nu": 3,
+                     **{f"j{i}": 1 for i in range(1, 6)}},
+     "0x1.7180000000000p+9", "0x1.490f960fb7f76p+28"),
+    ("sfold-ordered", {"x": 200, "y": 2.5, "z": 2.0, "w": 1, "s": 6,
+                       **{f"j{i}": 1 for i in range(1, 7)}},
+     "0x1.bb80000000000p+9", "0x1.5046301a37545p+21"),
+]
+
+
+def test_divisor_sums_keep_their_bits(sieve_m):
+    cases = [(sel, _FACTOR_TABLES[k], lhs, rhs)
+             for k, rows in _PINNED.items()
+             for sel, lhs, rhs in (row.split() for row in rows.splitlines())]
+    assert {c[0] for c in cases} == set(DIVISOR_SELECTORS) == {c[0] for c in _BRUTE_PINNED}
+    for sel, params, lhs, rhs in cases + _BRUTE_PINNED:
+        got = (divisor_sum_lhs(sel, params, sieve_m).hex(),
+               divisor_sum_rhs_shape(sel, params).hex())
+        assert got == (lhs, rhs), (sel, params)
 
 
 def test_rhs_shapes_positive_finite():
