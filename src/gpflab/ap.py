@@ -26,6 +26,14 @@ from .sieve import (MAX_SIEVE_LIMIT, PrimeSieve, _higher_powers, euler_phi,
                     segmented_primes)
 
 
+def check_modulus(what: str, name: str, q: int) -> None:
+    """Refuse a modulus below 1, or one beyond the int64 that numpy reduces by."""
+    if q < 1:
+        raise InvalidArgumentError(f"{what} needs {name} >= 1")
+    if q >= 1 << 63:
+        raise RangeBudgetError(f"{what} needs {name} < 2**63, got {q}")
+
+
 def _xi_in_sieve(x, sieve, what) -> int:
     if x < 0:
         raise InvalidArgumentError(f"{what} needs x >= 0")
@@ -45,9 +53,7 @@ def theta_of(x, sieve: PrimeSieve) -> float:
     """Chebyshev theta: sum of log p over primes p <= x."""
     xi = _xi_in_sieve(x, sieve, "theta_of")
     idx = int(sieve.pi(xi))
-    if idx == 0:
-        return 0.0
-    return float(sieve.theta_cumulative()[idx - 1])
+    return float(sieve.theta_cumulative()[idx - 1]) if idx else 0.0
 
 
 def psi_cheb(x, sieve: PrimeSieve) -> float:
@@ -68,8 +74,7 @@ def _prime_powers(x: int, sieve: PrimeSieve) -> tuple[np.ndarray, np.ndarray]:
 
 def pi_ap(x, q: int, a: int, sieve: PrimeSieve) -> int:
     """Number of primes p <= x with p = a (mod q)."""
-    if q < 1:
-        raise InvalidArgumentError("pi_ap needs q >= 1")
+    check_modulus("pi_ap", "q", q)
     xi = _xi_in_sieve(x, sieve, "pi_ap")
     ps = sieve.primes[:sieve.pi(xi)]
     return int(np.count_nonzero(ps % q == a % q))
@@ -77,18 +82,15 @@ def pi_ap(x, q: int, a: int, sieve: PrimeSieve) -> int:
 
 def psi_ap(x, q: int, a: int, sieve: PrimeSieve) -> float:
     """Sum of Lambda(n) over n <= x with n = a (mod q)."""
-    if q < 1:
-        raise InvalidArgumentError("psi_ap needs q >= 1")
+    check_modulus("psi_ap", "q", q)
     xi = _xi_in_sieve(x, sieve, "psi_ap")
     ns, ws = _prime_powers(xi, sieve)
-    mask = ns % q == a % q
-    return fsum(ws[mask].tolist())
+    return fsum(ws[ns % q == a % q].tolist())
 
 
 def error_term(x, q: int, a: int, sieve: PrimeSieve) -> float:
     """pi(x; q, a) - pi(x)/phi(q) for gcd(a, q) == 1."""
-    if q < 1:
-        raise InvalidArgumentError("error_term needs q >= 1")
+    check_modulus("error_term", "q", q)
     if gcd(a, q) != 1:
         raise InvalidArgumentError(f"error_term needs gcd(a, q) == 1, got a={a}, q={q}")
     return pi_ap(x, q, a, sieve) - pi_of(x, sieve) / euler_phi(q, sieve)
@@ -123,8 +125,7 @@ def _ordered_map(fn, items, threads):
 
 
 def _check(what, Q, x, x_min=1, a=None, P=None) -> None:
-    if Q < 1:
-        raise InvalidArgumentError(f"{what} needs Q >= 1")
+    check_modulus(what, "Q", Q)
     if Q > MAX_SIEVE_LIMIT:  # every aggregate lists its moduli one by one
         raise RangeBudgetError(f"{what} needs Q <= {MAX_SIEVE_LIMIT}")
     if a == 0:
@@ -158,13 +159,6 @@ def _mobius_phi(lo: int, hi: int, sieve: PrimeSieve) -> tuple[np.ndarray, np.nda
     return mu, phi
 
 
-def _squarefree(D: int, sieve: PrimeSieve) -> tuple[np.ndarray, np.ndarray]:
-    """The squarefree d <= D (D >= 1) and mu(d)."""
-    mu, _ = _mobius_phi(1, D + 1, sieve)
-    ds = np.flatnonzero(mu) + 1
-    return ds, mu[ds - 1]
-
-
 def _expand(counts: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """For sum(counts) items: the owner i of each and its index j < counts[i]."""
     owner = np.repeat(np.arange(counts.size), counts)
@@ -172,13 +166,42 @@ def _expand(counts: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return owner, j
 
 
-def _multiples(ps: np.ndarray, Q: int) -> tuple[np.ndarray, np.ndarray]:
-    """The pairs (i, q) with ps[i] | q and Q <= q < 2Q, stably sorted by q."""
-    first = (Q - 1) // ps + 1
-    i, k = _expand((2 * Q - 1) // ps - first + 1)
+def _multiples(ps: np.ndarray, lo: int, hi: int) -> tuple[np.ndarray, np.ndarray]:
+    """The pairs (i, q) with ps[i] | q and lo <= q < hi, stably sorted by q."""
+    first = (lo - 1) // ps + 1
+    i, k = _expand((hi - 1) // ps - first + 1)
     q = (first[i] + k) * ps[i]
     order = np.argsort(q, kind="stable")
     return i[order], q[order]
+
+
+def _expand_blocks(counts: np.ndarray):
+    """``_expand(counts)`` in order, at most ``_accel._BLOCK`` items at a time."""
+    end = np.cumsum(counts)
+    for k0 in range(0, int(end[-1]) if end.size else 0, _accel._BLOCK):
+        k = np.arange(k0, min(k0 + _accel._BLOCK, int(end[-1])))
+        i = np.searchsorted(end, k, side="right")
+        yield i, k - end[i] + counts[i]
+
+
+def _moebius_blocks(D: int, Q: int, width: int, sieve: PrimeSieve):
+    """The pairs (d, q) of a squarefree d <= D (D >= 1) and a q in [Q, 2Q)
+    that d divides, by q, in blocks of about ``_accel._BLOCK // width`` pairs,
+    width being the array entries the caller makes per pair: (r0, r1, d,
+    mu(d), bounds) for Q + r0 <= q < Q + r1, the pairs of q = Q + r0 + r at
+    bounds[r]:bounds[r + 1] (never empty: d = 1)."""
+    mu, _ = _mobius_phi(1, min(D, 2 * Q - 1) + 1, sieve)  # no larger d divides a q
+    ds = np.flatnonzero(mu) + 1
+    per_q = int(((2 * Q - 1) // ds - (Q - 1) // ds).sum()) // Q + 1
+    step = max(1, _accel._BLOCK // (width * per_q))
+    span = step * max(1, _accel._BLOCK // (per_q * step))  # listed at once: ~_BLOCK pairs
+    for s0 in range(0, Q, span):
+        d_of, d_q = _multiples(ds, Q + s0, Q + min(Q, s0 + span))
+        for r0 in range(s0, min(Q, s0 + span), step):
+            r1 = min(Q, r0 + step)
+            f0, f1 = np.searchsorted(d_q, (Q + r0, Q + r1))
+            d = ds[d_of[f0:f1]]
+            yield r0, r1, d, mu[d - 1], np.searchsorted(d_q[f0:f1], np.arange(Q + r0, Q + r1 + 1))
 
 
 def _fixed(v: np.ndarray) -> tuple[np.ndarray, int]:
@@ -290,14 +313,16 @@ def theorem4_sum(x, Q: int, P1, P2, a: int, sieve: PrimeSieve) -> DiscrepancyRep
     # primes strictly above P1: the first prime > floor(P1) already exceeds P1;
     # past p2c (P1 may be inf) the window is empty either way
     i = int(sieve.pi(floor(min(P1, p2c))))
-    j = int(sieve.pi(floor(p2c)))
-    window = sieve.primes[i:j]
+    window = sieve.primes[i:int(sieve.pi(floor(p2c)))]
 
+    # math.log: np.log is an ulp off on a few primes
+    logs = np.fromiter(map(log, window.tolist()), np.float64, window.size)
     wlog = np.zeros(xi + 1, dtype=np.float64)
-    for p in window.tolist():
-        wlog[p::p] += log(p)
+    for own, j in _expand_blocks(xi // window):  # add.at: each n's terms in ascending p
+        np.add.at(wlog, (j + 1) * window[own], logs[own])
     acc = _accel.divisor_scatter(wlog, a, Q, 2 * Q)
     exact_hit = float(wlog[a]) if 2 <= a <= xi else 0.0
+    del wlog  # the largest table; the coprime side does not read it
     qs = [q for q in range(Q, 2 * Q) if gcd(q, a) == 1]
     rows = np.asarray(qs, dtype=np.int64) - Q
     a_side = acc[rows] + exact_hit
@@ -306,29 +331,34 @@ def theorem4_sum(x, Q: int, P1, P2, a: int, sieve: PrimeSieve) -> DiscrepancyRep
     phi = _phi_of(qs, sieve)
 
     m_max = xi // (int(floor(P1)) + 1)
-    caps = np.minimum(xi // np.arange(1, m_max + 1, dtype=np.int64), int(floor(p2c)))
-    idxs = sieve.pi(caps)
-    theta_cum = sieve.theta_cumulative()
-    theta_p1 = float(theta_cum[i - 1]) if i > 0 else 0.0
+    ms = np.arange(1, m_max + 1, dtype=np.int64)
+    idxs = sieve.pi(np.minimum(xi // ms, int(floor(p2c))))
+    theta = np.concatenate(([0.0], sieve.theta_cumulative()))  # theta at the k-th prime
     # theta(cap_m) - theta(P1), zero when no window prime fits under the cap
-    tvals = np.where(idxs > i, theta_cum[np.maximum(idxs - 1, 0)] - theta_p1, 0.0)
+    tvals = np.where(idxs > i, theta[idxs] - theta[i], 0.0)
 
     # per q in [Q, 2Q): the fsum of tvals over m coprime to q and, for each
     # window prime p | q, the count of m <= xi // p coprime to q, both by
-    # Moebius over the squarefree d | q
+    # Moebius over the squarefree d | q (d <= m_max, as larger d divide no m)
     T, base = _fixed(tvals)
+    D = min(m_max, 2 * Q - 1)
+    S = np.zeros((D, T.shape[1]), dtype=np.int64)  # row d - 1: T over m = 0 (mod d)
+    for own, j in _expand_blocks(m_max // ms[:D]):  # own ascends, missing no d
+        first = np.searchsorted(own, np.arange(own[0], own[-1] + 1))
+        S[own[0]:own[-1] + 1] += np.add.reduceat(T[(j + 1) * (own + 1) - 1], first, axis=0)
     mass = np.zeros((Q, T.shape[1]), dtype=np.int64)
-    owner, pq = _multiples(window, Q)
-    wp = window[owner]  # the pairs (p, q), by q and then ascending p
-    cnt = np.zeros(pq.size, dtype=np.int64)
-    ds, mus = _squarefree(min(m_max, 2 * Q - 1), sieve)
-    for d, mu in zip(ds.tolist(), mus.tolist()):
-        mass[(-Q) % d::d] += mu * T[d - 1::d].sum(axis=0)
-        hit = pq % d == 0
-        cnt[hit] += mu * (xi // wp[hit] // d)
     corr = np.zeros(Q, dtype=np.float64)
-    # add.at adds in index order: each q's terms go in ascending p, as before
-    np.add.at(corr, pq - Q, np.array([log(p) for p in wp.tolist()]) * cnt)
+    owner, pq = _multiples(window, Q, 2 * Q)  # the pairs (p, q), by q and then ascending p
+    for r0, r1, d, mu, bounds in _moebius_blocks(m_max, Q, T.shape[1], sieve):
+        mass[r0:r1] = np.add.reduceat(mu[:, None] * S[d - 1], bounds[:-1], axis=0)
+        e0, e1 = np.searchsorted(pq, (Q + r0, Q + r1))
+        r, p = pq[e0:e1] - Q - r0, window[owner[e0:e1]]  # join (p, q) to the (d, q) of its q
+        nd = np.diff(bounds)[r]
+        e, j = _expand(nd)
+        f = bounds[r[e]] + j
+        cnt = np.add.reduceat(mu[f] * (xi // p[e] // d[f]), np.cumsum(nd) - nd)
+        # bincount adds in index order: each q's terms go in ascending p
+        corr[r0:r1] = np.bincount(r, logs[owner[e0:e1]] * cnt, minlength=r1 - r0)
 
     errs = a_side - (_round_fixed(mass[rows], base) - corr[rows]) / phi
     return _report(x, "theorem4", f"{Q} <= q < {2 * Q}", a, qs, errs)
@@ -354,7 +384,7 @@ def _rough_stars(P1, p2c, z, xi, sieve) -> tuple[np.ndarray, ...]:
     n = np.concatenate([ps, pk[keep]])
     order = np.argsort(n, kind="stable")
     order = order[xi // n[order] > xi // (2 * n[order])]  # drop empty blocks
-    w = np.concatenate([np.array([log(p) for p in ps.tolist()]), lp[keep]])
+    w = np.concatenate([np.fromiter(map(log, ps.tolist()), np.float64, ps.size), lp[keep]])
     return n[order], np.concatenate([ps, pp[keep]])[order], w[order]
 
 
@@ -413,17 +443,10 @@ def lambda_extension_sum(x, Q: int, P1, P2, a: int, z,
     # coprime side, over all q in [Q, 2Q) in chunks: block sums, less the
     # stars whose prime divides q
     cop = np.zeros((Q, terms.shape[1]), dtype=np.int64)
-    ds, mus = _squarefree(min(int(b_hi.max()), 2 * Q - 1), sieve)
-    d_of, d_q = _multiples(ds, Q)  # every q has at least d = 1
-    ex_star, ex_q = _multiples(pn, Q)  # the stars whose prime divides q
-    # chunks of rows keep the per-d counts and the block gather near 128 KiB
-    step = max(1, (1 << 14) // (blocks.size * max(terms.shape[1], d_q.size // Q + 1)))
-    for r0 in range(0, Q, step):
-        r1 = min(Q, r0 + step)
-        f0, f1 = np.searchsorted(d_q, (Q + r0, Q + r1))
-        d, mu = ds[d_of[f0:f1], None], mus[d_of[f0:f1], None]
-        starts = np.searchsorted(d_q[f0:f1], np.arange(Q + r0, Q + r1))
-        cnt = np.add.reduceat(mu * (b_hi // d - b_lo // d), starts, axis=0)
+    ex_star, ex_q = _multiples(pn, Q, 2 * Q)  # the stars whose prime divides q
+    for r0, r1, d, mu, bounds in _moebius_blocks(int(b_hi.max()), Q, blocks.size, sieve):
+        d, mu = d[:, None], mu[:, None]
+        cnt = np.add.reduceat(mu * (b_hi // d - b_lo // d), bounds[:-1], axis=0)
         cop[r0:r1] = block_terms[b_off + cnt].sum(axis=1)
         e0, e1 = np.searchsorted(ex_q, (Q + r0, Q + r1))
         er, es = ex_q[e0:e1] - Q, ex_star[e0:e1]

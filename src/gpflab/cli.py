@@ -656,7 +656,7 @@ def main(argv=None) -> int:
     except (InvalidArgumentError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
-    # OverflowError: an integer too wide for the int64 tables, such as --q 1e20
+    # OverflowError: an integer too wide for int64 that no parameter check caught
     except (RangeBudgetError, ConstructionFailedError, OverflowError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -12,7 +12,7 @@ from math import ceil, comb, floor, fsum, gcd, isqrt, log
 import numpy as np
 
 from . import _accel
-from .ap import default_rough_z
+from .ap import check_modulus, default_rough_z
 from .errors import InvalidArgumentError, RangeBudgetError
 from .sieve import (PrimeSieve, _tau_order, build_sieve, euler_phi, factorize,
                     rough_indicator, rough_table, tau_ell)
@@ -131,8 +131,7 @@ def _root_sieve(n_max: int) -> PrimeSieve:
 def delta(f: WeightedSequence, q: int, a: int) -> float:
     """Progression discrepancy of the weights:
     sum over n = a (mod q) of f(n) minus the coprime average."""
-    if q < 1:
-        raise InvalidArgumentError("delta needs q >= 1")
+    check_modulus("delta", "q", q)
     ns = np.arange(f.lo, f.hi + 1, dtype=np.int64)
     main = fsum(f.values[ns % q == a % q].tolist())
     cop = fsum(f.values[np.gcd(ns, q) == 1].tolist())
@@ -144,8 +143,8 @@ def a1_lhs(f: WeightedSequence, d: int, k: int, ell: int) -> float:
 
         | sum_{n = ell (k), (n,d)=1} f(n) - (1/phi(k)) sum_{(n,dk)=1} f(n) |.
     """
-    if d < 1 or k < 1:
-        raise InvalidArgumentError("a1_lhs needs d, k >= 1")
+    for name, v in (("d", d), ("k", k), ("d*k", d * k)):
+        check_modulus("a1_lhs", name, v)
     if gcd(ell, k) != 1:
         raise InvalidArgumentError("a1_lhs needs gcd(ell, k) == 1")
     ns = np.arange(f.lo, f.hi + 1, dtype=np.int64)
@@ -361,9 +360,9 @@ def selector_params(selector: str, params: dict) -> tuple[list, int]:
     ``_SELECTORS`` and then j1..js, and the largest integer its tables span.
 
     Raises before any table is built: an unknown selector, a missing
-    parameter, an s other than 5 or 6 or a value below its lower bound
-    (``InvalidArgumentError``), or a span above the selector's budget
-    (``RangeBudgetError``)."""
+    parameter, an s other than 5 or 6, a nu outside [1, s] or a value below
+    its lower bound (``InvalidArgumentError``), or a span above the
+    selector's budget (``RangeBudgetError``)."""
     if selector not in _SELECTORS:
         raise InvalidArgumentError(f"unknown selector {selector!r}")
     keys, span, budget = _SELECTORS[selector]
@@ -382,6 +381,8 @@ def selector_params(selector: str, params: dict) -> tuple[list, int]:
             raise InvalidArgumentError(f"{selector} needs {key} >= {low}")
     if selector == "window-tau-power" and params["y"] > params["x"]:
         raise InvalidArgumentError("needs 1 <= y <= x")
+    if selector == "sfold-glued" and not 1 <= params["nu"] <= params["s"]:
+        raise InvalidArgumentError("nu must be in [1, s]")
     hi = int(floor(params["x"] * params["y"] if span == ("x", "y") else params["x"]))
     if hi > budget:
         raise RangeBudgetError(f"{selector} budget is {'*'.join(span)} <= {budget}")
@@ -490,8 +491,6 @@ def divisor_sum_lhs(selector: str, params: dict, sieve: PrimeSieve) -> float:
     else:
         x, y, z, w_lo, s, *js = given
         nu = int(js.pop(0)) if selector == "sfold-glued" else 0
-        if selector == "sfold-glued" and not 1 <= nu <= int(s):
-            raise InvalidArgumentError("nu must be in [1, s]")
         glued = [i == nu for i in range(1, len(js) + 1)]
         caps = {len(js) - 2: len(js)}
     keys = [(int(j), g) for j, g in zip(js, glued)]

@@ -262,32 +262,18 @@ def theorem1_thresholds(N: int, A_exp: float) -> tuple[float, float, float]:
     return Y, Z1, Z2
 
 
-def _count_progression_primes(prime_set: set, a: int, lo: float, hi: float) -> int:
-    # integers n = 1 (mod a) with lo < n <= hi that are prime
-    m = int(floor((lo - 1.0) / a)) + 1
-    n = m * a + 1
-    while n <= lo:
-        n += a
-    count = 0
-    hi_i = int(floor(hi))
-    while n <= hi_i:
-        if n in prime_set:
-            count += 1
-        n += a
-    return count
+def _one_mod_pairs(moduli, lo: float, hi: float, sieve: PrimeSieve) -> int:
+    """Number of pairs (m, p): m in moduli, p prime in (lo, hi], p = 1 (mod m)."""
+    base = floor(lo) + 1  # the integers lo < n <= hi are base, base + 1, ...
+    w = np.zeros(max(0, floor(hi) - base + 1), dtype=bool)
+    w[segmented_primes(lo, hi, sieve) - base] = True
+    return sum(int(np.count_nonzero(w[(1 - base) % m::m])) for m in moduli)
 
 
 def theorem1_sum(N: int, A_exp: float, sieve: PrimeSieve) -> int:
     """Number of pairs (a, p): Y <= a <= N, p prime in (Z2, Z1], p = 1 (mod a)."""
     Y, Z1, Z2 = theorem1_thresholds(N, A_exp)
-    ps = segmented_primes(int(floor(Z2)), int(floor(Z1)), sieve)
-    keep = ps[(ps > Z2) & (ps <= Z1)]
-    prime_set = set(keep.tolist())
-    a_lo = int(ceil(Y - 1e-9))
-    total = 0
-    for a in range(max(a_lo, 1), N + 1):
-        total += _count_progression_primes(prime_set, a, Z2, Z1)
-    return total
+    return _one_mod_pairs(range(max(int(ceil(Y - 1e-9)), 1), N + 1), Z2, Z1, sieve)
 
 
 def theorem2_sum(N: int, delta: float, B: IndexSet, sieve: PrimeSieve) -> int:
@@ -300,13 +286,5 @@ def theorem2_sum(N: int, delta: float, B: IndexSet, sieve: PrimeSieve) -> int:
         raise InvalidArgumentError("theorem2_sum needs N >= 2")
     lo = (1.0 - 2.0 * delta) * float(N) ** 2
     hi = (1.0 - delta) * float(N) ** 2
-    ps = segmented_primes(int(floor(lo)), int(floor(hi)), sieve)
-    keep = ps[(ps > lo) & (ps <= hi)]
-    prime_set = set(keep.tolist())
-    b_lo = (1.0 - delta) * N
-    total = 0
-    for b in B.members().tolist():
-        if b <= b_lo or b > N:
-            continue
-        total += _count_progression_primes(prime_set, b, lo, hi)
-    return total
+    bs = B.members()
+    return _one_mod_pairs(bs[(bs > (1.0 - delta) * N) & (bs <= N)].tolist(), lo, hi, sieve)

@@ -10,6 +10,7 @@ from math import gcd, log
 import numpy as np
 import pytest
 
+from gpflab import _accel
 from gpflab.ap import (
     _fixed,
     _round_fixed,
@@ -290,6 +291,10 @@ def _aggregates(sieve):
         "thm4": lambda **kw: theorem4_sum(20_000, 12, 2, 3000, 101, sieve, **kw),
         "thm4_neg": lambda **kw: theorem4_sum(20_000, 9, 150, 20_000, -3, sieve,
                                               **kw),
+        # D = m_max = 19 < 2Q - 1, the shape of the default P1 = sqrt(x)
+        "thm4_m_max": lambda **kw: theorem4_sum(20_000, 12, 1000.5, 20_000, 1, sieve,
+                                                **kw),
+        "thm4_p1_one": lambda **kw: theorem4_sum(5_000, 10, 1, 5_000, -7, sieve, **kw),
         "lambda": lambda **kw: lambda_extension_sum(20_000, 10, 30, 20_000, 7, 3.0,
                                                     sieve, **kw),
         "lambda_small_p1": lambda **kw: lambda_extension_sum(2_000, 9, 1, 2_000, -5,
@@ -304,8 +309,9 @@ def sieve_20k():
 
 # float.hex of total and of every per_q value, recorded from the per-modulus
 # loops (divisor scatter, per-residue cumsum scans, per-star modular inverses)
-# that the progression-mass engine replaced; the engine must reproduce them bit
-# for bit
+# that the progression-mass engine replaced, and for thm4_m_max and
+# thm4_p1_one from the engine's loops over window primes and over d; the
+# engine must reproduce them bit for bit
 GOLDEN = {
     'bv': ('0x1.0dd5555555555p+7', [
         # q = 1..12, 12 moduli
@@ -348,6 +354,19 @@ GOLDEN = {
         '0x1.a0be37f444800p+3', '0x1.7cff6b7bd0000p+3', '-0x1.b2c67b1f01e00p+3',
         '-0x1.2a6aa8ba86600p+3', '0x1.7785e9041e000p+3', '0x1.b30129e0a3c00p+3',
     ]),
+    'thm4_m_max': ('0x1.2d3bbacac7fe8p+8', [
+        # q = 12..23, 12 moduli
+        '-0x1.f2f967742f480p+5', '-0x1.2996020c08000p+1', '-0x1.6706b0c7b0000p+2',
+        '-0x1.5b2411584f400p+4', '-0x1.070f1f37188c0p+5', '-0x1.9fa9a7a066600p+5',
+        '-0x1.f4c41f2cca200p+4', '-0x1.4183eeaf9d600p+4', '-0x1.89a6550fe4280p+4',
+        '-0x1.9dcc7ac73ab00p+3', '-0x1.fc2a41de68d00p+4', '0x1.d9ff80d8ab800p+1',
+    ]),
+    'thm4_p1_one': ('0x1.0f9a708207310p+6', [
+        # q = 10..19, 9 moduli
+        '0x1.d7323ff238800p+0', '-0x1.e66d4ebd44800p+2', '-0x1.d58a8c9b2a000p+0',
+        '-0x1.c39895bb5c000p-3', '-0x1.bdf1e27289400p+3', '-0x1.89f0b1ca9c300p+4',
+        '-0x1.b0c871a5eb400p+2', '0x1.bb6a7745d5800p+2', '0x1.0a144c96b7100p+2',
+    ]),
     'lambda': ('0x1.8eb2bfcff1700p+5', [
         # q = 10..19, 9 moduli
         '0x1.8a166ca0af000p+1', '0x1.0eb5d899c6000p-1', '-0x1.0344a3a54e000p+1',
@@ -369,6 +388,18 @@ def test_aggregates_match_golden_bits(sieve_20k, name):
     total, per_q = GOLDEN[name]
     assert rep.total.hex() == total
     assert [float(v).hex() for _, v in rep.per_q] == per_q
+
+
+@pytest.mark.parametrize("block", [8, 24, 256])
+def test_pair_blocks_do_not_change_bits(sieve_20k, monkeypatch, block):
+    # the pair enumerations go a block of _accel._BLOCK at a time; small blocks
+    # split every table and modulus range into many, and must keep every bit
+    monkeypatch.setattr(_accel, "_BLOCK", block)
+    for name in ("thm4", "thm4_neg", "thm4_m_max", "thm4_p1_one", "lambda",
+                 "lambda_small_p1"):
+        rep = _aggregates(sieve_20k)[name]()
+        assert rep.total.hex() == GOLDEN[name][0]
+        assert [float(v).hex() for _, v in rep.per_q] == GOLDEN[name][1]
 
 
 def test_threads_do_not_change_results(sieve_20k):
@@ -413,3 +444,16 @@ def test_argument_validation(sieve_10k):
         theorem4_sum(400, 5, 50, 3, 1, sieve_10k)
     with pytest.raises(RangeBudgetError):
         theorem4_sum(9000, 5, 3, 50, -5000, sieve_10k)
+    # the largest modulus numpy reduces by is 2**63 - 1
+    assert pi_ap(100, 2**63 - 1, 97, sieve_10k) == 1
+    with pytest.raises(RangeBudgetError, match=r"q < 2\*\*63"):
+        pi_ap(100, 2**63, 1, sieve_10k)
+
+
+def test_theorem4_weights_take_math_log():
+    # np.log misses math.log by an ulp at p = 285343 and 287549; with a = p,
+    # log p ends one progression sum per modulus, so the total shows which log
+    # the product table used (recorded from its per-prime loop of math.log)
+    sieve = build_sieve(290_000)
+    for a, total in ((285343, "0x1.7050cd00c4c6ap+10"), (287549, "0x1.b5f334878032ep+10")):
+        assert theorem4_sum(290_000, 100, 285_000, 290_000, a, sieve).total.hex() == total

@@ -441,6 +441,9 @@ _OVER_BUDGET = [
      "--w", "1", "--s", "5"],
     ["--selector", "sfold-ordered", "--x", "1e7", "--s", "7"],
     *_OVER_BUDGET,
+    ["--selector", "sfold-glued", "--x", "1e6", "--y", "2", "--z", "3", "--w", "1",
+     "--s", "5", "--nu", "9", "--j1", "1", "--j2", "1", "--j3", "1", "--j4", "1",
+     "--j5", "1"],
 ])
 def test_divisor_lhs_checks_parameters_before_the_sieve(capsys, monkeypatch, argv):
     from gpflab import cli
@@ -719,6 +722,17 @@ def test_sieve_limit_too_small_exits_two(capsys):
     assert err.startswith("error:")
 
 
+# moduli beyond int64: each call must be refused by the parameter's name
+_BEYOND_INT64 = [
+    ["pi-ap", "--x", "100", "--q", "1e20", "--a", "3"],
+    ["delta", "--indicator", "1,20", "--q", "1e20", "--a", "1"],
+    ["cond-check", "--indicator", "1,20", "--condition", "A1", "--d", "1e20",
+     "--k", "3", "--ell", "1"],
+    ["cond-check", "--indicator", "1,20", "--condition", "A1", "--d", "2",
+     "--k", "1e20", "--ell", "1"],
+]
+
+
 @pytest.mark.parametrize("argv", [
     ["gamma-plus", "--n", "100000000000000000000", "--dense"],
     ["gamma-plus", "--n", "1e20", "--random-card", "3"],
@@ -726,9 +740,10 @@ def test_sieve_limit_too_small_exits_two(capsys):
     ["sqerr-check", "--n", "1e20", "--dense"],
     ["thm2-sum", "--n", "1e20", "--delta", "0.2", "--dense"],
     ["adversarial", "--n", "100000000000000000000", "--eps", "0.2"],
-    ["pi-ap", "--x", "100", "--q", "1e20", "--a", "3"],
+    _BEYOND_INT64[0],
     ["signed-sum", "--x", "1000", "--Q", "1e20"],
     ["bv-sum", "--x", "1000", "--Q", "1e20"],
+    *_BEYOND_INT64[1:],
 ])
 def test_huge_sizes_exit_two(capsys, argv):
     # refused before any table is made; numpy could not even shape one this wide
@@ -736,6 +751,8 @@ def test_huge_sizes_exit_two(capsys, argv):
     assert code == 2
     assert out == ""
     assert err.startswith("error:") and err.count("\n") == 1
+    if argv in _BEYOND_INT64:  # the line names the option, not numpy's C long
+        assert f"needs {argv[argv.index('1e20') - 1][2:]} < 2**63" in err
 
 
 def test_exponent_form_size_answers_as_integer(capsys):

@@ -192,6 +192,9 @@ def test_a1_lhs_example_and_brute():
             assert abs(a1_lhs(g, d, k, ell) - abs(main - ref / naive_phi(k))) < 1e-12
     with pytest.raises(InvalidArgumentError):
         a1_lhs(f, 2, 6, 3)
+    # d and k fit int64 but their product, which numpy reduces by, does not
+    with pytest.raises(RangeBudgetError, match=r"d\*k < 2\*\*63"):
+        a1_lhs(f, 5 * 10**9, 5 * 10**9, 1)
 
 
 def test_check_a2():
