@@ -53,7 +53,9 @@ def theta_of(x, sieve: PrimeSieve) -> float:
     """Chebyshev theta: sum of log p over primes p <= x."""
     xi = _xi_in_sieve(x, sieve, "theta_of")
     idx = int(sieve.pi(xi))
-    return float(sieve.theta_cumulative()[idx - 1]) if idx else 0.0
+    if idx == 0:
+        return 0.0
+    return float(sieve.theta_cumulative()[idx - 1])
 
 
 def psi_cheb(x, sieve: PrimeSieve) -> float:
@@ -85,7 +87,8 @@ def psi_ap(x, q: int, a: int, sieve: PrimeSieve) -> float:
     check_modulus("psi_ap", "q", q)
     xi = _xi_in_sieve(x, sieve, "psi_ap")
     ns, ws = _prime_powers(xi, sieve)
-    return fsum(ws[ns % q == a % q].tolist())
+    mask = ns % q == a % q
+    return fsum(ws[mask].tolist())
 
 
 def error_term(x, q: int, a: int, sieve: PrimeSieve) -> float:
@@ -186,21 +189,33 @@ def _expand_blocks(counts: np.ndarray):
 
 def _moebius_blocks(D: int, Q: int, width: int, sieve: PrimeSieve):
     """The pairs (d, q) of a squarefree d <= D (D >= 1) and a q in [Q, 2Q)
-    that d divides, by q, in blocks of about ``_accel._BLOCK // width`` pairs,
-    width being the array entries the caller makes per pair: (r0, r1, d,
-    mu(d), bounds) for Q + r0 <= q < Q + r1, the pairs of q = Q + r0 + r at
-    bounds[r]:bounds[r + 1] (never empty: d = 1)."""
+    that d divides, grouped by q, in blocks of about ``_accel._BLOCK //
+    width`` pairs, width being the array entries the caller makes per pair:
+    (r0, r1, d, mu(d), bounds) for Q + r0 <= q < Q + r1, the pairs of
+    q = Q + r0 + r at bounds[r]:bounds[r + 1] (never empty: d = 1)."""
     mu, _ = _mobius_phi(1, min(D, 2 * Q - 1) + 1, sieve)  # no larger d divides a q
     ds = np.flatnonzero(mu) + 1
     per_q = int(((2 * Q - 1) // ds - (Q - 1) // ds).sum()) // Q + 1
     step = max(1, _accel._BLOCK // (width * per_q))
     span = step * max(1, _accel._BLOCK // (per_q * step))  # listed at once: ~_BLOCK pairs
+    small = ds[ds <= span]  # each has a multiple in every span
     for s0 in range(0, Q, span):
-        d_of, d_q = _multiples(ds, Q + s0, Q + min(Q, s0 + span))
+        lo, hi = Q + s0, Q + min(Q, s0 + span)
+        d_of, d_q = _multiples(small, lo, hi)
+        d_all = small[d_of]
+        if mu.size > span:  # a larger d divides at most one q here, q = k*d with
+            # k <= (hi - 1) // (span + 1): listed by k, a span costs about its own pairs
+            k_of, k_q = _multiples(np.arange(1, (hi - 1) // (span + 1) + 1), lo, hi)
+            big = k_q // (k_of + 1)
+            keep = (big > span) & (big <= mu.size)
+            keep[keep] = mu[big[keep] - 1] != 0
+            q_all = np.concatenate([d_q, k_q[keep]])
+            order = np.argsort(q_all, kind="stable")
+            d_all, d_q = np.concatenate([d_all, big[keep]])[order], q_all[order]
         for r0 in range(s0, min(Q, s0 + span), step):
             r1 = min(Q, r0 + step)
             f0, f1 = np.searchsorted(d_q, (Q + r0, Q + r1))
-            d = ds[d_of[f0:f1]]
+            d = d_all[f0:f1]
             yield r0, r1, d, mu[d - 1], np.searchsorted(d_q[f0:f1], np.arange(Q + r0, Q + r1 + 1))
 
 
@@ -313,7 +328,8 @@ def theorem4_sum(x, Q: int, P1, P2, a: int, sieve: PrimeSieve) -> DiscrepancyRep
     # primes strictly above P1: the first prime > floor(P1) already exceeds P1;
     # past p2c (P1 may be inf) the window is empty either way
     i = int(sieve.pi(floor(min(P1, p2c))))
-    window = sieve.primes[i:int(sieve.pi(floor(p2c)))]
+    j = int(sieve.pi(floor(p2c)))
+    window = sieve.primes[i:j]
 
     # math.log: np.log is an ulp off on a few primes
     logs = np.fromiter(map(log, window.tolist()), np.float64, window.size)
@@ -331,11 +347,12 @@ def theorem4_sum(x, Q: int, P1, P2, a: int, sieve: PrimeSieve) -> DiscrepancyRep
     phi = _phi_of(qs, sieve)
 
     m_max = xi // (int(floor(P1)) + 1)
-    ms = np.arange(1, m_max + 1, dtype=np.int64)
-    idxs = sieve.pi(np.minimum(xi // ms, int(floor(p2c))))
-    theta = np.concatenate(([0.0], sieve.theta_cumulative()))  # theta at the k-th prime
+    caps = np.minimum(xi // np.arange(1, m_max + 1, dtype=np.int64), int(floor(p2c)))
+    idxs = sieve.pi(caps)
+    theta_cum = sieve.theta_cumulative()
+    theta_p1 = float(theta_cum[i - 1]) if i > 0 else 0.0
     # theta(cap_m) - theta(P1), zero when no window prime fits under the cap
-    tvals = np.where(idxs > i, theta[idxs] - theta[i], 0.0)
+    tvals = np.where(idxs > i, theta_cum[np.maximum(idxs - 1, 0)] - theta_p1, 0.0)
 
     # per q in [Q, 2Q): the fsum of tvals over m coprime to q and, for each
     # window prime p | q, the count of m <= xi // p coprime to q, both by
@@ -343,7 +360,7 @@ def theorem4_sum(x, Q: int, P1, P2, a: int, sieve: PrimeSieve) -> DiscrepancyRep
     T, base = _fixed(tvals)
     D = min(m_max, 2 * Q - 1)
     S = np.zeros((D, T.shape[1]), dtype=np.int64)  # row d - 1: T over m = 0 (mod d)
-    for own, j in _expand_blocks(m_max // ms[:D]):  # own ascends, missing no d
+    for own, j in _expand_blocks(m_max // np.arange(1, D + 1)):  # own ascends, missing no d
         first = np.searchsorted(own, np.arange(own[0], own[-1] + 1))
         S[own[0]:own[-1] + 1] += np.add.reduceat(T[(j + 1) * (own + 1) - 1], first, axis=0)
     mass = np.zeros((Q, T.shape[1]), dtype=np.int64)
@@ -384,7 +401,7 @@ def _rough_stars(P1, p2c, z, xi, sieve) -> tuple[np.ndarray, ...]:
     n = np.concatenate([ps, pk[keep]])
     order = np.argsort(n, kind="stable")
     order = order[xi // n[order] > xi // (2 * n[order])]  # drop empty blocks
-    w = np.concatenate([np.fromiter(map(log, ps.tolist()), np.float64, ps.size), lp[keep]])
+    w = np.concatenate([np.array([log(p) for p in ps.tolist()]), lp[keep]])
     return n[order], np.concatenate([ps, pp[keep]])[order], w[order]
 
 

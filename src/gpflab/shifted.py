@@ -264,9 +264,10 @@ def theorem1_thresholds(N: int, A_exp: float) -> tuple[float, float, float]:
 
 def _one_mod_pairs(moduli, lo: float, hi: float, sieve: PrimeSieve) -> int:
     """Number of pairs (m, p): m in moduli, p prime in (lo, hi], p = 1 (mod m)."""
+    ps = segmented_primes(lo, hi, sieve)  # refuses a span over budget before w is made
     base = floor(lo) + 1  # the integers lo < n <= hi are base, base + 1, ...
     w = np.zeros(max(0, floor(hi) - base + 1), dtype=bool)
-    w[segmented_primes(lo, hi, sieve) - base] = True
+    w[ps - base] = True
     return sum(int(np.count_nonzero(w[(1 - base) % m::m])) for m in moduli)
 
 

@@ -744,6 +744,9 @@ _BEYOND_INT64 = [
     ["signed-sum", "--x", "1000", "--Q", "1e20"],
     ["bv-sum", "--x", "1000", "--Q", "1e20"],
     *_BEYOND_INT64[1:],
+    # prime windows wider than the segment budget: refused before their mask
+    ["thm2-sum", "--n", "1e6", "--delta", "0.2", "--dense"],
+    ["thm1-sum", "--n", "1e6"],
 ])
 def test_huge_sizes_exit_two(capsys, argv):
     # refused before any table is made; numpy could not even shape one this wide
