@@ -99,21 +99,24 @@ def error_term(x, q: int, a: int, sieve: PrimeSieve) -> float:
     return pi_ap(x, q, a, sieve) - pi_of(x, sieve) / euler_phi(q, sieve)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class DiscrepancyReport:
     """Per-modulus discrepancies plus their aggregate.
 
-    total aggregates per_q according to the mode (sum of values, or sum of
-    absolute values for the dyadic/windowed modes); normalized is total/x.
+    values[i] is the discrepancy of modulus qs[i]; total is their sum, or the
+    sum of their absolute values for the dyadic/windowed aggregates;
+    normalized is total/x.
     """
 
     x: float
-    mode: str
-    q_range: str
-    a: int | None
-    per_q: list[tuple[int, float]]
+    qs: np.ndarray
+    values: np.ndarray
     total: float
     normalized: float
+
+    @property
+    def per_q(self) -> list[tuple[int, float]]:
+        return list(zip(self.qs.tolist(), self.values.tolist()))
 
 
 # ---------------------------------------------------------------------------
@@ -248,10 +251,10 @@ def _round_fixed(rows: np.ndarray, base: int) -> np.ndarray:
 # aggregates
 
 
-def _report(x, mode, q_range, a, qs, errs, abs_total=True) -> DiscrepancyReport:
-    errs = [float(e) for e in errs]
-    total = fsum(abs(e) for e in errs) if abs_total else fsum(errs)
-    return DiscrepancyReport(float(x), mode, q_range, a, list(zip(qs, errs)),
+def _report(x, qs, errs, abs_total=True) -> DiscrepancyReport:
+    errs = np.asarray(errs, dtype=np.float64)
+    total = fsum((np.abs(errs) if abs_total else errs).tolist())
+    return DiscrepancyReport(float(x), np.asarray(qs, dtype=np.int64), errs,
                              total, total / float(x))
 
 
@@ -266,7 +269,7 @@ def bv_sum(x, Q: int, sieve: PrimeSieve, threads: int = 1) -> DiscrepancyReport:
     qs = list(range(1, Q + 1))
     devs = _ordered_map(lambda q: _accel.bv_max_scan(ps % q, q) if q > 1 else 0.0,
                         qs, threads)
-    return _report(x, "bv_max", f"q <= {Q}", None, qs, devs, abs_total=False)
+    return _report(x, qs, devs, abs_total=False)
 
 
 def _progression_errors(xi: int, qs: list[int], a: int, sieve: PrimeSieve,
@@ -297,8 +300,7 @@ def signed_sum(x, Q: int, a: int, sieve: PrimeSieve) -> DiscrepancyReport:
     xi = _xi_in_sieve(x, sieve, "signed_sum")
     qs = [q for q in range(1, Q + 1) if gcd(q, a) == 1]
     errs = _progression_errors(xi, qs, a, sieve, False)
-    return _report(x, "signed", f"q <= {Q} coprime to {a}", a, qs, errs,
-                   abs_total=False)
+    return _report(x, qs, errs, abs_total=False)
 
 
 def dyadic_abs_sum(x, Q: int, a: int, sieve: PrimeSieve,
@@ -309,7 +311,7 @@ def dyadic_abs_sum(x, Q: int, a: int, sieve: PrimeSieve,
     xi = _xi_in_sieve(x, sieve, "dyadic_abs_sum")
     qs = [q for q in range(Q, 2 * Q) if gcd(q, a) == 1]
     errs = _progression_errors(xi, qs, a, sieve, use_psi)
-    return _report(x, "dyadic_abs", f"{Q} <= q < {2 * Q}", a, qs, errs)
+    return _report(x, qs, errs)
 
 
 def theorem4_sum(x, Q: int, P1, P2, a: int, sieve: PrimeSieve) -> DiscrepancyReport:
@@ -343,7 +345,7 @@ def theorem4_sum(x, Q: int, P1, P2, a: int, sieve: PrimeSieve) -> DiscrepancyRep
     rows = np.asarray(qs, dtype=np.int64) - Q
     a_side = acc[rows] + exact_hit
     if not window.size:
-        return _report(x, "theorem4", f"{Q} <= q < {2 * Q}", a, qs, a_side)
+        return _report(x, qs, a_side)
     phi = _phi_of(qs, sieve)
 
     m_max = xi // (int(floor(P1)) + 1)
@@ -378,7 +380,7 @@ def theorem4_sum(x, Q: int, P1, P2, a: int, sieve: PrimeSieve) -> DiscrepancyRep
         corr[r0:r1] = np.bincount(r, logs[owner[e0:e1]] * cnt, minlength=r1 - r0)
 
     errs = a_side - (_round_fixed(mass[rows], base) - corr[rows]) / phi
-    return _report(x, "theorem4", f"{Q} <= q < {2 * Q}", a, qs, errs)
+    return _report(x, qs, errs)
 
 
 def default_rough_z(x) -> float:
@@ -420,12 +422,12 @@ def lambda_extension_sum(x, Q: int, P1, P2, a: int, z,
     z = default_rough_z(x) if z is None else z
     p2c = min(float(P2), float(xi))
     qs = [q for q in range(Q, 2 * Q) if gcd(q, a) == 1]
-    q_range, phi = f"{Q} <= q < {2 * Q}", _phi_of(qs, sieve)
+    phi = _phi_of(qs, sieve)
 
     n, pn, w = _rough_stars(P1, p2c, z, xi, sieve)
     lo, hi = xi // (2 * n), xi // n
     if not n.size or not qs:
-        return _report(x, "lambda_ext", q_range, a, qs, [0.0] * len(qs))
+        return _report(x, qs, [0.0] * len(qs))
     span = hi - lo
 
     # term table: row star_off[s] + c is log p * c, the term of star s at count c
@@ -471,7 +473,7 @@ def lambda_extension_sum(x, Q: int, P1, P2, a: int, z,
 
     s2 = _round_fixed(cop[q_arr - Q], base) / phi
     errs = np.where(q_arr == 1, 0.0, _round_fixed(prog, base) - s2)
-    return _report(x, "lambda_ext", q_range, a, qs, errs)
+    return _report(x, qs, errs)
 
 
 def trivial_bound_ratio(report: DiscrepancyReport) -> float:

@@ -335,7 +335,7 @@ def _cmd_lambda_ext(args):
 
 def _cmd_hb_verify(args):
     x = args.x if args.x is not None else float(args.n)
-    sieve = _sieve_for(args, isqrt(max(args.n, int(x), 0)) + 1)
+    sieve = _sieve_for(args, isqrt(max(args.n, 0)) + 1)
     res = sequences.heath_brown_terms(args.n, x, args.j, sieve)
     lam = von_mangoldt(args.n, sieve)
     if args.terms:

@@ -15,7 +15,7 @@ from . import _accel
 from .ap import check_modulus, default_rough_z
 from .errors import InvalidArgumentError, RangeBudgetError
 from .sieve import (PrimeSieve, _tau_order, build_sieve, euler_phi, factorize,
-                    rough_indicator, rough_table, tau_ell)
+                    rough_table, tau_ell)
 
 _SPAN_BUDGET = 100_000_000  # widest window of a dense sequence
 
@@ -215,30 +215,27 @@ def check_A4(f: WeightedSequence, z) -> ConditionReport:
     integers, and that max < 2 * min."""
     if z < 2:
         raise InvalidArgumentError("check_A4 needs z >= 2")
-    sup = f.support().tolist()
-    if not sup:
+    sup = f.support()
+    if not sup.size:
         return ConditionReport("A4", {"z": float(z)}, True, None, None, None)
-    l1, l2 = sup[0], sup[-1]
-    holds = True
-    worst = None
-    for n in sup:
-        if f.value(n) != 1.0:
-            holds = False
-            worst = n
-            break
-    if holds:
+    l1, l2 = int(sup[0]), int(sup[-1])
+    have = f.values[l1 - f.lo:l2 - f.lo + 1]
+    bad = np.flatnonzero((have != 0.0) & (have != 1.0))
+    if not bad.size:
+        # strike the primes p <= isqrt(l2) below z; if z lies above them, an
+        # unstruck n >= 2 is a prime, rough iff n >= z
         sieve = _root_sieve(l2)
-        for n in range(l1, l2 + 1):
-            rough = rough_indicator(n, z, sieve)
-            have = 1 if f.value(n) != 0.0 else 0
-            if rough != have:
-                holds = False
-                worst = n
-                break
-    if holds and l2 >= 2 * l1:
-        holds = False
-        worst = l2
-    return ConditionReport("A4", {"z": float(z)}, holds, worst, float(l2), float(2 * l1))
+        ps = sieve.primes[:sieve.pi(isqrt(l2))]
+        rough = np.ones(l2 - l1 + 1, dtype=bool)
+        for p in ps[ps < z].tolist():
+            rough[-l1 % p::p] = False
+        if z > isqrt(l2) + 1:
+            top = l2 + 1 if z > l2 else ceil(z)  # z may be inf
+            rough[max(2 - l1, 0):max(top - l1, 0)] = False
+        bad = np.flatnonzero(rough != (have != 0.0))
+    worst = l1 + int(bad[0]) if bad.size else (l2 if l2 >= 2 * l1 else None)
+    return ConditionReport("A4", {"z": float(z)}, worst is None, worst,
+                           float(l2), float(2 * l1))
 
 
 @dataclass(frozen=True)
@@ -278,54 +275,44 @@ def heath_brown_terms(n: int, x, J: int, sieve: PrimeSieve) -> HeathBrownResult:
     if x < 1 or n > 2 * x:
         raise InvalidArgumentError("the expansion needs n <= 2x")
     M = _cutoff_root(x, J)
-    fact = factorize(n, sieve).factors
-    ps = [p for p, _ in fact]
-    es = [e for _, e in fact]
-    r = len(ps)
+    ps = [p for p, _ in factorize(n, sieve).factors]
 
-    def tau_j_of(exps, j):
+    def steps(k: int) -> list[tuple[int, int]]:
+        # the squarefree m <= M dividing k, with mu(m)
+        out = [(1, 1)]
+        for p in ps:
+            if k % p == 0:
+                out += [(m * p, -mu) for m, mu in out if m * p <= M]
+        return out
+
+    def tau_j(k: int, j: int) -> int:
         out = 1
-        for e in exps:
-            if e:
-                out *= comb(e + j - 1, j - 1)
+        for p in ps:
+            e = 0
+            while k % p == 0:
+                k //= p
+                e += 1
+            out *= comb(e + j - 1, j - 1)
         return out
 
-    def squarefree_choices(exps):
-        # squarefree divisors m <= M of the integer with exponent vector exps
-        out = [(1, 1, exps)]
-        stack = [(0, 1, 1, exps)]
-        while stack:
-            i, m, mu, cur = stack.pop()
-            for t in range(i, r):
-                if cur[t] == 0:
-                    continue
-                m2 = m * ps[t]
-                if m2 > M:
-                    continue
-                nxt = list(cur)
-                nxt[t] -= 1
-                nxt = tuple(nxt)
-                out.append((m2, -mu, nxt))
-                stack.append((t + 1, m2, -mu, nxt))
-        return out
-
+    # each cofactor k = n / (m_1...m_j) maps to the signed count of its
+    # chains, mu(m_1)...mu(m_j) summed over them; level j is level j - 1
+    # advanced by one more m
+    level = {n: 1}
     terms: list[tuple[int, float]] = []
     for j in range(1, J + 1):
-        level = [(1.0, tuple(es))]
-        for _ in range(j):
-            nxt_level = []
-            for coef, exps in level:
-                for _, mu, rem in squarefree_choices(exps):
-                    nxt_level.append((coef * mu, rem))
-            level = nxt_level
-        parts = []
-        for coef, exps in level:
-            k = 1
-            for p, e in zip(ps, exps):
-                k *= p**e
-            if k > 1:
-                parts.append(coef * tau_j_of(exps, j) * log(k) / j)
-        terms.append((j, fsum(parts)))
+        nxt: dict[int, int] = {}
+        for k, c in level.items():
+            for m, mu in steps(k):
+                nxt[k // m] = nxt.get(k // m, 0) + mu * c
+        level = {k: c for k, c in nxt.items() if c}
+        # a chain adds its sign times the float tau_j(k) * log(k) / j; the sum
+        # is exact over a power-of-two denominator and rounded once, so it
+        # equals fsum over the chains
+        parts = [(c, (tau_j(k, j) * log(k) / j).as_integer_ratio())
+                 for k, c in level.items() if k > 1]
+        den = max((d for _, (_, d) in parts), default=1)
+        terms.append((j, sum(c * a * (den // d) for c, (a, d) in parts) / den))
     total = fsum((-1.0) ** (j - 1) * comb(J, j) * t for j, t in terms)
     return HeathBrownResult(n, float(x), J, terms, total)
 

@@ -14,6 +14,7 @@ import os
 import random
 import time
 
+import numpy as np
 import pytest
 from hypothesis import given, note, settings, strategies as st
 
@@ -317,6 +318,20 @@ def test_hb_verify_matches_von_mangoldt(capsys):
     assert float(rows[0]["von_mangoldt"]) == pytest.approx(math.log(2))
 
 
+def test_hb_verify_sieve_sized_from_n(capsys):
+    # only n is factored, so a large x needs no sieve beyond isqrt(n)
+    code, out, err = run_cli(capsys, ["hb-verify", "--n", "60", "--x", "1e17",
+                                      "--j", "2"])
+    assert (code, err) == (0, "")
+    _, rows = parse_csv(out)
+    res = sequences.heath_brown_terms(60, 1e17, 2, build_sieve(8))
+    assert len(rows) == 1
+    assert (rows[0]["n"], rows[0]["x"], rows[0]["J"]) == ("60", "1e+17", "2")
+    assert float(rows[0]["von_mangoldt"]) == 0.0
+    assert float(rows[0]["total"]) == pytest.approx(res.total, rel=1e-12)
+    assert float(rows[0]["abs_error"]) == pytest.approx(abs(res.total), rel=1e-12)
+
+
 def test_hb_verify_terms_rows(capsys):
     code, out, _ = run_cli(capsys, ["hb-verify", "--n", "60", "--j", "2",
                                     "--terms"])
@@ -612,7 +627,7 @@ def test_threads_capped_at_cpu_count(capsys, monkeypatch):
 
     def fake_bv_sum(x, Q, sieve, threads=1):
         seen.append(threads)
-        return ap.DiscrepancyReport(x, "bv_max", "", None, [], 0.0, 0.0)
+        return ap.DiscrepancyReport(x, np.empty(0, np.int64), np.empty(0), 0.0, 0.0)
 
     monkeypatch.setattr(ap, "bv_sum", fake_bv_sum)
     monkeypatch.setattr(os, "cpu_count", lambda: 3)

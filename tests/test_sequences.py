@@ -3,7 +3,8 @@ expansion, and the divisor-sum family, each against direct enumeration."""
 
 import math
 import random
-from math import gcd, log
+import time
+from math import gcd, isqrt, log
 
 import pytest
 
@@ -12,6 +13,7 @@ from gpflab.sequences import (DIVISOR_SELECTORS, WeightedSequence, a1_lhs,
                               check_A2, check_A3, check_A4, convolve,
                               convolve3, delta, divisor_sum_lhs,
                               divisor_sum_rhs_shape, heath_brown_terms, norm)
+from gpflab.sieve import rough_indicator
 
 
 def naive_phi(q: int) -> int:
@@ -242,6 +244,32 @@ def test_check_a4():
         check_A4(wide, 1.5)
 
 
+def test_check_a4_strikes_match_rough_indicator(sieve_10k):
+    # windows whose threshold z sits just below, at and above isqrt(l2) + 1,
+    # where an unstruck n turns from rough to "rough iff a prime >= z"
+    rng = random.Random(4)
+    for _ in range(300):
+        l2 = rng.randint(2, 60_000)
+        l1 = rng.randint(max(l2 // 2 + 1, l2 - 1_000), l2)
+        z = isqrt(l2) + 1 + rng.choice([-1.5, -1, -0.5, 0, 0.5, 1, 2.5])
+        z = max(z, 2)
+        rough = [rough_indicator(n, z, sieve_10k) for n in range(l1, l2 + 1)]
+        if not any(rough):
+            continue
+        f = WeightedSequence(l1, l2, rough)
+        assert check_A4(f, z).holds is True, (l1, l2, z)
+        flip = rng.randrange(l2 - l1 + 1)
+        f.values[flip] = 1.0 - f.values[flip]
+        sup = f.support()
+        if not sup.size:
+            continue
+        lo, hi = int(sup[0]), int(sup[-1])
+        first = next((n for n in range(lo, hi + 1)
+                      if rough[n - l1] != (f.value(n) != 0)), None)
+        rep = check_A4(f, z)
+        assert (rep.holds, rep.worst_case) == (first is None, first), (l1, l2, z, flip)
+
+
 def test_heath_brown_equals_von_mangoldt(sieve_10k):
     for n in list(range(1, 200)) + [243, 256, 257, 331, 420, 499]:
         lam = naive_lambda(n)
@@ -263,6 +291,231 @@ def test_heath_brown_rejects(sieve_10k):
         heath_brown_terms(0, 10.0, 2, sieve_10k)
     with pytest.raises(InvalidArgumentError):
         heath_brown_terms(21, 10.0, 2, sieve_10k)
+
+
+# "n x J" then float.hex of term_1..term_J and of the total, recorded from the
+# expansion that listed every chain m_1..m_j; the merged chain states must
+# reproduce them bit for bit.  x < n, x = n and x = 1e16 for each n and J.
+_HB_PINNED = """
+    1 1.0 1 0x0.0p+0 0x0.0p+0
+    1 1e+16 1 0x0.0p+0 0x0.0p+0
+    1 1.0 2 0x0.0p+0 0x0.0p+0 0x0.0p+0
+    1 1e+16 2 0x0.0p+0 0x0.0p+0 0x0.0p+0
+    1 1.0 3 0x0.0p+0 0x0.0p+0 0x0.0p+0
+        0x0.0p+0
+    1 1e+16 3 0x0.0p+0 0x0.0p+0 0x0.0p+0
+        0x0.0p+0
+    1 1.0 4 0x0.0p+0 0x0.0p+0 0x0.0p+0
+        0x0.0p+0 0x0.0p+0
+    1 1e+16 4 0x0.0p+0 0x0.0p+0 0x0.0p+0
+        0x0.0p+0 0x0.0p+0
+    1 1.0 5 0x0.0p+0 0x0.0p+0 0x0.0p+0
+        0x0.0p+0 0x0.0p+0 0x0.0p+0
+    1 1e+16 5 0x0.0p+0 0x0.0p+0 0x0.0p+0
+        0x0.0p+0 0x0.0p+0 0x0.0p+0
+    1 1.0 6 0x0.0p+0 0x0.0p+0 0x0.0p+0
+        0x0.0p+0 0x0.0p+0 0x0.0p+0
+        0x0.0p+0
+    1 1e+16 6 0x0.0p+0 0x0.0p+0 0x0.0p+0
+        0x0.0p+0 0x0.0p+0 0x0.0p+0
+        0x0.0p+0
+    1 1.0 7 0x0.0p+0 0x0.0p+0 0x0.0p+0
+        0x0.0p+0 0x0.0p+0 0x0.0p+0
+        0x0.0p+0 0x0.0p+0
+    1 1e+16 7 0x0.0p+0 0x0.0p+0 0x0.0p+0
+        0x0.0p+0 0x0.0p+0 0x0.0p+0
+        0x0.0p+0 0x0.0p+0
+    60 30.5 1 -0x1.0000000000000p-53 -0x1.0000000000000p-53
+    60 60.0 1 -0x1.0000000000000p-53 -0x1.0000000000000p-53
+    60 1e+16 1 -0x1.0000000000000p-53 -0x1.0000000000000p-53
+    60 30.5 2 -0x1.326643c4479cap+2 -0x1.326643c4479ccp+3 0x1.0000000000000p-48
+    60 60.0 2 -0x1.3e116bcd39e7dp+1 -0x1.3e116bcd39e81p+2 0x1.0000000000000p-48
+    60 1e+16 2 -0x1.0000000000000p-53 -0x1.4000000000000p-48 0x1.3000000000000p-48
+    60 30.5 3 -0x1.26bb1bbb55516p+1 -0x1.7f7427b73e395p+2 -0x1.6221e6c65d58bp+3
+        0x1.2000000000000p-47
+    60 60.0 3 -0x1.26bb1bbb55516p+1 -0x1.7f7427b73e395p+2 -0x1.6221e6c65d58bp+3
+        0x1.2000000000000p-47
+    60 1e+16 3 -0x1.0000000000000p-53 -0x1.4000000000000p-48 -0x1.5400000000000p-47
+        0x1.0000000000000p-48
+    60 30.5 4 0x1.62e42fefa39ecp-1 0x1.62e42fefa39e6p+1 0x1.8f40b5ed98126p+2
+        0x1.62e42fefa39eap+3 0x1.4000000000000p-47
+    60 60.0 4 0x1.62e42fefa39ecp-1 0x1.62e42fefa39e6p+1 0x1.8f40b5ed98126p+2
+        0x1.62e42fefa39eap+3 0x1.4000000000000p-47
+    60 1e+16 4 -0x1.0000000000000p-53 -0x1.4000000000000p-48 -0x1.5400000000000p-47
+        0x1.0000000000000p-46 -0x1.d000000000000p-46
+    60 30.5 5 0x1.0609bdc65328bp+2 0x1.890e9ca97cbd0p+4 0x1.26caf57f1d8ddp+6
+        0x1.478c2d37e7f2ep+7 0x1.33136a646973bp+8 -0x1.0000000000000p-47
+    60 60.0 5 0x1.62e42fefa39ecp-1 0x1.62e42fefa39e6p+1 0x1.8f40b5ed98126p+2
+        0x1.62e42fefa39eap+3 0x1.1542457337d3ap+4 -0x1.2000000000000p-48
+    60 1e+16 5 -0x1.0000000000000p-53 -0x1.4000000000000p-48 -0x1.5400000000000p-47
+        0x1.0000000000000p-46 0x1.e800000000000p-48 -0x1.0280000000000p-43
+    60 30.5 6 0x1.0609bdc65328bp+2 0x1.890e9ca97cbd0p+4 0x1.26caf57f1d8ddp+6
+        0x1.478c2d37e7f2ep+7 0x1.33136a646973bp+8 0x1.01f196cf39dc1p+9
+        0x0.0p+0
+    60 60.0 6 0x1.0609bdc65328bp+2 0x1.890e9ca97cbd0p+4 0x1.26caf57f1d8ddp+6
+        0x1.478c2d37e7f2ep+7 0x1.33136a646973bp+8 0x1.01f196cf39dc1p+9
+        0x0.0p+0
+    60 1e+16 6 -0x1.0000000000000p-53 -0x1.4000000000000p-48 -0x1.5400000000000p-47
+        0x1.0000000000000p-46 0x1.e800000000000p-48 -0x1.0000000000000p-43
+        -0x1.9900000000000p-43
+    60 30.5 7 0x1.0609bdc65328bp+2 0x1.890e9ca97cbd0p+4 0x1.26caf57f1d8ddp+6
+        0x1.478c2d37e7f2ep+7 0x1.33136a646973bp+8 0x1.01f196cf39dc1p+9
+        0x1.913eea97af565p+9 0x1.3000000000000p-44
+    60 60.0 7 0x1.0609bdc65328bp+2 0x1.890e9ca97cbd0p+4 0x1.26caf57f1d8ddp+6
+        0x1.478c2d37e7f2ep+7 0x1.33136a646973bp+8 0x1.01f196cf39dc1p+9
+        0x1.913eea97af565p+9 0x1.3000000000000p-44
+    60 1e+16 7 -0x1.0000000000000p-53 -0x1.4000000000000p-48 -0x1.5400000000000p-47
+        0x1.0000000000000p-46 0x1.e800000000000p-48 -0x1.0000000000000p-43
+        -0x1.0a80000000000p-44 0x1.4380000000000p-43
+    64 32.5 1 0x1.62e42fefa39ecp-1 0x1.62e42fefa39ecp-1
+    64 64.0 1 0x1.62e42fefa39ecp-1 0x1.62e42fefa39ecp-1
+    64 1e+16 1 0x1.62e42fefa39ecp-1 0x1.62e42fefa39ecp-1
+    64 32.5 2 0x1.62e42fefa39ecp-1 0x1.62e42fefa39e8p-1 0x1.62e42fefa39f0p-1
+    64 64.0 2 0x1.62e42fefa39ecp-1 0x1.62e42fefa39e8p-1 0x1.62e42fefa39f0p-1
+    64 1e+16 2 0x1.62e42fefa39ecp-1 0x1.62e42fefa39e8p-1 0x1.62e42fefa39f0p-1
+    64 32.5 3 0x1.62e42fefa39ecp-1 0x1.62e42fefa39e8p-1 0x1.62e42fefa3a18p-1
+        0x1.62e42fefa3a24p-1
+    64 64.0 3 0x1.62e42fefa39ecp-1 0x1.62e42fefa39e8p-1 0x1.62e42fefa3a18p-1
+        0x1.62e42fefa3a24p-1
+    64 1e+16 3 0x1.62e42fefa39ecp-1 0x1.62e42fefa39e8p-1 0x1.62e42fefa3a18p-1
+        0x1.62e42fefa3a24p-1
+    64 32.5 4 0x1.62e42fefa39ecp-1 0x1.62e42fefa39e8p-1 0x1.62e42fefa3a18p-1
+        0x1.62e42fefa38ecp-1 0x1.62e42fefa3bb4p-1
+    64 64.0 4 0x1.62e42fefa39ecp-1 0x1.62e42fefa39e8p-1 0x1.62e42fefa3a18p-1
+        0x1.62e42fefa38ecp-1 0x1.62e42fefa3bb4p-1
+    64 1e+16 4 0x1.62e42fefa39ecp-1 0x1.62e42fefa39e8p-1 0x1.62e42fefa3a18p-1
+        0x1.62e42fefa38ecp-1 0x1.62e42fefa3bb4p-1
+    64 32.5 5 0x1.62e42fefa39ecp-1 0x1.62e42fefa39e8p-1 0x1.62e42fefa3a18p-1
+        0x1.62e42fefa38ecp-1 0x1.62e42fefa39c9p-1 0x1.62e42fefa40a9p-1
+    64 64.0 5 0x1.62e42fefa39ecp-1 0x1.62e42fefa39e8p-1 0x1.62e42fefa3a18p-1
+        0x1.62e42fefa38ecp-1 0x1.62e42fefa39c9p-1 0x1.62e42fefa40a9p-1
+    64 1e+16 5 0x1.62e42fefa39ecp-1 0x1.62e42fefa39e8p-1 0x1.62e42fefa3a18p-1
+        0x1.62e42fefa38ecp-1 0x1.62e42fefa39c9p-1 0x1.62e42fefa40a9p-1
+    64 32.5 6 0x1.0a2b23f3bab73p+2 0x1.d1cb7eea86c09p+3 0x1.3687a9f1af2b1p+5
+        0x1.5d589f2fe5107p+6 0x1.5d589f2fe5107p+7 0x1.403be7413ca47p+8
+        0x1.62e42fefa3380p-1
+    64 64.0 6 0x1.62e42fefa39ecp-1 0x1.62e42fefa39e8p-1 0x1.62e42fefa3a18p-1
+        0x1.62e42fefa38ecp-1 0x1.62e42fefa39c9p-1 0x1.62e42fefa389ep-1
+        0x1.62e42fefa4d12p-1
+    64 1e+16 6 0x1.62e42fefa39ecp-1 0x1.62e42fefa39e8p-1 0x1.62e42fefa3a18p-1
+        0x1.62e42fefa38ecp-1 0x1.62e42fefa39c9p-1 0x1.62e42fefa389ep-1
+        0x1.62e42fefa4d12p-1
+    64 32.5 7 0x1.0a2b23f3bab73p+2 0x1.d1cb7eea86c09p+3 0x1.3687a9f1af2b1p+5
+        0x1.5d589f2fe5107p+6 0x1.5d589f2fe5107p+7 0x1.403be7413ca47p+8
+        0x1.127c7d13588cfp+9 0x1.62e42fefa3120p-1
+    64 64.0 7 0x1.0a2b23f3bab73p+2 0x1.d1cb7eea86c09p+3 0x1.3687a9f1af2b1p+5
+        0x1.5d589f2fe5107p+6 0x1.5d589f2fe5107p+7 0x1.403be7413ca47p+8
+        0x1.127c7d13588cfp+9 0x1.62e42fefa3120p-1
+    64 1e+16 7 0x1.62e42fefa39ecp-1 0x1.62e42fefa39e8p-1 0x1.62e42fefa3a18p-1
+        0x1.62e42fefa38ecp-1 0x1.62e42fefa39c9p-1 0x1.62e42fefa389ep-1
+        0x1.62e42fefa32edp-1 0x1.62e42fefa628dp-1
+    97 49.0 1 0x1.24c8108e54bf8p+2 0x1.24c8108e54bf8p+2
+    97 97.0 1 0x1.24c8108e54bf8p+2 0x1.24c8108e54bf8p+2
+    97 1e+16 1 0x1.24c8108e54bf8p+2 0x1.24c8108e54bf8p+2
+    97 49.0 2 0x1.24c8108e54bf8p+2 0x1.24c8108e54bf8p+2 0x1.24c8108e54bf8p+2
+    97 97.0 2 0x1.24c8108e54bf8p+2 0x1.24c8108e54bf8p+2 0x1.24c8108e54bf8p+2
+    97 1e+16 2 0x1.24c8108e54bf8p+2 0x1.24c8108e54bf8p+2 0x1.24c8108e54bf8p+2
+    97 49.0 3 0x1.24c8108e54bf8p+2 0x1.24c8108e54bf8p+2 0x1.24c8108e54bf8p+2
+        0x1.24c8108e54bf8p+2
+    97 97.0 3 0x1.24c8108e54bf8p+2 0x1.24c8108e54bf8p+2 0x1.24c8108e54bf8p+2
+        0x1.24c8108e54bf8p+2
+    97 1e+16 3 0x1.24c8108e54bf8p+2 0x1.24c8108e54bf8p+2 0x1.24c8108e54bf8p+2
+        0x1.24c8108e54bf8p+2
+    97 49.0 4 0x1.24c8108e54bf8p+2 0x1.24c8108e54bf8p+2 0x1.24c8108e54bf8p+2
+        0x1.24c8108e54bf8p+2 0x1.24c8108e54bf8p+2
+    97 97.0 4 0x1.24c8108e54bf8p+2 0x1.24c8108e54bf8p+2 0x1.24c8108e54bf8p+2
+        0x1.24c8108e54bf8p+2 0x1.24c8108e54bf8p+2
+    97 1e+16 4 0x1.24c8108e54bf8p+2 0x1.24c8108e54bf8p+2 0x1.24c8108e54bf8p+2
+        0x1.24c8108e54bf8p+2 0x1.24c8108e54bf8p+2
+    97 49.0 5 0x1.24c8108e54bf8p+2 0x1.24c8108e54bf8p+2 0x1.24c8108e54bf8p+2
+        0x1.24c8108e54bf8p+2 0x1.24c8108e54bf8p+2 0x1.24c8108e54bf8p+2
+    97 97.0 5 0x1.24c8108e54bf8p+2 0x1.24c8108e54bf8p+2 0x1.24c8108e54bf8p+2
+        0x1.24c8108e54bf8p+2 0x1.24c8108e54bf8p+2 0x1.24c8108e54bf8p+2
+    97 1e+16 5 0x1.24c8108e54bf8p+2 0x1.24c8108e54bf8p+2 0x1.24c8108e54bf8p+2
+        0x1.24c8108e54bf8p+2 0x1.24c8108e54bf8p+2 0x1.24c8108e54bf8p+2
+    97 49.0 6 0x1.24c8108e54bf8p+2 0x1.24c8108e54bf8p+2 0x1.24c8108e54bf8p+2
+        0x1.24c8108e54bf8p+2 0x1.24c8108e54bf8p+2 0x1.24c8108e54bf8p+2
+        0x1.24c8108e54c08p+2
+    97 97.0 6 0x1.24c8108e54bf8p+2 0x1.24c8108e54bf8p+2 0x1.24c8108e54bf8p+2
+        0x1.24c8108e54bf8p+2 0x1.24c8108e54bf8p+2 0x1.24c8108e54bf8p+2
+        0x1.24c8108e54c08p+2
+    97 1e+16 6 0x1.24c8108e54bf8p+2 0x1.24c8108e54bf8p+2 0x1.24c8108e54bf8p+2
+        0x1.24c8108e54bf8p+2 0x1.24c8108e54bf8p+2 0x1.24c8108e54bf8p+2
+        0x1.24c8108e54c08p+2
+    97 49.0 7 0x1.24c8108e54bf8p+2 0x1.24c8108e54bf8p+2 0x1.24c8108e54bf8p+2
+        0x1.24c8108e54bf8p+2 0x1.24c8108e54bf8p+2 0x1.24c8108e54bf8p+2
+        0x1.24c8108e54bf8p+2 0x1.24c8108e54bf8p+2
+    97 97.0 7 0x1.24c8108e54bf8p+2 0x1.24c8108e54bf8p+2 0x1.24c8108e54bf8p+2
+        0x1.24c8108e54bf8p+2 0x1.24c8108e54bf8p+2 0x1.24c8108e54bf8p+2
+        0x1.24c8108e54bf8p+2 0x1.24c8108e54bf8p+2
+    97 1e+16 7 0x1.24c8108e54bf8p+2 0x1.24c8108e54bf8p+2 0x1.24c8108e54bf8p+2
+        0x1.24c8108e54bf8p+2 0x1.24c8108e54bf8p+2 0x1.24c8108e54bf8p+2
+        0x1.24c8108e54bf8p+2 0x1.24c8108e54bf8p+2
+    720720 360360.5 1 0x1.0000000000000p-50 0x1.0000000000000p-50
+    720720 720720.0 1 0x1.0000000000000p-50 0x1.0000000000000p-50
+    720720 1e+16 1 0x1.0000000000000p-50 0x1.0000000000000p-50
+    720720 360360.5 2 -0x1.5a2c894b42bcap+4 -0x1.5a2c894b42bbcp+5 -0x1.c000000000000p-44
+    720720 720720.0 2 -0x1.5b5c15228f1b4p+4 -0x1.5b5c15228f1aap+5 -0x1.4000000000000p-44
+    720720 1e+16 2 0x1.0000000000000p-50 0x1.3000000000000p-43 -0x1.2c00000000000p-43
+    720720 360360.5 3 0x1.c9e6579622fcep+4 0x1.a38f3e228f5c1p+6 0x1.c9a07c5b8a0ccp+7
+        0x1.0b80000000000p-36
+    720720 720720.0 3 0x1.ca1b31c97f6c9p+4 0x1.926bd4c871bb4p+6 0x1.afd78c811aed1p+7
+        0x1.ce80000000000p-37
+    720720 1e+16 3 0x1.0000000000000p-50 0x1.3000000000000p-43 0x1.1b2f000000000p-37
+        0x1.0d07000000000p-37
+    720720 360360.5 4 0x1.0711f3368379ap+3 -0x1.33b2b6c3ada5ap+8 -0x1.82adb224d543cp+9
+        -0x1.2f96c28a72181p+10 0x1.2668000000000p-33
+    720720 720720.0 4 0x1.2736af24316ffp+4 -0x1.72d867654d09ep+6 -0x1.2c3729e44ba0dp+8
+        -0x1.1d6530581788ep+9 0x1.e4f0000000000p-34
+    720720 1e+16 4 0x1.3e116bcd39e7ep+2 0x1.3e116bcd39ec8p+3 0x1.dd1a21b3d7f90p+3
+        0x1.3e116bcd3800ep+4 0x1.04e0000000000p-34
+    720720 360360.5 5 -0x1.7534a61fec258p+4 0x1.203e9b3a379e8p+9 0x1.05fed50194ee0p+11
+        0x1.196fc1f137d63p+12 0x1.d0cce9f5931edp+12 -0x1.1a17000000000p-29
+    720720 720720.0 5 -0x1.766431f738842p+4 0x1.9d3500629e581p+9 0x1.5f8e4465c9ebcp+10
+        0x1.375ba5fe8b84bp+9 -0x1.40f05b949053dp+11 -0x1.3059000000000p-29
+    720720 1e+16 5 0x1.02fabd33c45c0p+2 0x1.02fabd33c4602p+3 0x1.84781bcda7b5cp+3
+        0x1.02fabd33c2484p+4 0x1.43b96c7fb530fp+4 -0x1.e032200000000p-29
+    720720 360360.5 6 -0x1.76bb0a177fe9ep+4 0x1.4913c0358595ep+8 0x1.10f4a12bf0d6dp+11
+        0x1.c9a72d00e60bcp+12 0x1.1c1eae9f2ca1ep+14 0x1.27cb0424ecadap+15
+        -0x1.63fd800000000p-27
+    720720 720720.0 6 -0x1.76bb0a177fe9ep+4 0x1.4913c0358595ep+8 0x1.10f4a12bf0d6dp+11
+        0x1.c9a72d00e60bcp+12 0x1.1c1eae9f2ca1ep+14 0x1.27cb0424ecadap+15
+        -0x1.63fd800000000p-27
+    720720 1e+16 6 -0x1.cd23e1ab53125p+4 -0x1.cd23e1ab53118p+5 -0x1.59dae9407e252p+6
+        -0x1.cd23e1ab53ac0p+6 -0x1.20366d0b341a0p+7 -0x1.59dae9406975ep+7
+        -0x1.9fb6c00000000p-26
+    720720 360360.5 7 -0x1.7c1d3acdc4b71p+3 -0x1.0d92f85a30d55p+7 -0x1.268bae4963650p+9
+        -0x1.ac9bae40cdb2fp+10 -0x1.f03748fce4947p+11 -0x1.efd2b4814243ap+12
+        -0x1.bef1cc06657f8p+13 -0x1.9760300000000p-26
+    720720 720720.0 7 -0x1.7c1d3acdc4b71p+3 -0x1.0d92f85a30d55p+7 -0x1.268bae4963650p+9
+        -0x1.ac9bae40cdb2fp+10 -0x1.f03748fce4947p+11 -0x1.efd2b4814243ap+12
+        -0x1.bef1cc06657f8p+13 -0x1.9760300000000p-26
+    720720 1e+16 7 -0x1.4e69d29167d6ap+2 -0x1.0254a48ec13c2p+5 -0x1.44cb1f5ade2f7p+6
+        -0x1.2fe48231c841cp+7 -0x1.e91200b0d9fdcp+7 -0x1.66f70595193aap+8
+        -0x1.ef3c50cf5375ap+8 -0x1.a780ba0000000p-24
+    9699690 1e+16 5 -0x1.0892ed983d6f0p+6 -0x1.1f39ccb4f0554p+7 -0x1.d0d101ba74e68p+7
+        -0x1.4c878aee56486p+8 -0x1.bbfa048dcf5cap+8 -0x1.c9d0000000000p-31
+"""
+
+
+def test_heath_brown_keeps_its_bits(sieve_10k):
+    tokens = _HB_PINNED.split()
+    cases = 0
+    while tokens:
+        n, x, J = int(tokens[0]), float(tokens[1]), int(tokens[2])
+        want, tokens = tokens[3:4 + J], tokens[4 + J:]
+        res = heath_brown_terms(n, x, J, sieve_10k)
+        assert [t.hex() for _, t in res.terms] + [res.total.hex()] == want, (n, x, J)
+        cases += 1
+    assert cases == 99
+
+
+def test_heath_brown_merges_chains(sieve_10k):
+    # 2*3*...*19 has 256 divisors; a list of chains took 25 s at J = 6
+    t0 = time.perf_counter()
+    res = heath_brown_terms(9699690, 1e16, 7, sieve_10k)
+    assert time.perf_counter() - t0 < 2.0
+    assert abs(res.total) < 1e-6
 
 
 def test_window_tau_power(sieve_10k):
