@@ -118,6 +118,12 @@ class DiscrepancyReport:
     def per_q(self) -> list[tuple[int, float]]:
         return list(zip(self.qs.tolist(), self.values.tolist()))
 
+    def __eq__(self, other):
+        # by value; the generated __eq__ fails on the numpy fields
+        return isinstance(other, DiscrepancyReport) and (
+            (self.x, self.total, self.normalized, self.per_q)
+            == (other.x, other.total, other.normalized, other.per_q))
+
 
 # ---------------------------------------------------------------------------
 # the progression-mass engine

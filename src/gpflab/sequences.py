@@ -249,13 +249,16 @@ class HeathBrownResult:
     total: float
 
 
-def _cutoff_root(x, J: int) -> int:
-    m = int(x ** (1.0 / J))
-    while (m + 1) ** J <= x:
-        m += 1
-    while m > 0 and m**J > x:
-        m -= 1
-    return m
+def _cutoff_root(x, J: int, n: int) -> int:
+    # the largest m <= n with m**J <= x, by bisection (int-float <= is exact)
+    lo, hi = 1, n
+    while lo < hi:
+        mid = (lo + hi + 1) // 2
+        if mid**J <= x:
+            lo = mid
+        else:
+            hi = mid - 1
+    return lo
 
 
 def heath_brown_terms(n: int, x, J: int, sieve: PrimeSieve) -> HeathBrownResult:
@@ -272,9 +275,9 @@ def heath_brown_terms(n: int, x, J: int, sieve: PrimeSieve) -> HeathBrownResult:
         raise InvalidArgumentError("J must be in [1, 7]")
     if n < 1:
         raise InvalidArgumentError("n must be >= 1")
-    if x < 1 or n > 2 * x:
+    if not x >= 1 or n > 2 * x:
         raise InvalidArgumentError("the expansion needs n <= 2x")
-    M = _cutoff_root(x, J)
+    M = _cutoff_root(x, J, n)
     ps = [p for p, _ in factorize(n, sieve).factors]
 
     def steps(k: int) -> list[tuple[int, int]]:

@@ -138,6 +138,9 @@ def test_bv_sum_matches_brute(sieve_10k):
     assert abs(rep.total - _brute_bv(2000, 20)) < 1e-9
     assert rep.per_q[0] == (1, 0.0)
     assert rep.normalized == rep.total / 2000.0
+    # reports compare by value
+    assert rep == bv_sum(2000, 20, sieve_10k)
+    assert rep != bv_sum(2000, 19, sieve_10k)
 
 
 def test_bv_sum_monotone_in_q(sieve_10k):

@@ -319,17 +319,19 @@ def test_hb_verify_matches_von_mangoldt(capsys):
 
 
 def test_hb_verify_sieve_sized_from_n(capsys):
-    # only n is factored, so a large x needs no sieve beyond isqrt(n)
-    code, out, err = run_cli(capsys, ["hb-verify", "--n", "60", "--x", "1e17",
-                                      "--j", "2"])
-    assert (code, err) == (0, "")
-    _, rows = parse_csv(out)
-    res = sequences.heath_brown_terms(60, 1e17, 2, build_sieve(8))
-    assert len(rows) == 1
-    assert (rows[0]["n"], rows[0]["x"], rows[0]["J"]) == ("60", "1e+17", "2")
-    assert float(rows[0]["von_mangoldt"]) == 0.0
-    assert float(rows[0]["total"]) == pytest.approx(res.total, rel=1e-12)
-    assert float(rows[0]["abs_error"]) == pytest.approx(abs(res.total), rel=1e-12)
+    # only n is factored, so a large x needs no sieve beyond isqrt(n); far
+    # beyond 2^53 the cutoff x^(1/J) must still be found in a few steps
+    for x, j in [("1e17", 2), ("1e60", 2), ("1e100", 2), ("1e100", 7)]:
+        code, out, err = run_cli(capsys, ["hb-verify", "--n", "60", "--x", x,
+                                          "--j", str(j)])
+        assert (code, err) == (0, "")
+        _, rows = parse_csv(out)
+        res = sequences.heath_brown_terms(60, float(x), j, build_sieve(8))
+        assert len(rows) == 1
+        assert (rows[0]["n"], float(rows[0]["x"]), rows[0]["J"]) == ("60", float(x), str(j))
+        assert float(rows[0]["von_mangoldt"]) == 0.0
+        assert float(rows[0]["total"]) == pytest.approx(res.total, rel=1e-12)
+        assert float(rows[0]["abs_error"]) == pytest.approx(abs(res.total), rel=1e-12)
 
 
 def test_hb_verify_terms_rows(capsys):
