@@ -202,6 +202,7 @@ def _cmd_gpf(args):
 
 def _cmd_gamma_plus(args):
     A, B, n_max = _pair_of_sets(args)
+    shifted.check_gamma_pairs(A, B)  # before the sieve is built
     sieve = _sieve_for(args, n_max + 1)
     res = shifted.gamma_plus(A, B, sieve)
     rows = [{"gamma_plus": res.gamma_plus,

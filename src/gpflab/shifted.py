@@ -13,6 +13,8 @@ from .sieve import (MAX_SIEVE_LIMIT, PrimeSieve, divisor_list, factorize,
                     greatest_prime_factor_batch, is_prime_u64, segmented_primes)
 
 LV_COUNT_CAP = 10_000
+# most pairs |A|*|B| gamma_plus takes; --n 3000 --dense (9e6 pairs) still runs
+GAMMA_PAIR_BUDGET = 10_000_000
 _PAIR_CHUNK = 1 << 23
 
 # exponent in the density normalization of the distinct-product count
@@ -136,6 +138,14 @@ def _distinct_shifted_products(a_members: np.ndarray, b_arr: np.ndarray) -> np.n
     return np.unique(np.concatenate(parts))
 
 
+def check_gamma_pairs(A: IndexSet, B: IndexSet) -> None:
+    """Refuse a gamma_plus call over more than GAMMA_PAIR_BUDGET pairs."""
+    pairs = A.cardinality() * B.cardinality()
+    if pairs > GAMMA_PAIR_BUDGET:
+        raise RangeBudgetError(
+            f"gamma_plus budget is |A|*|B| <= {GAMMA_PAIR_BUDGET}, got {pairs}")
+
+
 def gamma_plus(A: IndexSet, B: IndexSet, sieve: PrimeSieve) -> GammaResult:
     """max over (a, b) in A x B of the greatest prime factor of a*b + 1.
 
@@ -146,6 +156,7 @@ def gamma_plus(A: IndexSet, B: IndexSet, sieve: PrimeSieve) -> GammaResult:
         raise InvalidArgumentError("gamma_plus needs nonempty sets")
     if max(A.n_max, B.n_max) > sieve.limit:
         raise RangeBudgetError("gamma_plus needs n_max <= sieve.limit")
+    check_gamma_pairs(A, B)
     a_members = A.members()
     b_arr = B.members()
     distinct = _distinct_shifted_products(a_members, b_arr)

@@ -23,6 +23,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 import decimal
 from math import floor, log
+from pathlib import Path
 
 import numpy as np
 
@@ -31,6 +32,13 @@ from .errors import InvalidArgumentError, RangeBudgetError
 from .sieve import PrimeSieve, segmented_primes
 
 _PSI_X_BUDGET = 1_000_000_000
+
+# the default grid, shared by build_dickman_table's defaults and the shipped
+# table, which is build_dickman_table() written as raw little-endian float64:
+#   build_dickman_table().values.astype("<f8").tofile("src/gpflab/dickman_rho.f64")
+_DEFAULT_INV_STEP = 256
+_DEFAULT_U_MAX = 20
+_DEFAULT_TABLE_PATH = Path(__file__).with_name("dickman_rho.f64")
 
 
 class DickmanTable:
@@ -75,7 +83,8 @@ def _eval_series(coeffs: list, t: "decimal.Decimal") -> "decimal.Decimal":
     return out
 
 
-def build_dickman_table(step: float = 1.0 / 256, u_max: float = 20.0) -> DickmanTable:
+def build_dickman_table(step: float = 1.0 / _DEFAULT_INV_STEP,
+                        u_max: float = float(_DEFAULT_U_MAX)) -> DickmanTable:
     """Tabulate rho on a uniform grid from its piecewise power series."""
     inv = int(round(1.0 / step))
     if inv < 8 or abs(step * inv - 1.0) > 1e-12:
@@ -112,9 +121,20 @@ _DEFAULT_TABLE: DickmanTable | None = None
 
 
 def default_dickman_table() -> DickmanTable:
+    """The process-wide default table, read once from the shipped file.
+
+    Its values are read-only, so no caller can change what later
+    dickman_rho calls see."""
     global _DEFAULT_TABLE
     if _DEFAULT_TABLE is None:
-        _DEFAULT_TABLE = build_dickman_table()
+        path = _DEFAULT_TABLE_PATH
+        values = np.fromfile(path, dtype="<f8")
+        size = _DEFAULT_U_MAX * _DEFAULT_INV_STEP + 1
+        if values.size != size:
+            raise OSError(f"{path}: {values.size} float64 values, expected {size}")
+        values.flags.writeable = False
+        _DEFAULT_TABLE = DickmanTable(1.0 / _DEFAULT_INV_STEP, _DEFAULT_INV_STEP,
+                                      float(_DEFAULT_U_MAX), values)
     return _DEFAULT_TABLE
 
 

@@ -753,6 +753,7 @@ _BEYOND_INT64 = [
 @pytest.mark.parametrize("argv", [
     ["gamma-plus", "--n", "100000000000000000000", "--dense"],
     ["gamma-plus", "--n", "1e20", "--random-card", "3"],
+    ["gamma-plus", "--n", "1e5", "--dense"],  # 1e10 pairs
     ["ledger", "--n", "1e20", "--dense"],
     ["sqerr-check", "--n", "1e20", "--dense"],
     ["thm2-sum", "--n", "1e20", "--delta", "0.2", "--dense"],
@@ -773,6 +774,18 @@ def test_huge_sizes_exit_two(capsys, argv):
     assert err.startswith("error:") and err.count("\n") == 1
     if argv in _BEYOND_INT64:  # the line names the option, not numpy's C long
         assert f"needs {argv[argv.index('1e20') - 1][2:]} < 2**63" in err
+
+
+def test_gamma_plus_pair_budget_before_the_sieve(capsys, monkeypatch):
+    from gpflab import cli
+
+    def no_sieve(limit):
+        raise AssertionError(f"sieve of {limit} built before the pair budget")
+
+    monkeypatch.setattr(cli, "build_sieve", no_sieve)
+    code, out, err = run_cli(capsys, ["gamma-plus", "--n", "3163", "--dense"])
+    assert code == 2 and out == ""
+    assert err == "error: gamma_plus budget is |A|*|B| <= 10000000, got 10004569\n"
 
 
 def test_exponent_form_size_answers_as_integer(capsys):

@@ -10,8 +10,8 @@ import pytest
 from gpflab.errors import (ConstructionFailedError, InvalidArgumentError,
                            RangeBudgetError)
 from gpflab.shifted import (FORD_EXPONENT, LV_COUNT_CAP, IndexSet,
-                            adversarial_sets, ford_ratio, gamma_plus,
-                            lv_count, prime_in_interval_search,
+                            adversarial_sets, check_gamma_pairs, ford_ratio,
+                            gamma_plus, lv_count, prime_in_interval_search,
                             theorem1_sum, theorem1_thresholds, theorem2_sum)
 
 
@@ -110,6 +110,10 @@ def test_gamma_rejects_bad_inputs(sieve_10k):
         gamma_plus(IndexSet(5), IndexSet.dense(5), sieve_10k)
     with pytest.raises(RangeBudgetError):
         gamma_plus(IndexSet.dense(10_001), IndexSet.dense(10), sieve_10k)
+    # 3163**2 pairs are over the 1e7 budget, 3162**2 are not
+    with pytest.raises(RangeBudgetError, match="budget"):
+        gamma_plus(IndexSet.dense(3163), IndexSet.dense(3163), sieve_10k)
+    check_gamma_pairs(IndexSet.dense(3162), IndexSet.dense(3162))
 
 
 def test_lv_count_small_and_brute():

@@ -1,9 +1,11 @@
 """Smooth counting and the Dickman table against enumeration and analysis."""
 
 from math import floor, gamma, log
+import re
 
 import pytest
 
+from gpflab import cli, smooth
 from gpflab.errors import InvalidArgumentError, RangeBudgetError
 from gpflab.smooth import (
     build_dickman_table,
@@ -114,6 +116,43 @@ def test_rho_table_shape():
     for i, v in enumerate(vals.tolist()):
         u = i * t.step
         assert v <= (1.0 / gamma(u + 1.0)) * (1.0 + 1e-9)
+
+
+def test_shipped_table_is_the_series_build():
+    shipped = default_dickman_table()
+    built = build_dickman_table()
+    assert shipped.values.tobytes() == built.values.tobytes()
+    assert (shipped.step, shipped.inv_step, shipped.u_max) == (
+        built.step, built.inv_step, built.u_max)
+
+
+def test_default_table_is_read_not_built(monkeypatch):
+    def no_build(*args, **kwargs):
+        raise AssertionError("default table rebuilt from the series")
+
+    monkeypatch.setattr(smooth, "build_dickman_table", no_build)
+    monkeypatch.setattr(smooth, "_DEFAULT_TABLE", None)
+    t = default_dickman_table()
+    assert t.values.size == 20 * 256 + 1
+    assert f"{dickman_rho(2.5):.15g}" == "0.130319561832251"
+
+
+def test_default_table_is_read_only():
+    with pytest.raises(ValueError):
+        default_dickman_table().values[300] = 0.5
+    assert build_dickman_table(step=1.0 / 8, u_max=2.0).values.flags.writeable
+
+
+def test_truncated_table_file_raises(tmp_path, monkeypatch, capsys):
+    bad = tmp_path / "dickman_rho.f64"
+    bad.write_bytes(smooth._DEFAULT_TABLE_PATH.read_bytes()[:-8])
+    monkeypatch.setattr(smooth, "_DEFAULT_TABLE_PATH", bad)
+    monkeypatch.setattr(smooth, "_DEFAULT_TABLE", None)
+    with pytest.raises(OSError, match=re.escape(str(bad))):
+        default_dickman_table()
+    assert cli.main(["rho", "--u-list", "2.5"]) == 1
+    out, err = capsys.readouterr()
+    assert out == "" and err.startswith(f"error: {bad}") and err.count("\n") == 1
 
 
 def test_rho_out_of_range():
