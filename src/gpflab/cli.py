@@ -225,7 +225,8 @@ def _cmd_ford_ratio(args):
 
 
 def _cmd_smooth(args):
-    sieve = _sieve_for(args, max(3, int(args.y)))
+    # psi_count reads no prime when y >= x
+    sieve = _sieve_for(args, int(args.y) if args.y < args.x else 3)
     rep = smooth.psi_approx_report(args.x, args.y, sieve)
     rows = [{"x": rep.x, "y": rep.y, "u": rep.u, "exact": rep.exact,
              "approx": rep.approx, "residual": rep.residual}]

@@ -7,7 +7,7 @@ multi-variable divisor sums with their reference upper-bound shapes.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from math import ceil, comb, floor, fsum, gcd, isqrt, log
+from math import ceil, comb, floor, fsum, gcd, isfinite, isqrt, log
 
 import numpy as np
 
@@ -41,6 +41,10 @@ class WeightedSequence:
         vals = np.asarray(values, dtype=np.float64)
         if vals.shape != (hi - lo + 1,):
             raise InvalidArgumentError("values length must equal hi - lo + 1")
+        bad = np.flatnonzero(~np.isfinite(vals))
+        if bad.size:
+            raise InvalidArgumentError(
+                f"weight {vals[bad[0]]} at n = {lo + int(bad[0])} is not finite")
         self.lo = lo
         self.hi = hi
         self.values = vals.copy()
@@ -61,10 +65,10 @@ class WeightedSequence:
             seen.add(n)
         lo = min(n for n, _ in pairs)
         hi = max(n for n, _ in pairs)
-        out = cls(lo, hi, np.zeros(_width(lo, hi)))
+        vals = np.zeros(_width(lo, hi))
         for n, v in pairs:
-            out.values[n - lo] = v
-        return out
+            vals[n - lo] = v
+        return cls(lo, hi, vals)
 
     @classmethod
     def from_file(cls, path) -> "WeightedSequence":
@@ -83,6 +87,8 @@ class WeightedSequence:
                     pairs.append((int(parts[0]), float(parts[1])))
                 except ValueError as exc:
                     raise InvalidArgumentError(f"{path}:{lineno}: bad pair {line!r}") from exc
+                if not isfinite(pairs[-1][1]):
+                    raise InvalidArgumentError(f"{path}:{lineno}: weight is not finite: {line!r}")
         if not pairs:
             raise InvalidArgumentError(f"{path}: empty sequence file")
         return cls.from_pairs(pairs)

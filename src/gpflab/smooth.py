@@ -22,14 +22,14 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 import decimal
-from math import floor, log
+from math import floor, isqrt, log
 from pathlib import Path
 
 import numpy as np
 
 from . import _accel
 from .errors import InvalidArgumentError, RangeBudgetError
-from .sieve import PrimeSieve, segmented_primes
+from .sieve import PrimeSieve
 
 _PSI_X_BUDGET = 1_000_000_000
 
@@ -186,24 +186,13 @@ def psi_count(x, y, sieve: PrimeSieve) -> int:
         return xi
     if yi > sieve.limit:
         raise RangeBudgetError("psi_count needs y <= sieve.limit when y < x")
-    if yi * yi > xi:
-        # every non-smooth n <= x has exactly one prime factor above y
-        total = 0
-        if xi <= sieve.limit:
-            ps = sieve.primes[sieve.pi(yi):sieve.pi(xi)]
-            total = int(np.sum(xi // ps)) if ps.size else 0
-        else:
-            lo = yi
-            while lo < xi:
-                hi_chunk = min(lo + (1 << 24), xi)
-                ps = segmented_primes(lo, hi_chunk, sieve)
-                if ps.size:
-                    total += int(np.sum(xi // ps))
-                lo = hi_chunk
-        return xi - total
-    primes_y = sieve.primes[:sieve.pi(yi)]
-    pi_table = sieve.pi(np.arange(yi + 1))
-    return _accel.smooth_dfs_count(xi, yi, primes_y, pi_table)
+    # an n <= x with a prime factor p > isqrt(x) is p*k for exactly one such p
+    # and any k <= x // p; the DFS counts the rest, on the primes <= isqrt(x)
+    r = min(yi, isqrt(xi))
+    lo = sieve.pi(r)
+    big = sieve.primes[lo:sieve.pi(yi)]
+    return (_accel.smooth_dfs_count(xi, r, sieve.primes[:lo], sieve.pi(np.arange(r + 1)))
+            + int(np.sum(xi // big)))
 
 
 @dataclass(frozen=True)

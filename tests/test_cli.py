@@ -210,6 +210,23 @@ def test_smooth_row(capsys):
     assert float(rows[0]["u"]) == pytest.approx(math.log(1000) / math.log(10))
 
 
+@pytest.mark.parametrize("y", ["2e8", "5e7"])
+def test_smooth_y_at_least_x_builds_no_wide_sieve(capsys, monkeypatch, y):
+    from gpflab import cli
+
+    limits = []
+
+    def recording_sieve(limit):
+        limits.append(limit)
+        return build_sieve(limit)
+
+    monkeypatch.setattr(cli, "build_sieve", recording_sieve)
+    code, out, _ = run_cli(capsys, ["smooth", "--x", "100", "--y", y])
+    assert code == 0 and limits == [3]
+    _, rows = parse_csv(out)
+    assert int(rows[0]["exact"]) == 100
+
+
 def test_pi_ap_row(capsys):
     code, out, _ = run_cli(capsys, ["pi-ap", "--x", "100", "--q", "4", "--a", "3"])
     assert code == 0
@@ -824,10 +841,12 @@ _VALUES = {  # (well-formed, malformed or out-of-range) values by option type
 def fuzz_files(tmp_path_factory):
     d = tmp_path_factory.mktemp("fuzz")
     for name, text in (("set.txt", "1\n2\n3\n5\n8\n"), ("seq.txt", "3 1.5\n4 -0.5\n7 2\n"),
-                       ("bad_set.txt", "3\n2\n"), ("bad_seq.txt", "3 x\n")):
+                       ("bad_set.txt", "3\n2\n"), ("bad_seq.txt", "3 x\n"),
+                       ("nan_seq.txt", "3 nan\n")):
         (d / name).write_text(text)
     inputs = ([str(d / "set.txt"), str(d / "seq.txt")],
-              [str(d / "bad_set.txt"), str(d / "bad_seq.txt"), str(d / "absent.txt")])
+              [str(d / "bad_set.txt"), str(d / "bad_seq.txt"), str(d / "nan_seq.txt"),
+               str(d / "absent.txt")])
     outputs = ([str(d / "out.txt")], [str(d / "missing" / "out.txt")])
     return inputs, outputs
 

@@ -94,6 +94,18 @@ def test_sequence_file_parsing(tmp_path):
         WeightedSequence.from_file(path)
 
 
+def test_sequence_refuses_non_finite_weights(tmp_path):
+    for bad in (math.nan, math.inf, -math.inf):
+        with pytest.raises(InvalidArgumentError, match="n = 6"):
+            WeightedSequence(5, 7, [1.0, bad, 2.0])
+        with pytest.raises(InvalidArgumentError, match="n = 9"):
+            WeightedSequence.from_pairs([(3, 1.0), (9, bad)])
+    path = tmp_path / "seq.txt"
+    path.write_text("2 1\n# comment\n3 nan\n")
+    with pytest.raises(InvalidArgumentError, match=f"{path}:3:"):
+        WeightedSequence.from_file(path)
+
+
 def test_convolve_small_example():
     f = WeightedSequence.indicator(1, 2)
     g = WeightedSequence.indicator(1, 2)

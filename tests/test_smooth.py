@@ -5,7 +5,7 @@ import re
 
 import pytest
 
-from gpflab import cli, smooth
+from gpflab import _accel, cli, smooth
 from gpflab.errors import InvalidArgumentError, RangeBudgetError
 from gpflab.smooth import (
     build_dickman_table,
@@ -14,6 +14,7 @@ from gpflab.smooth import (
     psi_approx_report,
     psi_count,
 )
+from gpflab.sieve import build_sieve
 
 
 def naive_gpf(n: int) -> int:
@@ -37,6 +38,20 @@ def test_psi_count_recorded_frontier_values(sieve_m):
     # recorded from a scalar DFS that visits one node at a time
     assert psi_count(3e8, 1000, sieve_m) == 25097381
     assert psi_count(1e9, 1000, sieve_m) == 59244184
+    # y > isqrt(x): recorded from x minus the sum of x // p over the primes
+    # p in (y, x], sieved segment by segment, an independent formula
+    assert psi_count(1e9, 4e4, sieve_m) == 351423452
+    assert psi_count(1e9, 2e5, sieve_m) == 492537177
+    assert psi_count(3e8, 31623, sieve_m) == 117054257
+    assert psi_count(1e9, 31623, sieve_m) == 328899981
+
+
+def test_psi_count_sieves_no_segment_above_y(monkeypatch):
+    def no_segment(*args):
+        raise AssertionError("psi_count sieved a segment above y")
+
+    monkeypatch.setattr(_accel, "segment_mark", no_segment)
+    assert psi_count(1e9, 4e4, build_sieve(40000)) == 351423452
 
 
 def test_psi_count_y_at_least_x(sieve_m):
@@ -65,11 +80,15 @@ def test_psi_count_matches_filter_smoke(sieve_m):
 
 
 def test_psi_count_branches_agree(sieve_m):
-    # x = 10^4 straddles the y^2 > x cutoff at y = 100
-    gpfs = [0, 1] + [naive_gpf(n) for n in range(2, 10_001)]
-    for y in (97, 100, 101, 103):
-        want = sum(1 for n in range(1, 10_001) if gpfs[n] <= y)
-        assert psi_count(10_000, y, sieve_m) == want
+    # the DFS runs on the primes <= min(y, isqrt(x)) and x // p is summed over
+    # the primes p in (isqrt(x), y]: x around 10^4 puts y near 100 on either
+    # side of isqrt(x), and a sieve that stops at y leaves x above its limit
+    gpfs = [0, 1] + [naive_gpf(n) for n in range(2, 10_002)]
+    for x in (9999, 10_000, 10_001):
+        for y in (97, 99, 100, 101, 103, 200):
+            want = sum(1 for n in range(1, x + 1) if gpfs[n] <= y)
+            assert psi_count(x, y, sieve_m) == want
+            assert psi_count(x, y, build_sieve(y)) == want
 
 
 def test_psi_count_rejects_bad_input(sieve_m):
