@@ -196,18 +196,23 @@ def check_A3(f: WeightedSequence, x) -> ConditionReport:
     """Support roughness: every supported n has all prime factors strictly
     above exp(log x / (log log x)^2)."""
     z0 = default_rough_z(x)
-    worst = None
-    worst_spf = None
     sieve = _root_sieve(f.hi)
-    for n in f.support().tolist():
-        if n == 1:
-            continue  # no prime factors: vacuously rough
-        s = factorize(n, sieve).factors[0][0]
-        if worst_spf is None or s < worst_spf:
-            worst_spf = s
-            worst = n
-    if worst is None:
+    sup = f.support()
+    sup = sup[sup != 1]  # no prime factors: vacuously rough
+    if not sup.size:
         return ConditionReport("A3", {"x": float(x)}, True, None, None, z0)
+    # strike the primes p <= isqrt(l2) in ascending order: the first to hit
+    # the support is the least spf, its first hit the worst case; if none
+    # hits, every supported n is prime and the smallest is the worst
+    l1, l2 = int(sup[0]), int(sup[-1])
+    on = np.zeros(l2 - l1 + 1, dtype=bool)
+    on[sup - l1] = True
+    worst = worst_spf = l1
+    for p in sieve.primes[:sieve.pi(isqrt(l2))].tolist():
+        hit = np.flatnonzero(on[-l1 % p::p])
+        if hit.size:
+            worst, worst_spf = l1 + -l1 % p + p * int(hit[0]), p
+            break
     return ConditionReport("A3", {"x": float(x)}, worst_spf > z0, worst,
                            float(worst_spf), z0)
 

@@ -159,10 +159,28 @@ def gamma_plus(A: IndexSet, B: IndexSet, sieve: PrimeSieve) -> GammaResult:
     check_gamma_pairs(A, B)
     a_members = A.members()
     b_arr = B.members()
-    distinct = _distinct_shifted_products(a_members, b_arr)
-    gpf = greatest_prime_factor_batch(distinct, sieve)
-    best = int(gpf.max())
-    vmax = int(distinct[gpf == best].max())
+    top = int(a_members[-1]) * int(b_arr[-1]) + 1
+    if top < 8 * a_members.size * b_arr.size:
+        # a byte per value up to top is then less than the int64 products
+        mask = np.zeros(top + 1, dtype=bool)
+        for a in a_members.tolist():
+            mask[a * b_arr + 1] = True
+        distinct = np.flatnonzero(mask)
+    else:
+        distinct = _distinct_shifted_products(a_members, b_arr)
+    # scan down from the top: gpf(v) <= v, so once every value left is at
+    # most best none can win, and a later tie is a smaller product
+    best = vmax = 0
+    hi, step = distinct.size, 1 << 10
+    while hi and int(distinct[hi - 1]) > best:
+        lo = max(0, hi - step)
+        vals = distinct[lo:hi][::-1]
+        vals = vals[vals > best]
+        gpf = greatest_prime_factor_batch(vals, sieve)
+        i = int(np.argmax(gpf))  # the first maximum: the largest value
+        if gpf[i] > best:
+            best, vmax = int(gpf[i]), int(vals[i])
+        hi, step = lo, min(2 * step, _accel._BLOCK)
     target = vmax - 1
     for a in a_members.tolist():
         if target % a == 0:

@@ -238,6 +238,33 @@ def test_check_a3_both_sides_of_threshold():
     assert trivial.holds is True
 
 
+def test_check_a3_strikes_match_per_integer_loop():
+    # the strided strikes against the spf of each supported n in turn: the
+    # worst case is the first n with the least spf, n = 1 is skipped
+    rng = random.Random(13)
+    for _ in range(300):
+        lo = rng.choice([1, 2, rng.randint(1, 60), rng.randint(1, 200_000)])
+        hi = lo + rng.randint(0, 300)
+        keep = rng.choice([0.05, 0.5, 1.0])
+        odd = rng.random() < 0.4  # supports with no small prime factor
+        vals = [rng.choice([1.0, -0.5]) if rng.random() < keep
+                and (not odd or n == 1 or naive_spf(n) > 7) else 0.0
+                for n in range(lo, hi + 1)]
+        f = WeightedSequence(lo, hi, vals)
+        x = 10 ** rng.uniform(1, 8)
+        worst = worst_spf = None
+        for n in f.support().tolist():
+            if n != 1 and (worst_spf is None or naive_spf(n) < worst_spf):
+                worst, worst_spf = n, naive_spf(n)
+        rep = check_A3(f, x)
+        assert rep.worst_case == worst, (lo, hi)
+        if worst is None:
+            assert rep.holds is True and rep.lhs is None
+        else:
+            assert rep.lhs == float(worst_spf)
+            assert rep.holds == (worst_spf > rep.rhs)
+
+
 def test_check_a4():
     members = [n for n in range(11, 20) if is_rough(n, 4)]
     assert members == [11, 13, 17, 19]

@@ -7,6 +7,7 @@ from math import gcd, log
 
 import pytest
 
+from gpflab import shifted
 from gpflab.errors import (ConstructionFailedError, InvalidArgumentError,
                            RangeBudgetError)
 from gpflab.shifted import (FORD_EXPONENT, LV_COUNT_CAP, IndexSet,
@@ -114,6 +115,121 @@ def test_gamma_rejects_bad_inputs(sieve_10k):
     with pytest.raises(RangeBudgetError, match="budget"):
         gamma_plus(IndexSet.dense(3163), IndexSet.dense(3163), sieve_10k)
     check_gamma_pairs(IndexSet.dense(3162), IndexSet.dense(3162))
+
+
+def brute_gamma_result(A, B):
+    """(gamma_plus, witness, c_count) by enumerating every pair: the largest
+    gpf, then the largest product, then the smallest a, then the smallest b."""
+    g, v, a, b = max((naive_gpf(a * b + 1), a * b + 1, -a, -b) for a in A for b in B)
+    return g, (-a, -b, g), len({a * b + 1 for a in A for b in B})
+
+
+def _sets_with_top(rng, ka, kb, top):
+    """Random A, B with |A| = ka, |B| = kb and max A * max B + 1 == top,
+    or None if top - 1 has no such split."""
+    splits = [d for d in range(ka, top) if (top - 1) % d == 0 and (top - 1) // d >= kb]
+    if not splits:
+        return None
+    a_max = rng.choice(splits)
+    b_max = (top - 1) // a_max
+    A = rng.sample(range(1, a_max), ka - 1) + [a_max]
+    B = rng.sample(range(1, b_max), kb - 1) + [b_max]
+    return A, B
+
+
+def test_gamma_both_routes_match_brute(sieve_10k, monkeypatch):
+    # top = max A * max B + 1 on each side of 8|A||B|: below it the products
+    # are marked in a byte mask, from it on they are sorted
+    sorted_calls = []
+    sort_route = shifted._distinct_shifted_products
+    monkeypatch.setattr(shifted, "_distinct_shifted_products",
+                        lambda a, b: sorted_calls.append(1) or sort_route(a, b))
+    rng = random.Random(20261019)
+    routes = {True: 0, False: 0}
+    while min(routes.values()) < 60:
+        ka, kb = rng.randint(1, 12), rng.randint(1, 12)
+        top = 8 * ka * kb + rng.choice([-1, 0, 1])
+        sets = _sets_with_top(rng, ka, kb, top)
+        if sets is None:
+            continue
+        A, B = sets
+        n = max(max(A), max(B))
+        sorted_calls.clear()
+        res = gamma_plus(IndexSet.from_iterable(A, n), IndexSet.from_iterable(B, n),
+                         sieve_10k)
+        assert bool(sorted_calls) == (top >= 8 * ka * kb)
+        routes[bool(sorted_calls)] += 1
+        assert (res.gamma_plus, res.witness, res.c_count) == brute_gamma_result(A, B)
+
+
+def _smooth_upto(x, primes):
+    out = [1]
+    for p in primes:
+        grown = []
+        for m in out:
+            while m <= x:
+                grown.append(m)
+                m *= p
+        out = grown
+    return sorted(out)
+
+
+@pytest.mark.parametrize("x, p, masked", [(20_001, 113, True), (1_000_001, 13, False)])
+def test_gamma_ties_across_blocks(sieve_m, x, p, masked):
+    # A = {1}, B = {v - 1: v <= x p-smooth}: every multiple of p in the set
+    # ties on gpf p, over many blocks of the downward scan; the largest wins
+    vals = _smooth_upto(x, [q for q in range(2, p + 1) if naive_is_prime(q)])[1:]
+    assert len(vals) > 2 ** 11
+    assert (vals[-1] < 8 * len(vals)) == masked
+    res = gamma_plus(IndexSet.from_iterable([1]),
+                     IndexSet.from_iterable([v - 1 for v in vals]), sieve_m)
+    top_tie = max(v for v in vals if v % p == 0)
+    assert res.gamma_plus == p
+    assert res.witness == (1, top_tie - 1, p)
+    assert res.c_count == len(vals)
+
+
+@pytest.mark.parametrize("x, p", [(20_001, 113), (1_000_001, 13)])
+def test_gamma_winner_just_above_the_bound(sieve_m, x, p):
+    # a prime q in (p, 2p] under the p-smooth values: the scan stops only
+    # once every value left is at most the best, so it reaches q
+    q = max(v for v in range(p + 1, 2 * p + 1) if naive_is_prime(v))
+    vals = _smooth_upto(x, [r for r in range(2, p + 1) if naive_is_prime(r)])[1:]
+    res = gamma_plus(IndexSet.from_iterable([1]),
+                     IndexSet.from_iterable([v - 1 for v in vals + [q]]), sieve_m)
+    assert (res.gamma_plus, res.witness, res.c_count) == (q, (1, q - 1, q), len(vals) + 1)
+
+
+def test_gamma_dense_takes_the_mask(sieve_10k, monkeypatch):
+    def refuse(a, b):
+        raise AssertionError("a dense set sorted its products")
+    monkeypatch.setattr(shifted, "_distinct_shifted_products", refuse)
+    for n in (1, 2, 10, 30):
+        res = gamma_plus(IndexSet.dense(n), IndexSet.dense(n), sieve_10k)
+        members = range(1, n + 1)
+        assert (res.gamma_plus, res.witness, res.c_count) == \
+            brute_gamma_result(members, members)
+    gamma_plus(IndexSet.dense(600), IndexSet.dense(600), sieve_10k)
+
+
+def test_gamma_factors_only_the_top(sieve_10k, monkeypatch):
+    # gpf(v) <= v: the scan stops once every value left is at most the best
+    factored = []
+    batch = shifted.greatest_prime_factor_batch
+    monkeypatch.setattr(shifted, "greatest_prime_factor_batch",
+                        lambda v, s: factored.append(len(v)) or batch(v, s))
+    res = gamma_plus(IndexSet.dense(600), IndexSet.dense(600), sieve_10k)
+    assert res.c_count == 91816
+    assert sum(factored) * 20 < res.c_count
+
+
+def test_gamma_dense_answers_pinned(sieve_10k):
+    pins = {600: (358201, (597, 600, 358201), 91816),
+            1000: (997001, (997, 1000, 997001), 248083),
+            3000: (8991001, (2997, 3000, 8991001), 2121063)}
+    for n, want in pins.items():
+        res = gamma_plus(IndexSet.dense(n), IndexSet.dense(n), sieve_10k)
+        assert (res.gamma_plus, res.witness, res.c_count) == want
 
 
 def test_lv_count_small_and_brute():
