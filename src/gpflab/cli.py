@@ -440,6 +440,7 @@ def _cmd_thm2_sum(args):
 def _cmd_ledger(args):
     A, B, n_max = _pair_of_sets(args)
     N = args.n if args.n else n_max
+    products.check_ledger_size(A, B, N)  # before the sieve is built
     sieve = _sieve_for(args, max(N, 3))
     rep = products.ledger_report(A, B, N, sieve)
     cols = ["N", "A_card", "B_card", "log_E", "log_E1", "log_E2",
@@ -450,6 +451,7 @@ def _cmd_ledger(args):
 
 def _cmd_sqerr_check(args):
     U = _one_set(args, "--set-file")
+    products.check_sqerr_n(args.n)  # before the sieve is built
     sieve = _sieve_for(args, max(args.n, 3))
     res = products.square_errors_check(U, args.n, sieve)
     rows = [{"N": args.n, "card": len(U), "lhs": res.lhs, "rhs": res.rhs,

@@ -11,9 +11,14 @@ from math import fsum, log
 
 import numpy as np
 
-from .errors import InvalidArgumentError
+from .errors import InvalidArgumentError, RangeBudgetError
 from .shifted import IndexSet
 from .sieve import PrimeSieve, _higher_powers
+
+# square_errors_check makes one bincount of length m per prime power m <= N,
+# ledger_report one log per pair: --n 2e5 --dense and 1e8 pairs still run
+SQERR_N_BUDGET = 200_000
+LEDGER_PAIR_BUDGET = 100_000_000
 
 
 def _members_checked(U: IndexSet, N: int, name: str) -> np.ndarray:
@@ -160,6 +165,13 @@ class SquareErrorsResult:
     holds: bool
 
 
+def check_sqerr_n(N: int) -> None:
+    """Refuse a square_errors_check with N above SQERR_N_BUDGET."""
+    if N > SQERR_N_BUDGET:
+        raise RangeBudgetError(
+            f"square_errors_check budget is N <= {SQERR_N_BUDGET}, got {N}")
+
+
 def square_errors_check(U: IndexSet, N: int, sieve: PrimeSieve) -> SquareErrorsResult:
     """Residue concentration inequality for a set U inside [1, N]:
 
@@ -168,6 +180,7 @@ def square_errors_check(U: IndexSet, N: int, sieve: PrimeSieve) -> SquareErrorsR
     """
     if N < 1:
         raise InvalidArgumentError("square_errors_check needs N >= 1")
+    check_sqerr_n(N)
     arr = _members_checked(U, N, "U")
     parts = []
     if arr.size:
@@ -198,12 +211,22 @@ class LedgerReport:
     implied_exponent: float
 
 
+def check_ledger_size(A: IndexSet, B: IndexSet, N: int) -> None:
+    """Refuse a ledger_report over either budget."""
+    check_sqerr_n(N)
+    pairs = len(A) * len(B)
+    if pairs > LEDGER_PAIR_BUDGET:
+        raise RangeBudgetError(
+            f"ledger_report budget is |A|*|B| <= {LEDGER_PAIR_BUDGET}, got {pairs}")
+
+
 def ledger_report(A: IndexSet, B: IndexSet, N: int, sieve: PrimeSieve) -> LedgerReport:
     """Assemble the complete ledger: total mass, small/large split, the
     tighter of the two residue-concentration checks, and the exponent that
     the large-prime mass forces on the greatest prime factor."""
     if N < 2:
         raise InvalidArgumentError("ledger_report needs N >= 2")
+    check_ledger_size(A, B, N)
     total = log_E(A, B)
     split = log_E1(A, B, N, sieve)
     e2 = total - split.total

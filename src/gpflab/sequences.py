@@ -15,7 +15,7 @@ from . import _accel
 from .ap import check_modulus, default_rough_z
 from .errors import InvalidArgumentError, RangeBudgetError
 from .sieve import (PrimeSieve, _tau_order, build_sieve, euler_phi, factorize,
-                    rough_table, tau_ell)
+                    rough_table)
 
 _SPAN_BUDGET = 100_000_000  # widest window of a dense sequence
 
@@ -176,20 +176,33 @@ def check_A2(f: WeightedSequence, bound: float) -> ConditionReport:
     """Divisor-bounded weights: |f(n)| <= bound * tau(n)^bound on the support."""
     if bound <= 0:
         raise InvalidArgumentError("check_A2 needs a positive bound")
-    worst = None
-    worst_ratio = -1.0
-    sieve = _root_sieve(f.hi)
-    for n in f.support().tolist():
-        cap = bound * tau_ell(n, 2, sieve) ** bound
-        ratio = abs(f.value(n)) / cap
-        if ratio > worst_ratio:
-            worst_ratio = ratio
-            worst = n
-    if worst is None:
+    sup = f.support()
+    if not sup.size:
         return ConditionReport("A2", {"B": bound}, True, None, None, None)
-    return ConditionReport("A2", {"B": bound}, worst_ratio <= 1.0, worst,
-                           abs(f.value(worst)),
-                           bound * tau_ell(worst, 2, sieve) ** bound)
+    # tau over the hull by strikes: each p^k <= l2 with p <= isqrt(l2) moves
+    # its multiples from the factor k to k + 1; a cofactor above 1 is a prime.
+    # A prime with no multiple in the hull has none of its powers there
+    l1, l2 = int(sup[0]), int(sup[-1])
+    tau = np.ones(l2 - l1 + 1, dtype=np.int64)
+    rem = np.arange(l1, l2 + 1, dtype=np.int64)
+    sieve = _root_sieve(l2)
+    ps = sieve.primes[:sieve.pi(isqrt(l2))]
+    for p in ps[-l1 % ps < tau.size].tolist():
+        pk, k = p, 1
+        while pk <= l2:
+            s = slice(-l1 % pk, None, pk)
+            tau[s] = tau[s] // k * (k + 1)
+            rem[s] //= p
+            pk, k = pk * p, k + 1
+    tau[rem > 1] *= 2
+    # ratios in Python floats (numpy's power may round another way); the
+    # first maximum is the worst
+    lhs = np.abs(f.values[sup - f.lo]).tolist()
+    taus = tau[sup - l1].tolist()
+    ratio = [v / (bound * t ** bound) for v, t in zip(lhs, taus)]
+    i = max(range(len(ratio)), key=ratio.__getitem__)
+    return ConditionReport("A2", {"B": bound}, ratio[i] <= 1.0, int(sup[i]),
+                           lhs[i], bound * taus[i] ** bound)
 
 
 def check_A3(f: WeightedSequence, x) -> ConditionReport:

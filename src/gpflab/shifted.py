@@ -15,7 +15,6 @@ from .sieve import (MAX_SIEVE_LIMIT, PrimeSieve, divisor_list, factorize,
 LV_COUNT_CAP = 10_000
 # most pairs |A|*|B| gamma_plus takes; --n 3000 --dense (9e6 pairs) still runs
 GAMMA_PAIR_BUDGET = 10_000_000
-_PAIR_CHUNK = 1 << 23
 
 # exponent in the density normalization of the distinct-product count
 FORD_EXPONENT = 1.0 - (1.0 + log(log(2.0))) / log(2.0)
@@ -120,22 +119,14 @@ class GammaResult:
 
 
 def _distinct_shifted_products(a_members: np.ndarray, b_arr: np.ndarray) -> np.ndarray:
-    parts: list[np.ndarray] = []
-    buf: list[np.ndarray] = []
-    pending = 0
-    for a in a_members.tolist():
-        vals = a * b_arr + 1
-        buf.append(vals)
-        pending += vals.size
-        if pending >= _PAIR_CHUNK:
-            parts.append(np.unique(np.concatenate(buf)))
-            buf = []
-            pending = 0
-    if buf:
-        parts.append(np.unique(np.concatenate(buf)))
-    if len(parts) == 1:
-        return parts[0]
-    return np.unique(np.concatenate(parts))
+    """The distinct a*b + 1, ascending: one in-place sort and a neighbour compare."""
+    vals = np.multiply.outer(a_members, b_arr).ravel()
+    vals += 1
+    vals.sort()
+    keep = np.empty(vals.size, dtype=bool)
+    keep[0] = True
+    np.not_equal(vals[1:], vals[:-1], out=keep[1:])
+    return vals[keep]
 
 
 def check_gamma_pairs(A: IndexSet, B: IndexSet) -> None:

@@ -782,6 +782,12 @@ _BEYOND_INT64 = [
     # prime windows wider than the segment budget: refused before their mask
     ["thm2-sum", "--n", "1e6", "--delta", "0.2", "--dense"],
     ["thm1-sum", "--n", "1e6"],
+    # one bincount per prime power up to N, one log per ledger pair
+    ["sqerr-check", "--n", "1e6", "--random-card", "3"],
+    ["sqerr-check", "--n", "1e8", "--random-card", "3"],
+    ["ledger", "--n", "1e5", "--dense"],  # 1e10 pairs
+    ["ledger", "--n", "1e6", "--random-card", "10"],
+    ["ledger", "--n", "2e5", "--random-card", "10001"],  # 1.0002e8 pairs
 ])
 def test_huge_sizes_exit_two(capsys, argv):
     # refused before any table is made; numpy could not even shape one this wide
@@ -803,6 +809,26 @@ def test_gamma_plus_pair_budget_before_the_sieve(capsys, monkeypatch):
     code, out, err = run_cli(capsys, ["gamma-plus", "--n", "3163", "--dense"])
     assert code == 2 and out == ""
     assert err == "error: gamma_plus budget is |A|*|B| <= 10000000, got 10004569\n"
+
+
+@pytest.mark.parametrize("argv, err_line", [
+    (["sqerr-check", "--n", "200001", "--random-card", "3"],
+     "square_errors_check budget is N <= 200000, got 200001"),
+    (["ledger", "--n", "200001", "--random-card", "3"],
+     "square_errors_check budget is N <= 200000, got 200001"),
+    (["ledger", "--n", "10001", "--dense"],
+     "ledger_report budget is |A|*|B| <= 100000000, got 100020001"),
+])
+def test_sqerr_and_ledger_budgets_before_the_sieve(capsys, monkeypatch, argv, err_line):
+    from gpflab import cli
+
+    def no_sieve(limit):
+        raise AssertionError(f"sieve of {limit} built before the budget")
+
+    monkeypatch.setattr(cli, "build_sieve", no_sieve)
+    code, out, err = run_cli(capsys, argv)
+    assert code == 2 and out == ""
+    assert err == f"error: {err_line}\n"
 
 
 def test_exponent_form_size_answers_as_integer(capsys):

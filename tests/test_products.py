@@ -7,9 +7,10 @@ from math import log
 
 import pytest
 
-from gpflab.errors import InvalidArgumentError
-from gpflab.products import (LedgerReport, log_E, log_E1, log_E2, ledger_report,
-                             r_count, square_errors_check)
+from gpflab.errors import InvalidArgumentError, RangeBudgetError
+from gpflab.products import (LEDGER_PAIR_BUDGET, SQERR_N_BUDGET, LedgerReport,
+                             log_E, log_E1, log_E2, ledger_report, r_count,
+                             square_errors_check)
 from gpflab.shifted import IndexSet, adversarial_sets, gamma_plus
 
 
@@ -197,6 +198,20 @@ def test_ledger_report_fields(sieve_10k):
     assert abs(rep.implied_exponent - want_exp) < 1e-12
     with pytest.raises(InvalidArgumentError):
         ledger_report(A, B, 1, sieve_10k)
+
+
+def test_sqerr_and_ledger_budgets(sieve_10k):
+    # refused before any modulus is read, so a small sieve is enough
+    N = SQERR_N_BUDGET + 1
+    U = IndexSet.from_iterable([1, 2], n_max=N)
+    with pytest.raises(RangeBudgetError, match=f"N <= {SQERR_N_BUDGET}, got {N}"):
+        square_errors_check(U, N, sieve_10k)
+    with pytest.raises(RangeBudgetError, match=f"N <= {SQERR_N_BUDGET}, got {N}"):
+        ledger_report(U, U, N, sieve_10k)
+    A = IndexSet.dense(10_001)
+    with pytest.raises(RangeBudgetError,
+                       match=rf"\|A\|\*\|B\| <= {LEDGER_PAIR_BUDGET}, got 100020001"):
+        ledger_report(A, A, 10_001, sieve_10k)
 
 
 def test_large_mass_support_matches_gamma(sieve_10k):

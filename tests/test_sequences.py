@@ -9,11 +9,12 @@ from math import gcd, isqrt, log
 import pytest
 
 from gpflab.errors import InvalidArgumentError, RangeBudgetError
-from gpflab.sequences import (DIVISOR_SELECTORS, WeightedSequence, a1_lhs,
-                              check_A2, check_A3, check_A4, convolve,
-                              convolve3, delta, divisor_sum_lhs,
-                              divisor_sum_rhs_shape, heath_brown_terms, norm)
-from gpflab.sieve import rough_indicator
+from gpflab.sequences import (DIVISOR_SELECTORS, ConditionReport,
+                              WeightedSequence, a1_lhs, check_A2, check_A3,
+                              check_A4, convolve, convolve3, delta,
+                              divisor_sum_lhs, divisor_sum_rhs_shape,
+                              heath_brown_terms, norm)
+from gpflab.sieve import rough_indicator, tau_ell
 
 
 def naive_phi(q: int) -> int:
@@ -222,6 +223,45 @@ def test_check_a2():
     assert empty.holds is True and empty.worst_case is None
     with pytest.raises(InvalidArgumentError):
         check_A2(WeightedSequence.indicator(1, 3), 0.0)
+
+
+def per_integer_a2(f, bound, sieve):
+    """check_A2 by one tau_ell per supported n, the first maximum kept."""
+    worst, worst_ratio = None, -1.0
+    for n in f.support().tolist():
+        ratio = abs(f.value(n)) / (bound * tau_ell(n, 2, sieve) ** bound)
+        if ratio > worst_ratio:
+            worst, worst_ratio = n, ratio
+    if worst is None:
+        return ConditionReport("A2", {"B": bound}, True, None, None, None)
+    return ConditionReport("A2", {"B": bound}, worst_ratio <= 1.0, worst,
+                           abs(f.value(worst)),
+                           bound * tau_ell(worst, 2, sieve) ** bound)
+
+
+def test_check_a2_strikes_match_per_integer_loop(sieve_m):
+    # the strided tau over the hull against tau_ell of each supported n:
+    # same floats, same first maximum; windows up to 1e12 leave one prime
+    # above isqrt(hi) as cofactor
+    rng = random.Random(14)
+    for i in range(300):
+        top = 10 ** 12 if i % 60 == 0 else rng.choice([60, 10 ** 5, 10 ** 9])
+        lo = rng.choice([1, 2, rng.randint(1, top)])
+        hi = lo + rng.randint(0, 40 if top > 10 ** 9 else 300)
+        keep = rng.choice([0.05, 0.5, 1.0])
+        vals = [rng.choice([1.0, -0.5, 3.0, rng.uniform(-40, 40)])
+                if rng.random() < keep else 0.0 for _ in range(lo, hi + 1)]
+        f = WeightedSequence(lo, hi, vals)
+        bound = rng.choice([1, 2, 0.5, 1.7, rng.uniform(0.1, 3)])
+        assert check_A2(f, bound) == per_integer_a2(f, bound, sieve_m), (lo, hi, bound)
+
+
+def test_check_a2_window_of_1e5_is_fast(sieve_m):
+    f = WeightedSequence.indicator(1, 100_000)
+    t0 = time.perf_counter()
+    rep = check_A2(f, 2)
+    assert time.perf_counter() - t0 < 0.3
+    assert rep == per_integer_a2(f, 2, sieve_m)
 
 
 def test_check_a3_both_sides_of_threshold():

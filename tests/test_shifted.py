@@ -3,11 +3,13 @@ around them, validated by exhaustive pair enumeration."""
 
 import math
 import random
+import tracemalloc
 from math import gcd, log
 
+import numpy as np
 import pytest
 
-from gpflab import shifted
+from gpflab import cli, shifted
 from gpflab.errors import (ConstructionFailedError, InvalidArgumentError,
                            RangeBudgetError)
 from gpflab.shifted import (FORD_EXPONENT, LV_COUNT_CAP, IndexSet,
@@ -160,6 +162,47 @@ def test_gamma_both_routes_match_brute(sieve_10k, monkeypatch):
         assert bool(sorted_calls) == (top >= 8 * ka * kb)
         routes[bool(sorted_calls)] += 1
         assert (res.gamma_plus, res.witness, res.c_count) == brute_gamma_result(A, B)
+
+
+@pytest.mark.parametrize("a, b", [
+    (range(1, 61), range(1, 61)),  # many equal products
+    ([1], [1]),
+    ([7], [10 ** 8]),
+    ([3, 5, 15], [1]),
+    (range(10 ** 8 - 40, 10 ** 8 + 1, 3), range(10 ** 8 - 30, 10 ** 8 + 1)),  # near the cap
+])
+def test_sort_route_matches_unique(a, b):
+    a = np.array(a, dtype=np.int64)
+    b = np.array(b, dtype=np.int64)
+    got = shifted._distinct_shifted_products(a, b)
+    want = np.unique(np.multiply.outer(a, b) + 1)
+    assert got.dtype == want.dtype and got.tolist() == want.tolist()
+
+
+def test_sort_route_memory(sieve_m):
+    # the int64 products are sorted in place: the peak stays under three
+    # copies of them
+    rng = np.random.default_rng(5)
+    A, B = IndexSet(100_000), IndexSet(100_000)
+    A.bits[rng.choice(100_000, 1000, replace=False) + 1] = True
+    B.bits[rng.choice(100_000, 1000, replace=False) + 1] = True
+    tracemalloc.start()
+    try:
+        gamma_plus(A, B, sieve_m)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 3 * 8 * 1000 * 1000
+
+
+def test_gamma_sparse_answer_pinned(sieve_m):
+    # 9e6 products, past 2**23 of them
+    args = cli.build_parser().parse_args(
+        ["gamma-plus", "--n", "100000", "--random-card", "3000", "--rng-seed", "2"])
+    A, B, _ = cli._pair_of_sets(args)
+    res = gamma_plus(A, B, sieve_m)
+    assert (res.gamma_plus, res.witness, res.c_count) == \
+        (9987100129, (99872, 99999, 9987100129), 8951003)
 
 
 def _smooth_upto(x, primes):
