@@ -1,14 +1,15 @@
 """Hot kernels, in numpy.
 
-Every walk of the smallest-prime-factor table over many integers goes
-through ``_peel``, which strips the smallest prime power from a whole block
-of integers per round, so its Python loop runs about as many times as an
-integer has prime factors, never once per integer.
+Ranges are struck, value batches are peeled.  ``_strike`` divides each
+prime power out of a range of integers with one strided slice, so its
+Python loop runs once per prime power; ``_peel`` strips the smallest prime
+power from a block of values per round, so its loop runs about as many
+times as a value has prime factors.  Neither loops once per integer.
 """
 
 from __future__ import annotations
 
-from math import comb
+from math import comb, isqrt
 
 import numpy as np
 
@@ -45,7 +46,8 @@ def spf_fill(limit: int) -> np.ndarray:
 
 
 # ---------------------------------------------------------------------------
-# the peel: one walk of the spf table over a block of integers
+# the two walks: the peel of a batch of values by their smallest primes, and
+# the strike of the prime powers over a range
 
 
 def _peel(spf: np.ndarray, values: np.ndarray):
@@ -72,18 +74,12 @@ def _peel(spf: np.ndarray, values: np.ndarray):
         idx, rem = idx[more], rem[more]
 
 
-def _peel_range(spf: np.ndarray, hi: int):
-    """``_peel`` over 0..hi in blocks of ``_BLOCK``; idx is the integer itself."""
-    for lo in range(0, hi + 1, _BLOCK):
-        for idx, p, e in _peel(spf, np.arange(lo, min(lo + _BLOCK, hi + 1))):
-            yield idx + lo, p, e
-
-
 def roundtrip_first_bad(spf: np.ndarray, hi: int) -> int:
     """First n in [2, hi] whose factorization does not multiply back, else 0."""
     prod = np.ones(hi + 1, dtype=np.int64)
-    for idx, p, e in _peel_range(spf, hi):
-        prod[idx] *= p**e
+    for lo in range(0, hi + 1, _BLOCK):
+        for idx, p, e in _peel(spf, np.arange(lo, min(lo + _BLOCK, hi + 1))):
+            prod[idx + lo] *= p**e
     bad = np.flatnonzero(prod[2:] != np.arange(2, hi + 1))
     return int(bad[0] + 2) if bad.size else 0
 
@@ -100,29 +96,52 @@ def gpf_batch(values: np.ndarray, spf: np.ndarray) -> np.ndarray:
     return out
 
 
-def theta_count_scan(x: int, u: int, v: int, spf: np.ndarray) -> int:
-    """Count of 1 <= n <= x whose u-smooth part is at least v."""
-    smooth = np.ones(x + 1, dtype=np.int64)
-    for idx, p, e in _peel_range(spf, x):
-        keep = p <= u
-        smooth[idx[keep]] *= p[keep] ** e[keep]
-    return int(np.count_nonzero(smooth[1:] >= v))
+def _strike(rem: np.ndarray, lo: int, primes: np.ndarray):
+    """Divide out of ``rem``, the integers lo..hi, each power p^k <= hi of the
+    primes p <= isqrt(hi) in ``primes``, in place; yield (p, k, s) once p is
+    divided out of s, the slice of the multiples of p^k.  With every such
+    prime given, a remainder is 1 or a prime above isqrt(hi) (0 stays 0)."""
+    hi = lo + rem.size - 1
+    ps = primes[:np.searchsorted(primes, isqrt(hi), side="right")]
+    for p in ps[-lo % ps < rem.size].tolist():  # the primes with a multiple here
+        pk, k = p, 1
+        while pk <= hi and -lo % pk < rem.size:  # p^k's multiples are p^(k-1)'s
+            s = slice(-lo % pk, None, pk)
+            rem[s] //= p
+            yield p, k, s
+            pk, k = pk * p, k + 1
 
 
-def tau_table(spf: np.ndarray, ell: int, z) -> np.ndarray:
+def theta_count_scan(x: int, u: int, v: int, primes: np.ndarray) -> int:
+    """Count of 1 <= n <= x < 2^31 whose u-smooth part is at least v;
+    ``primes`` holds every prime <= min(u, isqrt(x))."""
+    n = np.arange(1, x + 1, dtype=np.int32)
+    rem = n.copy()
+    for _ in _strike(rem, 1, primes[:np.searchsorted(primes, u, side="right")]):
+        pass
+    if u >= isqrt(x):  # a prime remainder <= u is smooth too
+        rem[rem <= u] = 1
+    return int(np.count_nonzero(np.floor_divide(n, rem, out=rem) >= v))
+
+
+def tau_table(primes: np.ndarray, lo: int, hi: int, ell: int, z) -> np.ndarray:
     """tau_ell of the z-rough part of n (the product of its p^e with p >= z)
-    for 0 <= n < spf.size, as int64; index 0 holds 0.
-
-    tau_ell is multiplicative with tau_ell(p^e) = C(e+ell-1, ell-1), and
-    tau_0 is the indicator of 1.
-    """
-    e_max = max(1, spf.size.bit_length())  # p^e < spf.size needs e < this
-    lut = np.array([comb(e + ell - 1, ell - 1) if ell else int(e == 0)
-                    for e in range(e_max)], dtype=np.int64)
-    out = np.ones(spf.size, dtype=np.int64)
-    out[0] = 0
-    for idx, p, e in _peel_range(spf, spf.size - 1):
-        out[idx] *= np.where(p >= z, lut[e], 1)
+    for lo <= n <= hi, as int64, and 0 at n = 0; ``primes`` holds every prime
+    <= isqrt(hi).  tau_ell(p^e) = C(e+ell-1, ell-1) and tau_0 is the indicator
+    of 1, so the strike of p^k moves a factor from lut[k - 1] to lut[k]."""
+    lut = [comb(e + ell - 1, ell - 1) if ell else int(e == 0)
+           for e in range(max(2, hi.bit_length()))]  # p^e <= hi needs e < this
+    out = np.ones(hi - lo + 1, dtype=np.int64)
+    rem = np.arange(lo, hi + 1, dtype=np.int32 if hi < 1 << 31 else np.int64)
+    for p, k, s in _strike(rem, lo, primes):
+        if p >= z and lut[k] != lut[k - 1]:
+            t = out[s]  # a view
+            if k > 1:
+                t //= lut[k - 1]
+            t *= lut[k]
+    out[rem >= max(z, 2)] *= lut[1]  # one prime above isqrt(hi)
+    if lo == 0:
+        out[0] = 0
     return out
 
 
@@ -132,16 +151,9 @@ def tau_table(spf: np.ndarray, ell: int, z) -> np.ndarray:
 
 def segment_mark(lo: int, hi: int, base_primes: np.ndarray) -> np.ndarray:
     """Boolean mask over (lo, hi]: True where composite (given base primes)."""
-    length = hi - lo
-    comp = np.zeros(length, np.bool_)
-    for p in base_primes:
-        p = int(p)
-        if p * p > hi:
-            break
-        start = max(p * p, (lo // p + 1) * p)
-        if start > hi:
-            continue
-        comp[start - lo - 1 :: p] = True
+    comp = np.zeros(hi - lo, np.bool_)
+    for p in base_primes[:np.searchsorted(base_primes, isqrt(hi), side="right")].tolist():
+        comp[max(p * p, (lo // p + 1) * p) - lo - 1 :: p] = True
     return comp
 
 

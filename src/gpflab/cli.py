@@ -225,8 +225,10 @@ def _cmd_ford_ratio(args):
 
 
 def _cmd_smooth(args):
-    # psi_count reads no prime when y >= x
-    sieve = _sieve_for(args, int(args.y) if args.y < args.x else 3)
+    # psi_count reads no prime when y >= x (and refuses y < 2), and segments
+    # the primes above isqrt(x) that the sieve lacks
+    sieve = _sieve_for(args, min(int(args.y), isqrt(int(args.x)) + 1)
+                       if 2 <= args.y < args.x else 3)
     rep = smooth.psi_approx_report(args.x, args.y, sieve)
     rows = [{"x": rep.x, "y": rep.y, "u": rep.u, "exact": rep.exact,
              "approx": rep.approx, "residual": rep.residual}]

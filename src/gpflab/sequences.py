@@ -179,22 +179,8 @@ def check_A2(f: WeightedSequence, bound: float) -> ConditionReport:
     sup = f.support()
     if not sup.size:
         return ConditionReport("A2", {"B": bound}, True, None, None, None)
-    # tau over the hull by strikes: each p^k <= l2 with p <= isqrt(l2) moves
-    # its multiples from the factor k to k + 1; a cofactor above 1 is a prime.
-    # A prime with no multiple in the hull has none of its powers there
     l1, l2 = int(sup[0]), int(sup[-1])
-    tau = np.ones(l2 - l1 + 1, dtype=np.int64)
-    rem = np.arange(l1, l2 + 1, dtype=np.int64)
-    sieve = _root_sieve(l2)
-    ps = sieve.primes[:sieve.pi(isqrt(l2))]
-    for p in ps[-l1 % ps < tau.size].tolist():
-        pk, k = p, 1
-        while pk <= l2:
-            s = slice(-l1 % pk, None, pk)
-            tau[s] = tau[s] // k * (k + 1)
-            rem[s] //= p
-            pk, k = pk * p, k + 1
-    tau[rem > 1] *= 2
+    tau = _accel.tau_table(_root_sieve(l2).primes, l1, l2, 2, 2)
     # ratios in Python floats (numpy's power may round another way); the
     # first maximum is the worst
     lhs = np.abs(f.values[sup - f.lo]).tolist()
@@ -221,7 +207,8 @@ def check_A3(f: WeightedSequence, x) -> ConditionReport:
     on = np.zeros(l2 - l1 + 1, dtype=bool)
     on[sup - l1] = True
     worst = worst_spf = l1
-    for p in sieve.primes[:sieve.pi(isqrt(l2))].tolist():
+    ps = sieve.primes[:sieve.pi(isqrt(l2))]
+    for p in ps[-l1 % ps < on.size].tolist():
         hit = np.flatnonzero(on[-l1 % p::p])
         if hit.size:
             worst, worst_spf = l1 + -l1 % p + p * int(hit[0]), p
@@ -415,7 +402,7 @@ def _weight_table(limit: int, j: int, z, sieve: PrimeSieve, glued=False) -> np.n
     so it is tau_{j+1} of that part.
     """
     j = _tau_order(j)
-    tab = _accel.tau_table(sieve.spf[: limit + 1], j + glued, z).astype(np.float64)
+    tab = _accel.tau_table(sieve.primes, 0, limit, j + glued, z).astype(np.float64)
     if not glued:
         tab[~rough_table(limit, z, sieve)] = 0.0
     return tab
@@ -465,11 +452,9 @@ def divisor_sum_lhs(selector: str, params: dict, sieve: PrimeSieve) -> float:
 
     if selector == "window-tau-power":
         x, y, ell, k = given
-        tab = _accel.tau_table(sieve.spf[: hi + 1], _tau_order(ell), 2)
-        ns = np.arange(hi + 1, dtype=np.int64)
-        mask = (ns > x - y) & (ns <= x) & (ns >= 1)
-        vals = tab[mask].astype(np.float64) ** int(k)
-        return _ld_sum(vals)
+        # the n in (x - y, x]: 1 <= y <= x, so the window is not empty
+        tab = _accel.tau_table(sieve.primes, floor(x - y) + 1, hi, _tau_order(ell), 2)
+        return _ld_sum(tab.astype(np.float64) ** int(k))
 
     if not selector.startswith(("fourfold", "sfold")):
         *lead, z, j = given
@@ -482,9 +467,7 @@ def divisor_sum_lhs(selector: str, params: dict, sieve: PrimeSieve) -> float:
         if selector == "rough-tau-harmonic":
             return _ld_sum(w[1:] / ns[1:])
         if selector == "rough-tau-harmonic-log":
-            w_lo = lead[0]
-            mask = ns > w_lo
-            mask[0] = False
+            mask = ns > lead[0]  # w >= 1 leaves out n = 0
             return _ld_sum(w[mask] / (ns[mask] * np.log(2.0 * ns[mask])))
         x, y = lead
         if selector == "rough-tau-window-harmonic":

@@ -354,7 +354,7 @@ def theta_count(x, u, v, sieve: PrimeSieve) -> int:
     xi = floor(x)
     if xi > sieve.limit:
         raise RangeBudgetError("theta_count scans every n <= x, needs x <= limit")
-    return _accel.theta_count_scan(int(xi), int(floor(u)), int(ceil(v)), sieve.spf)
+    return _accel.theta_count_scan(int(xi), int(floor(u)), int(ceil(v)), sieve.primes)
 
 
 def segmented_primes(lo, hi, sieve: PrimeSieve) -> np.ndarray:
@@ -375,13 +375,11 @@ def segmented_primes(lo, hi, sieve: PrimeSieve) -> np.ndarray:
     if lo < sieve.limit:
         out.append(sieve.primes[sieve.pi(lo):].copy())
         lo = sieve.limit
-    start = lo
-    while start < hi:
+    for start in range(lo, hi, _SEGMENT_CHUNK):
         stop = min(start + _SEGMENT_CHUNK, hi)
         comp = _accel.segment_mark(start, stop, base)
         vals = np.flatnonzero(~comp) + start + 1
         out.append(vals[vals >= 2])
-        start = stop
     return np.concatenate(out) if out else np.empty(0, dtype=np.int64)
 
 
@@ -418,7 +416,9 @@ def tau_table(limit: int, ell: int) -> np.ndarray:
     if limit < 0:
         raise InvalidArgumentError("tau_table needs limit >= 0")
     ell = _tau_order(ell)
-    return _accel.tau_table(build_sieve(max(2, limit)).spf[: limit + 1], ell, 2)
+    if limit > MAX_SIEVE_LIMIT:
+        raise RangeBudgetError(f"tau_table limit {limit} exceeds cap {MAX_SIEVE_LIMIT}")
+    return _accel.tau_table(build_sieve(max(2, isqrt(limit))).primes, 0, limit, ell, 2)
 
 
 def rough_table(limit: int, z, sieve: PrimeSieve) -> np.ndarray:

@@ -29,9 +29,10 @@ import numpy as np
 
 from . import _accel
 from .errors import InvalidArgumentError, RangeBudgetError
-from .sieve import PrimeSieve
+from .sieve import PrimeSieve, segmented_primes
 
 _PSI_X_BUDGET = 1_000_000_000
+_PRIME_SPAN = 1 << 24  # primes above the sieve, segmented this many integers at a time
 
 # the default grid, shared by build_dickman_table's defaults and the shipped
 # table, which is build_dickman_table() written as raw little-endian float64:
@@ -184,15 +185,18 @@ def psi_count(x, y, sieve: PrimeSieve) -> int:
         raise RangeBudgetError(f"psi_count budget is x <= {_PSI_X_BUDGET}")
     if yi >= xi:
         return xi
-    if yi > sieve.limit:
-        raise RangeBudgetError("psi_count needs y <= sieve.limit when y < x")
-    # an n <= x with a prime factor p > isqrt(x) is p*k for exactly one such p
-    # and any k <= x // p; the DFS counts the rest, on the primes <= isqrt(x)
     r = min(yi, isqrt(xi))
+    if min(yi, r + 1) > sieve.limit:
+        raise RangeBudgetError("psi_count needs min(y, isqrt(x) + 1) <= sieve.limit when y < x")
+    # an n <= x with a prime factor p > isqrt(x) is p*k for exactly one such p
+    # and any k <= x // p; the DFS counts the rest, on the primes <= isqrt(x).
+    # The primes in (isqrt(x), y] above the sieve come a bounded span at a time
     lo = sieve.pi(r)
-    big = sieve.primes[lo:sieve.pi(yi)]
-    return (_accel.smooth_dfs_count(xi, r, sieve.primes[:lo], sieve.pi(np.arange(r + 1)))
-            + int(np.sum(xi // big)))
+    total = (_accel.smooth_dfs_count(xi, r, sieve.primes[:lo], sieve.pi(np.arange(r + 1)))
+             + int(np.sum(xi // sieve.primes[lo:sieve.pi(yi)])))
+    for a in range(sieve.limit, yi, _PRIME_SPAN):
+        total += int(np.sum(xi // segmented_primes(a, min(a + _PRIME_SPAN, yi), sieve)))
+    return total
 
 
 @dataclass(frozen=True)

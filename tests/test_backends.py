@@ -2,7 +2,7 @@
 
 The loop forms of the divisor-function tables (Dirichlet steps over d, and
 the sum over divisors that glues a free variable) stay here as reference
-implementations for the tables the spf peel builds.
+implementations for the tables the prime-power strikes build.
 """
 
 import math
@@ -14,9 +14,10 @@ import pytest
 
 from gpflab import _accel, sequences
 from gpflab.errors import InvalidArgumentError, RangeBudgetError
+from gpflab.sequences import WeightedSequence, check_A2
 from gpflab.sieve import (MAX_SIEVE_LIMIT, build_sieve, factorize,
                           greatest_prime_factor, greatest_prime_factor_batch, rough_table,
-                          segmented_primes, tau_ell, tau_table)
+                          segmented_primes, tau_ell, tau_table, theta_count)
 
 
 def dirichlet_tau_table(limit: int, ell: int) -> np.ndarray:
@@ -182,7 +183,7 @@ def test_tau_table_matches_dirichlet_steps():
 
 def test_theta_count_across_blocks():
     x = 3 * _accel._BLOCK // 2
-    spf = _accel.spf_fill(x)
+    primes = build_sieve(x).primes
     for u in (2, 7, 300):
         smooth = np.ones(x + 1, np.int64)
         for p in build_sieve(max(u, 2)).primes.tolist():
@@ -192,7 +193,86 @@ def test_theta_count_across_blocks():
                 pk *= p
         for v in (1, 2, 64, 5_000):
             want = int(np.count_nonzero(smooth[1:] >= v))
-            assert _accel.theta_count_scan(x, u, v, spf) == want
+            assert _accel.theta_count_scan(x, u, v, primes) == want
+
+
+def trial_factors(n: int) -> list[tuple[int, int]]:
+    """(p, e) of n by trial division, ascending."""
+    out, p = [], 2
+    while p * p <= n:
+        e = 0
+        while n % p == 0:
+            n //= p
+            e += 1
+        if e:
+            out.append((p, e))
+        p += 1
+    return out + [(n, 1)] * (n > 1)
+
+
+# the edges of the strike: empty and tiny ranges, and a limit on either side
+# of a square, where isqrt(limit) gains a prime or a power
+STRIKE_LIMITS = (0, 1, 2, 3) + tuple(k * k + d for k in (2, 3, 5, 7, 11, 31)
+                                     for d in (-1, 0, 1))
+
+
+def test_strike_tau_table_matches_trial_division():
+    facts = [[], []] + [trial_factors(n) for n in range(2, 31 * 31 + 2)]
+    dirichlet = {ell: dirichlet_tau_table(31 * 31 + 1, ell) for ell in (0, 1, 2, 3)}
+    primes = build_sieve(40).primes
+    for limit in STRIKE_LIMITS:
+        for z in (1, 2, math.isqrt(limit) + 1, limit + 1, limit + 5):
+            for ell in (0, 1, 2, 3, 4, 5, 6, 16):
+                got = _accel.tau_table(primes, 0, limit, ell, z)
+                want = [0] + [math.prod(math.comb(e + ell - 1, ell - 1) if ell else 0
+                                        for p, e in facts[n] if p >= z)
+                              for n in range(1, limit + 1)]
+                assert got.dtype == np.int64 and got.tolist() == want, (limit, z, ell)
+                if z <= 2 and ell in dirichlet:
+                    assert np.array_equal(got, dirichlet[ell][:limit + 1])
+
+
+def test_strike_tau_window_matches_full_table():
+    primes = build_sieve(100).primes
+    full = {ell: _accel.tau_table(primes, 0, 10_000, ell, 5) for ell in (0, 2, 16)}
+    rng = np.random.default_rng(15)
+    for lo in [1, 2, 3, 48, 49, 50, 9_999, 10_000] + rng.integers(1, 10_001, 40).tolist():
+        for hi in {lo, min(lo + 1, 10_000), min(lo + 300, 10_000), 10_000}:
+            for ell, tab in full.items():
+                assert np.array_equal(_accel.tau_table(primes, lo, hi, ell, 5),
+                                      tab[lo:hi + 1]), (lo, hi, ell)
+
+
+def test_strike_theta_count_matches_trial_division():
+    facts = [[], []] + [trial_factors(n) for n in range(2, 31 * 31 + 2)]
+    primes = build_sieve(1_000).primes
+    for x in STRIKE_LIMITS[1:]:
+        r = math.isqrt(x)
+        for u in sorted({2, max(r - 1, 2), max(r, 2), r + 1, x, x + 1}):
+            smooth = [math.prod(p**e for p, e in facts[n] if p <= u)
+                      for n in range(1, x + 1)]
+            for v in (1, 2, 3, 5, x, x + 1, 10**30):
+                want = sum(s >= v for s in smooth)
+                assert _accel.theta_count_scan(x, u, v, primes) == want, (x, u, v)
+
+
+def test_range_tables_never_peel(monkeypatch):
+    """tau tables, the theta count and check_A2 strike prime powers over
+    their range; none walks the spf table value by value."""
+    def no_peel(*args):
+        raise AssertionError("a range was peeled")
+
+    monkeypatch.setattr(_accel, "_peel", no_peel)
+    assert np.array_equal(tau_table(2_000, 3), dirichlet_tau_table(2_000, 3))
+    sieve = build_sieve(2_000)
+    smooth = [math.prod(p**e for p, e in trial_factors(n) if p <= 7)
+              for n in range(1, 2_001)]
+    assert theta_count(2_000, 7, 12, sieve) == sum(s >= 12 for s in smooth)
+    # weights tau(n), one of them raised: only that n breaks |f| <= tau
+    tau = dirichlet_tau_table(2_000, 2).astype(np.float64)
+    tau[1_680] += 0.5
+    rep = check_A2(WeightedSequence(1, 2_000, tau[1:]), 1)
+    assert (rep.holds, rep.worst_case, rep.lhs, rep.rhs) == (False, 1_680, 40.5, 40)
 
 
 def test_rough_and_glued_tables_match_loop_forms():

@@ -227,6 +227,22 @@ def test_smooth_y_at_least_x_builds_no_wide_sieve(capsys, monkeypatch, y):
     assert int(rows[0]["exact"]) == 100
 
 
+def test_smooth_sizes_sieve_to_root_of_x(capsys, monkeypatch):
+    from gpflab import cli
+
+    limits = []
+
+    def recording_sieve(limit):
+        limits.append(limit)
+        return build_sieve(limit)
+
+    monkeypatch.setattr(cli, "build_sieve", recording_sieve)
+    code, out, _ = run_cli(capsys, ["smooth", "--x", "1e6", "--y", "3e5"])
+    assert code == 0 and limits == [1001]
+    _, rows = parse_csv(out)
+    assert int(rows[0]["exact"]) == smooth.psi_count(1e6, 3e5, build_sieve(300_000))
+
+
 def test_pi_ap_row(capsys):
     code, out, _ = run_cli(capsys, ["pi-ap", "--x", "100", "--q", "4", "--a", "3"])
     assert code == 0

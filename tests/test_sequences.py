@@ -14,7 +14,7 @@ from gpflab.sequences import (DIVISOR_SELECTORS, ConditionReport,
                               check_A4, convolve, convolve3, delta,
                               divisor_sum_lhs, divisor_sum_rhs_shape,
                               heath_brown_terms, norm)
-from gpflab.sieve import rough_indicator, tau_ell
+from gpflab.sieve import build_sieve, factorize, is_prime_u64, rough_indicator, tau_ell
 
 
 def naive_phi(q: int) -> int:
@@ -303,6 +303,29 @@ def test_check_a3_strikes_match_per_integer_loop():
         else:
             assert rep.lhs == float(worst_spf)
             assert rep.holds == (worst_spf > rep.rhs)
+
+
+def test_check_a3_strikes_only_primes_that_hit_the_hull():
+    # the primes in [1e12, 1e12 + 1000]: no prime <= 1e6 divides any of
+    # them, so the report is that of the per-integer loop on their least
+    # prime factors, and only the primes with a multiple in the hull are struck
+    lo = 10 ** 12
+    sup = [n for n in range(lo, lo + 1001) if is_prime_u64(n)]
+    assert len(sup) == 37
+    f = WeightedSequence.from_pairs([(n, 1.0) for n in sup])
+    x = 1e6
+    sieve = build_sieve(10 ** 6 + 1)
+    spfs = [factorize(n, sieve).factors[0][0] for n in sup]
+    worst = sup[spfs.index(min(spfs))]
+    z0 = math.exp(log(x) / log(log(x)) ** 2)
+    want = ConditionReport("A3", {"x": x}, min(spfs) > z0, worst, float(min(spfs)), z0)
+    assert check_A3(f, x) == want
+    best = math.inf
+    for _ in range(3):
+        t0 = time.perf_counter()
+        check_A3(f, x)
+        best = min(best, time.perf_counter() - t0)
+    assert best < 0.1
 
 
 def test_check_a4():

@@ -1,6 +1,6 @@
 """Smooth counting and the Dickman table against enumeration and analysis."""
 
-from math import floor, gamma, log
+from math import floor, gamma, isqrt, log
 import re
 
 import pytest
@@ -52,6 +52,30 @@ def test_psi_count_sieves_no_segment_above_y(monkeypatch):
 
     monkeypatch.setattr(_accel, "segment_mark", no_segment)
     assert psi_count(1e9, 4e4, build_sieve(40000)) == 351423452
+
+
+def test_psi_count_segments_primes_above_the_sieve(monkeypatch):
+    # for y >= sqrt(x) an n <= x is y-smooth unless one prime p in (y, x]
+    # divides it, and at most one can: Psi(x, y) = x - sum of x // p over
+    # them, read here from a plain sieve up to x.  A sieve up to
+    # isqrt(x) + 1 leaves the primes in (isqrt(x), y] to the segments, a
+    # few hundred integers at a time
+    monkeypatch.setattr(smooth, "_PRIME_SPAN", 997)
+    plain = build_sieve(100_003).primes
+    for x in (10_000, 65_535, 65_536, 100_003):
+        root = build_sieve(isqrt(x) + 1)
+        for y in sorted({isqrt(x) + 1, isqrt(x) + 2, 2_000, 2_003, 4_999, x // 2, x - 1}):
+            want = x - sum(x // p for p in plain[(plain > y) & (plain <= x)].tolist())
+            assert psi_count(x, y, root) == want, (x, y)
+            assert psi_count(x, y, build_sieve(y)) == want, (x, y)
+    with pytest.raises(RangeBudgetError):
+        psi_count(10_000, 5_000, build_sieve(100))
+
+
+def test_psi_count_recorded_segmented_value():
+    # Psi(1e9, 5e7) = 1e9 - sum of 1e9 // p over the primes in (5e7, 1e9];
+    # the sieve stops at isqrt(1e9) + 1
+    assert psi_count(1e9, 5e7, build_sieve(31_624)) == 864_067_894
 
 
 def test_psi_count_y_at_least_x(sieve_m):
