@@ -1,10 +1,12 @@
 """Hot kernels, in numpy.
 
-Ranges are struck, value batches are peeled.  ``_strike`` divides each
-prime power out of a range of integers with one strided slice, so its
-Python loop runs once per prime power; ``_peel`` strips the smallest prime
-power from a block of values per round, so its loop runs about as many
-times as a value has prime factors.  Neither loops once per integer.
+The primes come from a byte sieve, the smallest-prime-factor table is struck
+from them.  Ranges are struck, value batches are peeled.  ``_strike``
+divides each prime power out of a range of integers with one strided slice,
+so its Python loop runs once per prime power (tau tables, theta counts, mu
+and phi of the moduli); ``_peel`` strips the smallest prime power from a
+block of values per round, so its loop runs about as many times as a value
+has prime factors.  Neither loops once per integer.
 """
 
 from __future__ import annotations
@@ -27,21 +29,25 @@ def backend() -> str:
 
 
 # ---------------------------------------------------------------------------
-# smallest-prime-factor sieve fill
+# the prime sieve, and the smallest-prime-factor table struck from its primes
+
+
+def prime_fill(limit: int) -> np.ndarray:
+    """All primes <= limit, ascending, from a byte sieve of Eratosthenes."""
+    comp = np.zeros(limit + 1, np.bool_)
+    comp[:2] = True
+    for i in range(2, isqrt(limit) + 1):
+        if not comp[i]:
+            comp[i * i :: i] = True
+    return np.flatnonzero(~comp)
 
 
 def spf_fill(limit: int) -> np.ndarray:
-    spf = np.zeros(limit + 1, np.int32)
-    if limit >= 1:
-        spf[1] = 1
-    for i in range(2, int(limit**0.5) + 2):
-        if i * i > limit:
-            break
-        if spf[i] == 0:
-            sl = spf[i * i :: i]
-            sl[sl == 0] = i
-    unmarked = np.flatnonzero(spf[2:] == 0) + 2
-    spf[unmarked] = unmarked.astype(np.int32)
+    """Smallest prime factor of each n <= limit (n itself below 2): each prime
+    p <= isqrt(limit), largest first, writes p from p*p on; the smallest wins."""
+    spf = np.arange(limit + 1, dtype=np.int32)
+    for p in prime_fill(isqrt(limit))[::-1].tolist():
+        spf[p * p :: p] = p
     return spf
 
 

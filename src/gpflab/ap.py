@@ -153,18 +153,15 @@ def _mobius_phi(lo: int, hi: int, sieve: PrimeSieve) -> tuple[np.ndarray, np.nda
     root = isqrt(hi - 1)
     if root > sieve.limit:
         raise RangeBudgetError(f"moduli up to {hi - 1} need a sieve limit of at least {root}")
-    n = np.arange(lo, hi, dtype=np.int64)
-    rem, phi = n.copy(), n.copy()
-    mu = np.ones(n.size, dtype=np.int64)
-    for p in sieve.primes[:sieve.pi(root)].tolist():
-        s = (-lo) % p
-        phi[s::p] -= phi[s::p] // p
-        mu[s::p] = -mu[s::p]
-        mu[(-lo) % (p * p)::p * p] = 0
-        pk = p
-        while pk < hi:
-            rem[(-lo) % pk::pk] //= p
-            pk *= p
+    rem = np.arange(lo, hi, dtype=np.int64)
+    phi = rem.copy()
+    mu = np.ones(rem.size, dtype=np.int64)
+    for p, k, s in _accel._strike(rem, lo, sieve.primes):
+        if k == 1:
+            phi[s] -= phi[s] // p
+            mu[s] = -mu[s]
+        elif k == 2:
+            mu[s] = 0
     big = rem > 1  # the one prime factor above sqrt(hi) left over
     phi[big] -= phi[big] // rem[big]
     mu[big] = -mu[big]

@@ -14,8 +14,8 @@ import numpy as np
 from . import _accel
 from .ap import check_modulus, default_rough_z
 from .errors import InvalidArgumentError, RangeBudgetError
-from .sieve import (PrimeSieve, _tau_order, build_sieve, euler_phi, factorize,
-                    rough_table)
+from .sieve import (PrimeSieve, _rough_mask, _tau_order, build_sieve, euler_phi,
+                    factorize, rough_table)
 
 _SPAN_BUDGET = 100_000_000  # widest window of a dense sequence
 
@@ -233,16 +233,7 @@ def check_A4(f: WeightedSequence, z) -> ConditionReport:
     have = f.values[l1 - f.lo:l2 - f.lo + 1]
     bad = np.flatnonzero((have != 0.0) & (have != 1.0))
     if not bad.size:
-        # strike the primes p <= isqrt(l2) below z; if z lies above them, an
-        # unstruck n >= 2 is a prime, rough iff n >= z
-        sieve = _root_sieve(l2)
-        ps = sieve.primes[:sieve.pi(isqrt(l2))]
-        rough = np.ones(l2 - l1 + 1, dtype=bool)
-        for p in ps[ps < z].tolist():
-            rough[-l1 % p::p] = False
-        if z > isqrt(l2) + 1:
-            top = l2 + 1 if z > l2 else ceil(z)  # z may be inf
-            rough[max(2 - l1, 0):max(top - l1, 0)] = False
+        rough = _rough_mask(l1, l2, z, _root_sieve(l2).primes)
         bad = np.flatnonzero(rough != (have != 0.0))
     worst = l1 + int(bad[0]) if bad.size else (l2 if l2 >= 2 * l1 else None)
     return ConditionReport("A4", {"z": float(z)}, worst is None, worst,

@@ -1,9 +1,10 @@
 """Prime sieve and exact arithmetic functions.
 
-The sieve stores smallest prime factors up to its limit; factorization is
-exact for every integer up to limit*(limit+2), because after stripping all
-prime factors <= limit the remaining cofactor of such an integer is either
-1 or prime (two factors above the limit would exceed (limit+1)^2).
+The sieve lists the primes up to its limit and strikes its smallest-prime-
+factor table from them on first read; factorization is exact for every
+integer up to limit*(limit+2), because after stripping all prime factors
+<= limit the remaining cofactor of such an integer is either 1 or prime
+(two factors above the limit would exceed (limit+1)^2).
 Primality of wide inputs is certified by a deterministic Miller-Rabin test
 over the first twelve prime bases, valid for all 64-bit integers.
 """
@@ -31,26 +32,32 @@ _FINISH_ROUNDS = 4
 
 
 class PrimeSieve:
-    """Smallest-prime-factor table and the primes it holds.
+    """The primes up to a limit, and their smallest-prime-factor table.
 
     Attributes
     ----------
     limit : int
-        Largest integer covered by the table.
-    spf : ndarray of int32
-        spf[n] is the smallest prime factor of n for 2 <= n <= limit
-        (spf[1] == 1).
+        Largest integer covered by the sieve.
     primes : ndarray of int64
         All primes <= limit, ascending.
+    spf : ndarray of int32
+        spf[n] is the smallest prime factor of n for 2 <= n <= limit
+        (spf[1] == 1); filled from the primes on first read.
     """
 
-    __slots__ = ("limit", "spf", "primes", "_theta_cum")
+    __slots__ = ("limit", "primes", "_spf", "_theta_cum")
 
-    def __init__(self, limit, spf, primes):
+    def __init__(self, limit, primes):
         self.limit = limit
-        self.spf = spf
         self.primes = primes
+        self._spf = None
         self._theta_cum = None
+
+    @property
+    def spf(self) -> np.ndarray:
+        if self._spf is None:
+            self._spf = _accel.spf_fill(self.limit)
+        return self._spf
 
     def pi(self, x):
         """Number of primes <= x, for a scalar or an array of x <= limit."""
@@ -68,21 +75,13 @@ class PrimeSieve:
 
 
 def build_sieve(limit: int) -> PrimeSieve:
-    """Sieve smallest prime factors for every integer up to limit."""
+    """Sieve the primes up to limit."""
     limit = int(limit)
     if limit < 2:
         raise InvalidArgumentError("sieve limit must be at least 2")
     if limit > MAX_SIEVE_LIMIT:
         raise RangeBudgetError(f"sieve limit {limit} exceeds cap {MAX_SIEVE_LIMIT}")
-    spf = _accel.spf_fill(limit)
-    # n is prime when spf[n] == n; compared a block at a time, so nothing
-    # near the size of spf is made beside it
-    parts = []
-    for lo in range(2, limit + 1, _accel._BLOCK):
-        blk = spf[lo:lo + _accel._BLOCK]
-        at = np.arange(lo, lo + blk.size, dtype=blk.dtype)
-        parts.append(np.flatnonzero(blk == at) + lo)
-    return PrimeSieve(limit, spf, np.concatenate(parts))
+    return PrimeSieve(limit, _accel.prime_fill(limit))
 
 
 def is_prime_u64(n: int) -> bool:
@@ -167,10 +166,8 @@ def factorize(n: int, sieve: PrimeSieve) -> Factorization:
 
 def greatest_prime_factor(n: int, sieve: PrimeSieve) -> int:
     """P+(n): the largest prime factor of n, with P+(1) == 1."""
-    n = _validate_factor_input(n, sieve)
-    if n == 1:
-        return 1
-    return factorize(n, sieve).factors[-1][0]
+    factors = factorize(n, sieve).factors
+    return factors[-1][0] if factors else 1
 
 
 def greatest_prime_factor_batch(values, sieve: PrimeSieve) -> np.ndarray:
@@ -317,12 +314,8 @@ def tau_ell(n: int, ell: int, sieve: PrimeSieve) -> int:
 
 def rough_indicator(n: int, z, sieve: PrimeSieve) -> int:
     """1 when every prime factor of n is >= z (vacuous at n == 1), else 0."""
-    n = _validate_factor_input(n, sieve)
-    if n == 1:
-        return 1
-    if n <= sieve.limit:
-        return 1 if int(sieve.spf[n]) >= z else 0
-    return 1 if factorize(n, sieve).factors[0][0] >= z else 0
+    factors = factorize(n, sieve).factors
+    return 1 if not factors or factors[0][0] >= z else 0
 
 
 def smooth_rough_split(t: int, z, sieve: PrimeSieve) -> tuple[int, int]:
@@ -369,18 +362,16 @@ def segmented_primes(lo, hi, sieve: PrimeSieve) -> np.ndarray:
         raise RangeBudgetError(f"segment span {hi - lo} exceeds budget {_SEGMENT_SPAN_BUDGET}")
     if hi <= sieve.limit:
         return sieve.primes[sieve.pi(lo):sieve.pi(hi)].copy()
-    root = isqrt(hi)
-    base = sieve.primes[:sieve.pi(root)]
-    out = []
-    if lo < sieve.limit:
-        out.append(sieve.primes[sieve.pi(lo):].copy())
-        lo = sieve.limit
+    return np.concatenate([sieve.primes[sieve.pi(lo):],
+                           *_prime_spans(max(lo, sieve.limit), hi, sieve.primes)])
+
+
+def _prime_spans(lo: int, hi: int, base: np.ndarray):
+    """The primes in (lo, hi], ascending, one ``_SEGMENT_CHUNK`` of integers
+    at a time; lo >= 1, and ``base`` holds every prime <= isqrt(hi)."""
     for start in range(lo, hi, _SEGMENT_CHUNK):
-        stop = min(start + _SEGMENT_CHUNK, hi)
-        comp = _accel.segment_mark(start, stop, base)
-        vals = np.flatnonzero(~comp) + start + 1
-        out.append(vals[vals >= 2])
-    return np.concatenate(out) if out else np.empty(0, dtype=np.int64)
+        comp = _accel.segment_mark(start, min(start + _SEGMENT_CHUNK, hi), base)
+        yield np.flatnonzero(~comp) + start + 1
 
 
 def _higher_powers(x: int, sieve: PrimeSieve) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -426,8 +417,20 @@ def rough_table(limit: int, z, sieve: PrimeSieve) -> np.ndarray:
     limit = int(limit)
     if limit > sieve.limit:
         raise RangeBudgetError("rough_table needs limit <= sieve.limit")
-    out = sieve.spf[: limit + 1] >= z
-    out[0] = False
-    if limit >= 1:
-        out[1] = True
+    return _rough_mask(0, limit, z, sieve.primes)
+
+
+def _rough_mask(lo: int, hi: int, z, primes: np.ndarray) -> np.ndarray:
+    """Boolean mask over [lo, hi]: True where n >= 1 has no prime factor below
+    z, from strikes of the primes below z up to isqrt(hi), which ``primes``
+    holds.  If z lies above them all, an unstruck n >= 2 is a prime, rough
+    iff n >= z; z may be inf."""
+    out = np.ones(hi - lo + 1, dtype=bool)
+    out[:max(1 - lo, 0)] = False  # n = 0
+    ps = primes[:np.searchsorted(primes, isqrt(hi), side="right")]
+    for p in ps[ps < z].tolist():
+        out[-lo % p::p] = False
+    if z > isqrt(hi) + 1:
+        top = hi + 1 if z > hi else ceil(z)
+        out[max(2 - lo, 0):max(top - lo, 0)] = False
     return out

@@ -29,10 +29,9 @@ import numpy as np
 
 from . import _accel
 from .errors import InvalidArgumentError, RangeBudgetError
-from .sieve import PrimeSieve, segmented_primes
+from .sieve import PrimeSieve, _prime_spans
 
 _PSI_X_BUDGET = 1_000_000_000
-_PRIME_SPAN = 1 << 24  # primes above the sieve, segmented this many integers at a time
 
 # the default grid, shared by build_dickman_table's defaults and the shipped
 # table, which is build_dickman_table() written as raw little-endian float64:
@@ -194,9 +193,8 @@ def psi_count(x, y, sieve: PrimeSieve) -> int:
     lo = sieve.pi(r)
     total = (_accel.smooth_dfs_count(xi, r, sieve.primes[:lo], sieve.pi(np.arange(r + 1)))
              + int(np.sum(xi // sieve.primes[lo:sieve.pi(yi)])))
-    for a in range(sieve.limit, yi, _PRIME_SPAN):
-        total += int(np.sum(xi // segmented_primes(a, min(a + _PRIME_SPAN, yi), sieve)))
-    return total
+    return total + sum(int(np.sum(xi // ps))
+                       for ps in _prime_spans(sieve.limit, yi, sieve.primes))
 
 
 @dataclass(frozen=True)

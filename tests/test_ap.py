@@ -13,6 +13,7 @@ import pytest
 from gpflab import _accel
 from gpflab.ap import (
     _fixed,
+    _mobius_phi,
     _round_fixed,
     bv_sum,
     default_rough_z,
@@ -63,6 +64,40 @@ def naive_lambda(n: int) -> float:
 
 def naive_phi(q: int) -> int:
     return sum(1 for a in range(1, q + 1) if gcd(a, q) == 1)
+
+
+def naive_mu_phi(n: int) -> tuple[int, int]:
+    mu, phi, p = 1, n, 2
+    while p * p <= n:
+        if n % p == 0:
+            e = 0
+            while n % p == 0:
+                n //= p
+                e += 1
+            mu = 0 if e > 1 else -mu
+            phi -= phi // p
+        p += 1
+    if n > 1:
+        mu, phi = -mu, phi - phi // n
+    return mu, phi
+
+
+def test_mobius_phi_matches_trial_division(sieve_10k):
+    # [2, 4) and [5, 8) hold no multiple of any p^2
+    windows = [(1, 2), (1, 400), (2, 4), (5, 8), (999_999, 1_000_001)]
+    rng = np.random.default_rng(5)
+    for _ in range(50):
+        lo = int(rng.integers(1, 1_000_000))
+        windows.append((lo, lo + int(rng.integers(1, 64))))
+    for lo, hi in windows:
+        mu, phi = _mobius_phi(lo, hi, sieve_10k)
+        assert mu.dtype == phi.dtype == np.int64
+        want = [naive_mu_phi(n) for n in range(lo, hi)]
+        assert list(zip(mu.tolist(), phi.tolist())) == want, (lo, hi)
+    small = build_sieve(10)
+    _mobius_phi(1, 121, small)  # isqrt(120) == 10
+    with pytest.raises(RangeBudgetError):
+        _mobius_phi(1, 122, small)
 
 
 def test_global_counts_known_values(sieve_10k):

@@ -67,6 +67,29 @@ def test_spf_fill_matches_trial_division():
         assert spf.tolist() == want
 
 
+def test_prime_fill_matches_trial_division():
+    limits = list(range(301)) + [k * k + d for k in (17, 100) for d in (-1, 0, 1)]
+    for limit in limits:
+        want = [n for n in range(2, limit + 1)
+                if all(n % p for p in range(2, math.isqrt(n) + 1))]
+        assert _accel.prime_fill(limit).tolist() == want, limit
+
+
+def test_spf_is_filled_once_on_first_read(monkeypatch):
+    calls, fill = [], _accel.spf_fill
+
+    def counted(limit):
+        calls.append(limit)
+        return fill(limit)
+
+    monkeypatch.setattr(_accel, "spf_fill", counted)
+    sieve = build_sieve(10_000)
+    assert calls == []
+    spf = sieve.spf
+    assert np.array_equal(spf, fill(10_000)) and spf.dtype == np.int32
+    assert sieve.spf is spf and calls == [10_000]
+
+
 def test_roundtrip_finds_a_corrupted_entry():
     spf = _accel.spf_fill(50_000)
     assert _accel.roundtrip_first_bad(spf, 50_000) == 0
@@ -303,6 +326,16 @@ def test_segmented_primes_matches_plain_sieve():
         got = segmented_primes(lo, hi, sieve)
         assert np.array_equal(got, want)
         assert got.size > 0
+
+
+def test_segmented_primes_in_small_chunks(monkeypatch):
+    monkeypatch.setattr("gpflab.sieve._SEGMENT_CHUNK", 97)
+    sieve = build_sieve(1_000)
+    plain = build_sieve(110_000).primes
+    for lo, hi in ((100_000, 110_000), (500, 5_000), (996, 1_010), (1_000, 1_097),
+                   (1_000, 1_098), (1_200, 1_200)):
+        want = plain[(plain > lo) & (plain <= hi)]
+        assert np.array_equal(segmented_primes(lo, hi, sieve), want), (lo, hi)
 
 
 def test_compensated_cumsum_matches_fsum():

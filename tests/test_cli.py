@@ -847,6 +847,49 @@ def test_sqerr_and_ledger_budgets_before_the_sieve(capsys, monkeypatch, argv, er
     assert err == f"error: {err_line}\n"
 
 
+# outputs recorded with the spf table filled up front; a call that reads only
+# the primes must give them without filling it
+_PRIMES_ONLY = [
+    (['bv-sum', '--x', '2e4', '--Q', '30'],
+     '20000,30,323.017676767677,0.0161508838383838'),
+    (['signed-sum', '--x', '2e4', '--Q', '30'],
+     '20000,30,1,-102.562229437229,-0.00512811147186147'),
+    (['dyadic-sum', '--x', '2e4', '--Q', '30', '--psi'],
+     '20000,30,1,psi,634.586000106093,0.0317293000053046'),
+    (['thm4-sum', '--x', '2e4'],
+     '20000,4407,141.42135623731,20000,1,20866.3758538786,1.04331879269393,0.0984575593075198'),
+    (['lambda-ext', '--x', '2e4', '--z', '2'],
+     '20000,4407,141.42135623731,20000,1,2,14997.064110025,0.749853205501252'),
+    (['smooth', '--x', '1e6', '--y', '2e3'],
+     '1000000,2000,1.81761450452774,438600,402475.070440755,0.274582065937652'),
+    (['ledger', '--n', '200', '--dense'],
+     '200,200,200,345326.310903632,165687.292460266,179639.018443366,161533.815284643,'
+     '4153.47717562326,193528.227544824,259617.550960854,1.84762296223303'),
+    (['sqerr-check', '--n', '300', '--dense'],
+     '300,300,468660.204998838,617719.642005267,true'),
+    (['divisor-lhs', '--selector', 'rough-tau-hyperbola', '--x', '2e4', '--z', '5', '--j', '3'],
+     'rough-tau-hyperbola,383295,4674676.94811158,0.0819939012373549'),
+    (['divisor-lhs', '--selector', 'fourfold-glued', '--x', '2e4', '--y', '3', '--w', '2',
+      '--z', '3', '--j1', '1', '--j2', '2', '--j3', '1', '--j4', '2'],
+     'fourfold-glued,31246,872151084.63735,3.58263614531792e-05'),
+    (['cond-check', '--indicator', '1000,1999', '--condition', 'A4', '--z', '7'],
+     'A4,false,1000,1999,2000'),
+]
+
+
+@pytest.mark.parametrize("argv, row", _PRIMES_ONLY)
+def test_primes_only_calls_never_fill_spf(capsys, monkeypatch, argv, row):
+    from gpflab import _accel
+
+    def no_fill(limit):
+        raise AssertionError(f"spf table of {limit} filled")
+
+    monkeypatch.setattr(_accel, "spf_fill", no_fill)
+    code, out, err = run_cli(capsys, argv)
+    assert (code, err) == (0, "")
+    assert out.splitlines()[1:] == [row]
+
+
 def test_exponent_form_size_answers_as_integer(capsys):
     _, out1, _ = run_cli(capsys, ["gamma-plus", "--n", "1e2", "--dense"])
     _, out2, _ = run_cli(capsys, ["gamma-plus", "--n", "100", "--dense"])

@@ -2,7 +2,7 @@
 
 import subprocess
 import sys
-from math import isqrt, log, prod
+from math import inf, isqrt, log, prod
 
 import numpy as np
 import pytest
@@ -196,6 +196,19 @@ def test_rough_table_matches_pointwise(sieve_m):
     tab = rough_table(3000, 7, sieve_m)
     for n in range(1, 3001):
         assert bool(tab[n]) == bool(rough_indicator(n, 7, sieve_m))
+
+
+def test_rough_table_strikes_match_pointwise(sieve_10k):
+    # around a square the strike switches to "an unstruck n is prime" once
+    # z passes isqrt(limit) + 1
+    limits = [0, 1, 2, 3] + [k * k + d for k in (2, 3, 10, 31) for d in (-1, 0, 1)]
+    for limit in limits:
+        r = isqrt(limit)
+        for z in (1, 2, 2.5, 7, r, r + 1, r + 2, limit, limit + 1, inf):
+            tab = rough_table(limit, z, sieve_10k)
+            want = [False] + [bool(rough_indicator(n, z, sieve_10k))
+                              for n in range(1, limit + 1)]
+            assert tab.tolist() == want, (limit, z)
 
 
 def test_rough_indicator_edges(sieve_m):

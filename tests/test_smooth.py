@@ -5,7 +5,7 @@ import re
 
 import pytest
 
-from gpflab import _accel, cli, smooth
+from gpflab import _accel, cli, sieve, smooth
 from gpflab.errors import InvalidArgumentError, RangeBudgetError
 from gpflab.smooth import (
     build_dickman_table,
@@ -60,7 +60,7 @@ def test_psi_count_segments_primes_above_the_sieve(monkeypatch):
     # them, read here from a plain sieve up to x.  A sieve up to
     # isqrt(x) + 1 leaves the primes in (isqrt(x), y] to the segments, a
     # few hundred integers at a time
-    monkeypatch.setattr(smooth, "_PRIME_SPAN", 997)
+    monkeypatch.setattr(sieve, "_SEGMENT_CHUNK", 997)
     plain = build_sieve(100_003).primes
     for x in (10_000, 65_535, 65_536, 100_003):
         root = build_sieve(isqrt(x) + 1)
