@@ -12,7 +12,7 @@ from math import fsum, log
 import numpy as np
 
 from .errors import InvalidArgumentError, RangeBudgetError
-from .shifted import IndexSet
+from .shifted import IndexSet, _product_table
 from .sieve import PrimeSieve, _higher_powers
 
 # square_errors_check makes one bincount of length m per prime power m <= N,
@@ -61,6 +61,12 @@ def _moduli(N: int, cap: int, sieve: PrimeSieve) -> list[tuple[int, int]]:
     pk, pp, _ = _higher_powers(cap, sieve)
     return list(zip(ps + pp.tolist(), ps + pk.tolist()))
 
+
+# most entries of log_E1's product histogram (64 MiB of uint16); a larger
+# table takes the residue-class route.  An entry r[v] counts the pairs with
+# ab = v - 1, one per divisor a, so r[v] <= tau(v - 1) <= 600 below 2^25
+# (tau(32432400) = 600 is the largest): uint16 cannot overflow
+_HIST_CAP = 1 << 25
 
 # (element, modulus) entries per block of moduli in log_E1: its temporaries
 # stay near 512 KiB, while one batch over all moduli raised the peak RSS of
@@ -127,10 +133,14 @@ def log_E1(A: IndexSet, B: IndexSet, N: int, sieve: PrimeSieve) -> LogSplitResul
     """Log-mass of the pair products carried by primes p <= N.
 
     For each prime power m = p^k (up to N^2 + 1, past which no product
-    reaches), pairs with m | ab+1 are counted through residue classes:
-    b must fall in the class -a^{-1} mod m.  sigma1 collects moduli <= N,
-    sigma2 the rest.  The moduli go in blocks of about ``_BLOCK``
-    (element, modulus) entries, the moduli <= N apart from the rest.
+    reaches), n pairs have m | ab+1, and m adds n log p to sigma1 when
+    m <= N, to sigma2 otherwise.  On sets dense enough for gamma_plus's
+    byte mask, n is a strided sum of the histogram r[v] of the products
+    ab + 1 = v.  Otherwise pairs are counted through residue classes: b
+    must fall in the class -a^{-1} mod m.  The moduli then go in blocks of
+    about ``_BLOCK`` (element, modulus) entries, the moduli <= N apart from
+    the rest.  Every n is exact and fsum rounds correctly in any order, so
+    both routes give the same bits.
     """
     if N < 1:
         raise InvalidArgumentError("log_E1 needs N >= 1")
@@ -141,13 +151,20 @@ def log_E1(A: IndexSet, B: IndexSet, N: int, sieve: PrimeSieve) -> LogSplitResul
     mods = _moduli(N, N * N + 1, sieve)
     parts_small = []
     parts_large = []
-    for small, parts in ((True, parts_small), (False, parts_large)):
-        group = [pm for pm in mods if (pm[1] <= N) == small]
-        step = max(1, _BLOCK // (max(arr_a.size, arr_b.size) if small else arr_a.size))
-        for i in range(0, len(group), step):
-            ps, ms = (np.array(c, dtype=np.int64) for c in zip(*group[i:i + step]))
-            pairs = _pair_counts(arr_a, arr_b, B.bits, ps, ms, N)
-            parts += [n * log(p) for p, n in zip(ps.tolist(), pairs.tolist()) if n]
+    r = _product_table(arr_a, arr_b, counts=True, cap=_HIST_CAP)
+    if r is not None:
+        for p, m in mods:
+            n = int(r[::m].sum(dtype=np.int64))
+            if n:
+                (parts_small if m <= N else parts_large).append(n * log(p))
+    else:
+        for small, parts in ((True, parts_small), (False, parts_large)):
+            group = [pm for pm in mods if (pm[1] <= N) == small]
+            step = max(1, _BLOCK // (max(arr_a.size, arr_b.size) if small else arr_a.size))
+            for i in range(0, len(group), step):
+                ps, ms = (np.array(c, dtype=np.int64) for c in zip(*group[i:i + step]))
+                pairs = _pair_counts(arr_a, arr_b, B.bits, ps, ms, N)
+                parts += [n * log(p) for p, n in zip(ps.tolist(), pairs.tolist()) if n]
     s1 = fsum(parts_small)
     s2 = fsum(parts_large)
     return LogSplitResult(s1 + s2, s1, s2)
@@ -231,7 +248,7 @@ def ledger_report(A: IndexSet, B: IndexSet, N: int, sieve: PrimeSieve) -> Ledger
     split = log_E1(A, B, N, sieve)
     e2 = total - split.total
     sq_a = square_errors_check(A, N, sieve)
-    sq_b = square_errors_check(B, N, sieve)
+    sq_b = sq_a if np.array_equal(A.bits, B.bits) else square_errors_check(B, N, sieve)
     tight = sq_a if (sq_a.rhs - sq_a.lhs) <= (sq_b.rhs - sq_b.lhs) else sq_b
     implied = 1.0 + e2 / (len(B) * N * log(N))
     return LedgerReport(N, len(A), len(B), total, split.total, e2,

@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 from dataclasses import dataclass
-from math import ceil, floor, log
+from math import ceil, floor, inf, log
 
 import numpy as np
 
@@ -129,6 +129,24 @@ def _distinct_shifted_products(a_members: np.ndarray, b_arr: np.ndarray) -> np.n
     return vals[keep]
 
 
+def _product_table(a_members: np.ndarray, b_arr: np.ndarray, counts: bool = False,
+                   cap: float = inf) -> np.ndarray | None:
+    """The a*b + 1 marked over [0, top], top = max a * max b + 1: True in a
+    bool table, or with counts the number of pairs at each value in a uint16
+    one.  None when top >= 8 |A| |B|, where a byte per value would outweigh
+    the int64 products, or when top >= cap."""
+    top = int(a_members[-1]) * int(b_arr[-1]) + 1
+    if top >= min(8 * a_members.size * b_arr.size, cap):
+        return None
+    table = np.zeros(top + 1, dtype=np.uint16 if counts else bool)
+    for a in a_members.tolist():
+        if counts:  # the values of one row are distinct, so the add is exact
+            table[a * b_arr + 1] += 1
+        else:
+            table[a * b_arr + 1] = True
+    return table
+
+
 def check_gamma_pairs(A: IndexSet, B: IndexSet) -> None:
     """Refuse a gamma_plus call over more than GAMMA_PAIR_BUDGET pairs."""
     pairs = A.cardinality() * B.cardinality()
@@ -150,15 +168,9 @@ def gamma_plus(A: IndexSet, B: IndexSet, sieve: PrimeSieve) -> GammaResult:
     check_gamma_pairs(A, B)
     a_members = A.members()
     b_arr = B.members()
-    top = int(a_members[-1]) * int(b_arr[-1]) + 1
-    if top < 8 * a_members.size * b_arr.size:
-        # a byte per value up to top is then less than the int64 products
-        mask = np.zeros(top + 1, dtype=bool)
-        for a in a_members.tolist():
-            mask[a * b_arr + 1] = True
-        distinct = np.flatnonzero(mask)
-    else:
-        distinct = _distinct_shifted_products(a_members, b_arr)
+    mask = _product_table(a_members, b_arr)
+    distinct = (_distinct_shifted_products(a_members, b_arr) if mask is None
+                else np.flatnonzero(mask))
     # scan down from the top: gpf(v) <= v, so once every value left is at
     # most best none can win, and a later tie is a smaller product
     best = vmax = 0

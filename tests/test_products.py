@@ -5,13 +5,16 @@ import math
 import random
 from math import log
 
+import numpy as np
 import pytest
 
+from gpflab import products
+from gpflab.cli import main
 from gpflab.errors import InvalidArgumentError, RangeBudgetError
 from gpflab.products import (LEDGER_PAIR_BUDGET, SQERR_N_BUDGET, LedgerReport,
                              log_E, log_E1, log_E2, ledger_report, r_count,
                              square_errors_check)
-from gpflab.shifted import IndexSet, adversarial_sets, gamma_plus
+from gpflab.shifted import IndexSet, _product_table, adversarial_sets, gamma_plus
 
 
 def naive_factor(n: int) -> dict[int, int]:
@@ -134,6 +137,97 @@ def test_log_E1_matches_recorded_bits(sieve_10k, kind, N):
     split = log_E1(A, B, N, sieve_10k)
     got = (split.total.hex(), split.sigma1.hex(), split.sigma2.hex())
     assert got == LOG_E1_BITS[kind, N]
+
+
+def _no_euclid(h, m):
+    raise AssertionError("the residue-class route ran")
+
+
+def _route_cases():
+    """(id, N, A, B, whether the histogram route applies): top = max A *
+    max B + 1 < 8 |A| |B|."""
+    cases = [(f"dense-{N}", N, IndexSet.dense(N), IndexSet.dense(N), True)
+             for N in (*range(1, 61), 300, 1000)]
+    rng = random.Random(1717)
+    for n, card_a, card_b, hist in ((400, 300, 250, True), (400, 30, 25, False),
+                                    (2000, 900, 700, True), (2000, 40, 60, False)):
+        A = IndexSet.from_iterable(rng.sample(range(1, n + 1), card_a), n)
+        B = IndexSet.from_iterable(rng.sample(range(1, n + 1), card_b), n)
+        cases.append((f"random-{n}-{card_a}-{card_b}", n, A, B, hist))
+    for a, b, N, hist in ((1, 1, 1, True), (2, 3, 3, True), (7, 7, 10, False),
+                          (13, 40, 40, False)):
+        cases.append((f"single-{a}-{b}", N, IndexSet.from_iterable([a]),
+                      IndexSet.from_iterable([b]), hist))
+    # n_max above the largest member, and N above both maxima
+    cases.append(("wide-n-max", 50, IndexSet.from_iterable(range(2, 26), n_max=50),
+                  IndexSet.from_iterable(range(3, 31), n_max=50), True))
+    cases.append(("N-above", 90, IndexSet.dense(30),
+                  IndexSet.from_iterable(range(5, 26), n_max=25), True))
+    return cases
+
+
+ROUTE_CASES = _route_cases()
+
+
+@pytest.mark.parametrize("N,A,B,hist", [c[1:] for c in ROUTE_CASES],
+                         ids=[c[0] for c in ROUTE_CASES])
+def test_log_E1_histogram_and_residue_routes_agree(monkeypatch, sieve_10k, N, A, B, hist):
+    a, b = A.members(), B.members()
+    assert (int(a[-1]) * int(b[-1]) + 1 < 8 * a.size * b.size) == hist
+    with monkeypatch.context() as mp:
+        if hist:
+            mp.setattr(products, "_neg_inverse", _no_euclid)
+        split = log_E1(A, B, N, sieve_10k)
+    monkeypatch.setattr(products, "_HIST_CAP", 0)  # every table over the cap
+    euclid = log_E1(A, B, N, sieve_10k)
+    assert (split.total, split.sigma1, split.sigma2) == (
+        euclid.total, euclid.sigma1, euclid.sigma2)
+
+
+def test_product_table_marks_and_counts():
+    rng = random.Random(1818)
+    a = np.array(sorted(rng.sample(range(1, 200), 80)), dtype=np.int64)
+    b = np.array(sorted(rng.sample(range(1, 200), 90)), dtype=np.int64)
+    top = int(a[-1]) * int(b[-1]) + 1
+    r = _product_table(a, b, counts=True, cap=top + 1)
+    want = np.bincount((np.multiply.outer(a, b) + 1).ravel(), minlength=top + 1)
+    assert r.dtype == np.uint16 and np.array_equal(r, want)
+    mask = _product_table(a, b)
+    assert mask.dtype == bool and np.array_equal(mask, want > 0)
+    assert _product_table(a, b, counts=True, cap=top) is None
+    assert _product_table(a, b[-3:]) is None  # top >= 8 |A| |B|
+
+
+LEDGER_1000_DENSE = ("1000,1000,1000,11824311.3474906,5627073.88245745,"
+                     "6197237.46503317,5581342.18154979,45731.7009076573,"
+                     "6406272.58616088,8061350.41057215,1.89714201136933")
+LEDGER_60_RANDOM = ("60,10,10,544.775873131259,309.231627992767,"
+                    "235.544245138492,300.353130589028,8.87849740373863,"
+                    "820.209125853685,1064.52958617775,1.09588195031745")
+
+
+def test_dense_ledger_runs_no_euclid(capsys, monkeypatch):
+    monkeypatch.setattr(products, "_neg_inverse", _no_euclid)
+    assert main(["ledger", "--n", "1000", "--dense"]) == 0
+    captured = capsys.readouterr()
+    assert captured.err == ""
+    assert captured.out.splitlines()[1:] == [LEDGER_1000_DENSE]
+
+
+def test_sparse_ledger_keeps_the_residue_route(capsys, monkeypatch):
+    calls = []
+    inverse = products._neg_inverse
+
+    def counted(h, m):
+        calls.append(h.size)
+        return inverse(h, m)
+
+    monkeypatch.setattr(products, "_neg_inverse", counted)
+    assert main(["ledger", "--n", "60", "--random-card", "10"]) == 0
+    captured = capsys.readouterr()
+    assert captured.err == ""
+    assert captured.out.splitlines()[1:] == [LEDGER_60_RANDOM]
+    assert calls
 
 
 def test_log_E1_rejects_out_of_range(sieve_10k):

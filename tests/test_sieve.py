@@ -72,8 +72,9 @@ def test_small_sieve_contents():
 
 
 def test_build_sieve_peak_memory():
-    """At limit 2e7 the sieve keeps spf (76 MiB) and primes (10 MiB); the
-    build must grow the peak RSS of a fresh process by less than 256 MiB."""
+    """At limit 2e7 the build fills a byte sieve (19 MiB, freed) and keeps
+    the primes (10 MiB), not the spf table; it must grow the peak RSS of a
+    fresh process by less than 256 MiB."""
     code = ("import resource\n"
             "from gpflab.sieve import build_sieve\n"
             "before = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss\n"
@@ -82,6 +83,20 @@ def test_build_sieve_peak_memory():
     out = subprocess.run([sys.executable, "-c", code], capture_output=True,
                          text=True, check=True, timeout=120)
     assert int(out.stdout) < 256 * 1024  # ru_maxrss counts KiB on Linux
+
+
+def test_spf_fill_peak_memory():
+    """Reading spf at limit 2e7 fills its int32 table (76 MiB) on top of the
+    build: 86 MiB of peak growth in a fresh process, measured.  An int64
+    table (153 MiB) beside the primes (10 MiB) would not fit in 160 MiB."""
+    code = ("import resource\n"
+            "from gpflab.sieve import build_sieve\n"
+            "before = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss\n"
+            "assert build_sieve(2 * 10**7).spf.size == 2 * 10**7 + 1\n"
+            "print(resource.getrusage(resource.RUSAGE_SELF).ru_maxrss - before)")
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                         text=True, check=True, timeout=120)
+    assert int(out.stdout) < 160 * 1024  # ru_maxrss counts KiB on Linux
 
 
 def test_factorize_known_values(sieve_m):
