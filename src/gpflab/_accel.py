@@ -15,11 +15,11 @@ from math import comb, isqrt
 
 import numpy as np
 
-# integers peeled at once; also the block of the wide-gpf strip and the
-# largest chunk of the smooth-count frontier.  A round's temporaries then
-# stay near 128 KiB each, small enough for the holes that freed arrays leave
-# in the heap: with 2**16 the factor-tables benchmark peaked 6 MiB higher,
-# from fragmentation
+# integers peeled at once; also the block of the wide-gpf strip, the
+# largest chunk of the smooth-count frontier and the entries of one
+# divisor_scatter gather.  A round's temporaries then stay near 128 KiB
+# each, small enough for the holes that freed arrays leave in the heap: with
+# 2**16 the factor-tables benchmark peaked 6 MiB higher, from fragmentation
 _BLOCK = 1 << 14
 
 
@@ -209,16 +209,16 @@ def divisor_scatter(wlog: np.ndarray, a: int, q_lo: int, q_hi: int) -> np.ndarra
     """For every s >= 2, s != a, add wlog[s] to each modulus q in [q_lo, q_hi)
     dividing |s - a|, in ascending s; returns the sums by q - q_lo.  Each q
     sums its progression s = a (mod q) left to right as a zero-padded row of
-    a gather, in blocks of about 2**14 entries; |a| must fit in int64."""
+    a gather, in blocks of about ``_BLOCK`` entries; |a| must fit in int64."""
     q = np.arange(q_lo, q_hi, dtype=np.int64)
     r = np.int64(a) % q
     out = np.zeros(q.size, dtype=np.float64)
-    i, budget = 0, 1 << 14
+    i = 0
     while i < q.size:
         L = (wlog.size - 1) // int(q[i]) + 1  # no later row is longer
-        rows = slice(i, i + max(1, budget // L))
-        for c0 in range(0, L, budget):
-            s = r[rows, None] + q[rows, None] * np.arange(c0, min(L, c0 + budget))
+        rows = slice(i, i + max(1, _BLOCK // L))
+        for c0 in range(0, L, _BLOCK):
+            s = r[rows, None] + q[rows, None] * np.arange(c0, min(L, c0 + _BLOCK))
             keep = (s >= 2) & (s < wlog.size) & (s != a)
             vals = np.where(keep, wlog[np.minimum(s, wlog.size - 1)], 0.0)
             out[rows] = np.cumsum(np.hstack([out[rows, None], vals]), axis=1)[:, -1]

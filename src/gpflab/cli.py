@@ -131,12 +131,14 @@ def _threads(text: str) -> int:
     return min(n, os.cpu_count() or 1)
 
 
-def _x_list(args) -> list[float]:
-    if args.x_list is not None:
-        return args.x_list
-    if args.x is None:
-        raise InvalidArgumentError("need --x or --x-list")
-    return [args.x]
+def _one_or_list(args, name: str) -> list[float]:
+    """The values of --NAME-list, else the one value of --NAME."""
+    values = getattr(args, f"{name}_list")
+    if values is not None:
+        return values
+    if getattr(args, name) is None:
+        raise InvalidArgumentError(f"need --{name} or --{name}-list")
+    return [getattr(args, name)]
 
 
 def _rng(args):
@@ -153,37 +155,23 @@ def _random_set(n: int, card: int, rng) -> shifted.IndexSet:
     return out
 
 
-def _pair_of_sets(args) -> tuple[shifted.IndexSet, shifted.IndexSet, int]:
-    """Resolve --dense / --random-card / --set-a,--set-b into (A, B, n_max)."""
+def _sets(args) -> list[shifted.IndexSet]:
+    """One set per set-file option of the command, from the first source given
+    of --dense, the set file(s) and --random-card; --n bounds the file sets."""
+    flags = args.set_files
+    paths = [getattr(args, flag[2:].replace("-", "_")) for flag in flags]
     if args.dense:
-        if not args.n:
+        if args.n is None:
             raise InvalidArgumentError("--dense needs --n")
-        A = shifted.IndexSet.dense(args.n)
-        return A, A, args.n
+        return [shifted.IndexSet.dense(args.n)] * len(flags)
+    if all(paths):
+        return [shifted.IndexSet.from_file(path, n_max=args.n) for path in paths]
     if args.random_card:
-        if not args.n:
+        if args.n is None:
             raise InvalidArgumentError("--random-card needs --n")
         rng = _rng(args)
-        A = _random_set(args.n, args.random_card, rng)
-        B = _random_set(args.n, args.random_card, rng)
-        return A, B, args.n
-    if args.set_a and args.set_b:
-        A = shifted.IndexSet.from_file(args.set_a)
-        B = shifted.IndexSet.from_file(args.set_b)
-        return A, B, max(A.n_max, B.n_max)
-    raise InvalidArgumentError("need --dense, --random-card, or --set-a/--set-b")
-
-
-def _one_set(args, file_flag: str) -> shifted.IndexSet:
-    """Resolve --dense / the set file / --random-card into a set in [1, --n]."""
-    path = getattr(args, file_flag[2:].replace("-", "_"))
-    if args.dense:
-        return shifted.IndexSet.dense(args.n)
-    if path:
-        return shifted.IndexSet.from_file(path, n_max=args.n)
-    if args.random_card:
-        return _random_set(args.n, args.random_card, _rng(args))
-    raise InvalidArgumentError(f"need --dense, {file_flag}, or --random-card")
+        return [_random_set(args.n, args.random_card, rng) for _ in flags]
+    raise InvalidArgumentError(f"need --dense, {'/'.join(flags)}, or --random-card")
 
 
 # ---------------------------------------------------------------------------
@@ -201,9 +189,9 @@ def _cmd_gpf(args):
 
 
 def _cmd_gamma_plus(args):
-    A, B, n_max = _pair_of_sets(args)
+    A, B = _sets(args)
     shifted.check_gamma_pairs(A, B)  # before the sieve is built
-    sieve = _sieve_for(args, n_max + 1)
+    sieve = _sieve_for(args, max(A.n_max, B.n_max) + 1)
     res = shifted.gamma_plus(A, B, sieve)
     rows = [{"gamma_plus": res.gamma_plus,
              "witness_a": res.witness[0], "witness_b": res.witness[1]}]
@@ -236,13 +224,7 @@ def _cmd_smooth(args):
 
 
 def _cmd_rho(args):
-    if args.u_list is not None:
-        us = args.u_list
-    elif args.u is not None:
-        us = [args.u]
-    else:
-        raise InvalidArgumentError("need --u or --u-list")
-    rows = [{"u": u, "rho": smooth.dickman_rho(u)} for u in us]
+    rows = [{"u": u, "rho": smooth.dickman_rho(u)} for u in _one_or_list(args, "u")]
     return ["u", "rho"], rows
 
 
@@ -271,12 +253,17 @@ def _auto_bv_q(x: float) -> int:
     return max(1, int(sqrt(x) / log(x) ** 2)) if x > 1 else 1
 
 
-def _auto_window_q(x: float) -> int:
-    return max(1, int(sqrt(x * log(x) ** 3))) if x > 1 else 1
+def _window(args, x: float) -> tuple[int, float, float]:
+    """Q, P1 and P2 of the window at x: --Q, --p1 and --p2, by default
+    sqrt(x log^3 x) (1 for x <= 1), sqrt(x) and x."""
+    Q = args.Q or (max(1, int(sqrt(x * log(x) ** 3))) if x > 1 else 1)
+    P1 = args.p1 if args.p1 is not None else sqrt(max(x, 0.0))
+    P2 = args.p2 if args.p2 is not None else x
+    return Q, P1, P2
 
 
 def _cmd_bv_sum(args):
-    xs = _x_list(args)
+    xs = _one_or_list(args, "x")
     if not xs:  # the columns come from the first report
         raise InvalidArgumentError("--x-list needs at least one value")
     all_rows = []
@@ -305,15 +292,13 @@ def _cmd_dyadic_sum(args):
 
 
 def _cmd_thm4_sum(args):
-    xs = _x_list(args)
+    xs = _one_or_list(args, "x")
     if args.per_q and len(xs) > 1:
         raise InvalidArgumentError("--per-q needs a single --x")
     cols = ["x", "Q", "P1", "P2", "a", "total", "normalized", "trivial_ratio"]
     all_rows = []
     for x in xs:
-        P1 = args.p1 if args.p1 is not None else sqrt(max(x, 0.0))
-        P2 = args.p2 if args.p2 is not None else x
-        Q = args.Q if args.Q else _auto_window_q(x)
+        Q, P1, P2 = _window(args, x)
         sieve = _sieve_for(args, int(x) + abs(args.a) + 2)
         rep = ap.theorem4_sum(x, Q, P1, P2, args.a, sieve)
         if args.per_q:
@@ -327,10 +312,8 @@ def _cmd_thm4_sum(args):
 
 def _cmd_lambda_ext(args):
     x = args.x
-    P1 = args.p1 if args.p1 is not None else sqrt(max(x, 0.0))
-    P2 = args.p2 if args.p2 is not None else x
+    Q, P1, P2 = _window(args, x)
     z = args.z if args.z is not None else ap.default_rough_z(x)
-    Q = args.Q if args.Q else _auto_window_q(x)
     sieve = _sieve_for(args, max(int(x), 2 * Q) + 1)
     rep = ap.lambda_extension_sum(x, Q, P1, P2, args.a, z, sieve)
     extra = {"Q": Q, "P1": P1, "P2": P2, "a": args.a, "z": z}
@@ -432,7 +415,7 @@ def _cmd_thm1_sum(args):
 
 
 def _cmd_thm2_sum(args):
-    B = _one_set(args, "--set-b")
+    (B,) = _sets(args)
     sieve = _sieve_for(args, args.n + 1)
     total = shifted.theorem2_sum(args.n, args.delta, B, sieve)
     rows = [{"N": args.n, "delta": args.delta, "card_b": len(B), "total": total}]
@@ -440,8 +423,8 @@ def _cmd_thm2_sum(args):
 
 
 def _cmd_ledger(args):
-    A, B, n_max = _pair_of_sets(args)
-    N = args.n if args.n else n_max
+    A, B = _sets(args)
+    N = max(A.n_max, B.n_max)  # --n when given, else the largest file value
     products.check_ledger_size(A, B, N)  # before the sieve is built
     sieve = _sieve_for(args, max(N, 3))
     rep = products.ledger_report(A, B, N, sieve)
@@ -452,7 +435,7 @@ def _cmd_ledger(args):
 
 
 def _cmd_sqerr_check(args):
-    U = _one_set(args, "--set-file")
+    (U,) = _sets(args)
     products.check_sqerr_n(args.n)  # before the sieve is built
     sieve = _sieve_for(args, max(args.n, 3))
     res = products.square_errors_check(U, args.n, sieve)
@@ -486,22 +469,25 @@ def build_parser() -> argparse.ArgumentParser:
                                  "of shifted products and related sums")
     sub = parser.add_subparsers(dest="command", required=True, parser_class=_Parser)
 
-    def cmd(name, handler, help_text):
+    def cmd(name, handler, help_text, sets=(), n_required=False):
+        # sets: the set-file flags, declared with --n, --dense and --random-card
         sp = sub.add_parser(name, help=help_text)
         _add_common(sp)
-        sp.set_defaults(handler=handler)
+        sp.set_defaults(handler=handler, set_files=sets)
+        if sets:
+            sp.add_argument("--n", type=_parse_int, default=None, required=n_required)
+            sp.add_argument("--dense", action="store_true")
+            for flag in sets:
+                sp.add_argument(flag, default=None)
+            sp.add_argument("--random-card", type=_parse_int, default=None)
         return sp
 
     sp = cmd("gpf", _cmd_gpf, "greatest prime factor of given integers")
     sp.add_argument("--n", type=_int_list, required=True, help="comma separated integers")
 
-    sp = cmd("gamma-plus", _cmd_gamma_plus,
-             "max greatest prime factor over shifted products of two sets")
-    sp.add_argument("--n", type=_parse_int, default=None)
-    sp.add_argument("--dense", action="store_true")
-    sp.add_argument("--set-a", default=None)
-    sp.add_argument("--set-b", default=None)
-    sp.add_argument("--random-card", type=_parse_int, default=None)
+    cmd("gamma-plus", _cmd_gamma_plus,
+        "max greatest prime factor over shifted products of two sets",
+        sets=("--set-a", "--set-b"))
 
     sp = cmd("lv-count", _cmd_lv_count, "count distinct products a*b, a,b <= N")
     sp.add_argument("--n", type=_int_list, required=True, help="comma separated N values")
@@ -624,26 +610,16 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--a-exp", type=_parse_float, default=1.0)
 
     sp = cmd("thm2-sum", _cmd_thm2_sum,
-             "progression-prime pair count over a delta window for a set B")
-    sp.add_argument("--n", type=_parse_int, required=True)
+             "progression-prime pair count over a delta window for a set B",
+             sets=("--set-b",), n_required=True)
     sp.add_argument("--delta", type=_parse_float, required=True)
-    sp.add_argument("--dense", action="store_true")
-    sp.add_argument("--set-b", default=None)
-    sp.add_argument("--random-card", type=_parse_int, default=None)
 
-    sp = cmd("ledger", _cmd_ledger, "full log-mass ledger for a pair of sets")
-    sp.add_argument("--n", type=_parse_int, default=None)
-    sp.add_argument("--dense", action="store_true")
-    sp.add_argument("--set-a", default=None)
-    sp.add_argument("--set-b", default=None)
-    sp.add_argument("--random-card", type=_parse_int, default=None)
+    cmd("ledger", _cmd_ledger, "full log-mass ledger for a pair of sets",
+        sets=("--set-a", "--set-b"))
 
-    sp = cmd("sqerr-check", _cmd_sqerr_check,
-             "residue concentration inequality for a set in [1, N]")
-    sp.add_argument("--n", type=_parse_int, required=True)
-    sp.add_argument("--dense", action="store_true")
-    sp.add_argument("--set-file", default=None)
-    sp.add_argument("--random-card", type=_parse_int, default=None)
+    cmd("sqerr-check", _cmd_sqerr_check,
+        "residue concentration inequality for a set in [1, N]",
+        sets=("--set-file",), n_required=True)
 
     return parser
 

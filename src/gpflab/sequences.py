@@ -464,13 +464,20 @@ def divisor_sum_lhs(selector: str, params: dict, sieve: PrimeSieve) -> float:
         if selector == "rough-tau-window-harmonic":
             mask = (ns > x) & (ns <= x * y)
             return _ld_sum(w[mask] / ns[mask])
-        # rough-tau-hyperbola-harmonic
-        ns_ld = np.arange(1, hi + 1, dtype=np.int64).astype(np.longdouble)
-        harm = np.concatenate(([np.longdouble(0.0)], np.cumsum(1.0 / ns_ld)))
-        lo_t = np.floor(np.longdouble(x) / ns_ld).astype(np.int64)
-        hi_t = np.floor(np.longdouble(x) * np.longdouble(y) / ns_ld).astype(np.int64)
-        inner = harm[np.minimum(hi_t, hi)] - harm[np.minimum(lo_t, hi)]
-        return float(np.sum((w[1:].astype(np.longdouble) / ns_ld) * inner))
+        # rough-tau-hyperbola-harmonic: the terms a block of n at a time into
+        # one array, so that the one pairwise sum adds them in the same order
+        harm = np.zeros(hi + 1, dtype=np.longdouble)
+        np.cumsum(1.0 / np.arange(1, hi + 1, dtype=np.int64).astype(np.longdouble),
+                  out=harm[1:])
+        terms = np.empty(hi, dtype=np.longdouble)
+        for lo in range(1, hi + 1, _accel._BLOCK):
+            top = min(lo + _accel._BLOCK, hi + 1)
+            n = np.arange(lo, top, dtype=np.int64).astype(np.longdouble)
+            lo_t = np.floor(np.longdouble(x) / n).astype(np.int64)
+            hi_t = np.floor(np.longdouble(x) * np.longdouble(y) / n).astype(np.int64)
+            inner = harm[np.minimum(hi_t, hi)] - harm[np.minimum(lo_t, hi)]
+            terms[lo - 1:top - 1] = (w[lo:top].astype(np.longdouble) / n) * inner
+        return float(np.sum(terms))
 
     if selector.startswith("fourfold"):
         x, y, z, w_lo, *js = given

@@ -230,6 +230,8 @@ def adversarial_sets(N: int, eps: float) -> tuple[int, IndexSet, IndexSet]:
         raise InvalidArgumentError("adversarial_sets needs 0 < eps <= 1/2")
     if 2.0 * eps * (N + 1) < 1.0:  # the test grows with cand: all candidates > N + 1
         raise ConstructionFailedError(f"residue class -1 mod p is empty below N={N}")
+    if N > MAX_SIEVE_LIMIT:  # before a search whose float steps may not move cand
+        raise RangeBudgetError(f"IndexSet n_max {N} exceeds cap {MAX_SIEVE_LIMIT}")
     cand = max(2, ceil(0.5 / eps))
     while cand > 2 and 2.0 * eps * (cand - 1) >= 1.0:
         cand -= 1

@@ -12,6 +12,8 @@ import json
 import math
 import os
 import random
+import subprocess
+import sys
 import time
 
 import numpy as np
@@ -901,6 +903,150 @@ def test_random_card_validation(capsys):
                                     "--random-card", "50"])
     assert code == 1
     assert "cardinality" in err
+
+
+# ---------------------------------------------------------------------------
+# the set sources: --dense, the set file(s), --random-card, read in that order
+
+# command: (its other options, its set-file options); the files are a.txt and b.txt
+_SET_COMMANDS = {
+    "gamma-plus": ([], ["--set-a", "a.txt", "--set-b", "b.txt"]),
+    "ledger": ([], ["--set-a", "a.txt", "--set-b", "b.txt"]),
+    "thm2-sum": (["--delta", "0.2"], ["--set-b", "b.txt"]),
+    "sqerr-check": ([], ["--set-file", "a.txt"]),
+}
+_SOURCES = {"dense": ["--dense"], "random": ["--random-card", "6", "--rng-seed", "7"]}
+# the row of each command and source at --n 40, as the parent commit prints it
+_SET_ROWS = {
+    ("gamma-plus", "dense"): "1601,40,40",
+    ("gamma-plus", "files"): "89,8,11",
+    ("gamma-plus", "random"): "1327,34,39",
+    ("ledger", "dense"): "40,40,40,8842.95377205297,4179.72823683294,4663.22553522003,"
+                         "3826.54795914555,353.18027768739,5023.35858287156,"
+                         "7525.31408639243,1.7900816483071",
+    ("ledger", "files"): "40,5,4,54.677176970521,50.1885406007888,4.48863636973213,"
+                         "50.1885406007888,0,162.1755889444,221.332767246836,"
+                         "1.00760501330005",
+    ("ledger", "random"): "40,6,6,215.863068229092,98.6280645677255,117.235003661367,"
+                          "93.3969559508709,5.23110861685459,297.816391493019,"
+                          "376.265704319621,1.13241939401885",
+    ("thm2-sum", "dense"): "40,0.2,40,16",
+    ("thm2-sum", "files"): "40,0.2,4,0",
+    ("thm2-sum", "random"): "40,0.2,6,7",
+    ("sqerr-check", "dense"): "40,40,5023.35858287156,7525.31408639243,true",
+    ("sqerr-check", "files"): "40,5,201.706595956863,295.110356329115,true",
+    ("sqerr-check", "random"): "40,6,269.923313852278,376.265704319621,true",
+}
+
+
+def _set_call(tmp_path, command, n, *sources):
+    (tmp_path / "a.txt").write_text("# A\n1\n2\n3\n5\n8\n")
+    (tmp_path / "b.txt").write_text("2\n3\n7\n11\n")
+    options, files = _SET_COMMANDS[command]
+    files = [str(tmp_path / f) if f.endswith(".txt") else f for f in files]
+    argv = [command, "--n", str(n), *options]
+    for source in sources:
+        argv += files if source == "files" else _SOURCES[source]
+    return argv
+
+
+@pytest.mark.parametrize("command", _SET_COMMANDS)
+@pytest.mark.parametrize("sources", [("dense",), ("files",), ("random",),
+                                     ("files", "random"), ("random", "files")])
+def test_set_sources_pinned(capsys, tmp_path, command, sources):
+    # files and --random-card together: the files win
+    code, out, err = run_cli(capsys, _set_call(tmp_path, command, 40, *sources))
+    assert (code, err) == (0, "")
+    source = "files" if "files" in sources else sources[0]
+    assert out.splitlines()[1:] == [_SET_ROWS[command, source]]
+
+
+@pytest.mark.parametrize("command", _SET_COMMANDS)
+def test_set_file_value_above_n_exits_one(capsys, tmp_path, command):
+    code, out, err = run_cli(capsys, _set_call(tmp_path, command, 5, "files"))
+    assert_one_line_error(code, out, err)
+    assert "exceeds n_max 5" in err
+
+
+_COMMON = {("--output", None, None, False), ("--format", None, "csv", False),
+           ("--threads", _threads, 1, False), ("--rng-seed", _parse_int, 0, False),
+           ("--sieve-limit", _parse_int, None, False)}
+_PAIR_SOURCES = {("--n", _parse_int, None, False), ("--dense", None, False, False),
+                 ("--set-a", None, None, False), ("--set-b", None, None, False),
+                 ("--random-card", _parse_int, None, False)}
+_WINDOW = {("--Q", _parse_int, None, False), ("--p1", _parse_float, None, False),
+           ("--p2", _parse_float, None, False), ("--a", _parse_int, 1, False),
+           ("--per-q", None, False, False)}
+_SEQUENCE = {("--seq-file", None, None, False), ("--indicator", _bounds, None, False)}
+# (option, type, default, required) of every subcommand beyond _COMMON, as the
+# parent commit declares them
+_INVENTORY = {
+    "gpf": {("--n", _int_list, None, True)},
+    "gamma-plus": _PAIR_SOURCES,
+    "lv-count": {("--n", _int_list, None, True)},
+    "ford-ratio": {("--n", _int_list, None, False), ("--n-list", _int_list, None, False)},
+    "smooth": {("--x", _parse_x, None, True), ("--y", _parse_x, None, True)},
+    "rho": {("--u", _parse_x, None, False), ("--u-list", _x_items, None, False)},
+    "pi-ap": {("--x", _parse_x, None, True), ("--q", _parse_int, None, True),
+              ("--a", _parse_int, None, True)},
+    "bv-sum": {("--x", _parse_x, None, False), ("--x-list", _x_items, None, False),
+               ("--Q", _parse_int, None, False), ("--per-q", None, False, False)},
+    "signed-sum": {("--x", _parse_x, None, True), ("--Q", _parse_int, None, False),
+                   ("--a", _parse_int, 1, False), ("--per-q", None, False, False)},
+    "dyadic-sum": {("--x", _parse_x, None, True), ("--Q", _parse_int, None, False),
+                   ("--a", _parse_int, 1, False), ("--psi", None, False, False),
+                   ("--per-q", None, False, False)},
+    "thm4-sum": _WINDOW | {("--x", _parse_x, None, False),
+                           ("--x-list", _x_items, None, False)},
+    "lambda-ext": _WINDOW | {("--x", _parse_x, None, True),
+                             ("--z", _parse_float, None, False)},
+    "hb-verify": {("--n", _parse_int, None, True), ("--x", _parse_x, None, False),
+                  ("--j", _parse_int, 3, False), ("--terms", None, False, False)},
+    "delta": _SEQUENCE | {("--q", _parse_int, None, True), ("--a", _parse_int, None, True)},
+    "cond-check": _SEQUENCE | {
+        ("--condition", None, None, True), ("--d", _parse_int, None, False),
+        ("--k", _parse_int, None, False), ("--ell", _parse_int, None, False),
+        ("--bound", _parse_float, None, False), ("--x", _parse_x, None, False),
+        ("--z", _parse_float, None, False)},
+    "divisor-lhs": {
+        ("--selector", None, None, True), ("--x", _parse_x, None, False),
+        ("--y", _parse_x, None, False), ("--z", _parse_float, None, False),
+        ("--w", _parse_float, None, False), ("--j", _parse_int, None, False),
+        ("--ell", _parse_int, None, False), ("--k", _parse_int, None, False),
+        ("--s", _parse_int, None, False), ("--nu", _parse_int, None, False),
+        *((f"--j{i}", _parse_int, None, False) for i in range(1, 7))},
+    "adversarial": {("--n", _parse_int, None, True), ("--eps", _parse_float, None, True),
+                    ("--write-a", None, None, False), ("--write-b", None, None, False)},
+    "thm1-search": {("--n", _parse_int, None, True), ("--lo", _parse_x, None, True),
+                    ("--hi", _parse_x, None, True)},
+    "thm1-sum": {("--n", _parse_int, None, True), ("--a-exp", _parse_float, 1.0, False)},
+    "thm2-sum": {("--n", _parse_int, None, True), ("--delta", _parse_float, None, True),
+                 ("--dense", None, False, False), ("--set-b", None, None, False),
+                 ("--random-card", _parse_int, None, False)},
+    "ledger": _PAIR_SOURCES,
+    "sqerr-check": {("--n", _parse_int, None, True), ("--dense", None, False, False),
+                    ("--set-file", None, None, False),
+                    ("--random-card", _parse_int, None, False)},
+}
+
+
+def test_option_inventory():
+    # no option added or lost, none retyped; only the order in --help may move
+    sub = next(a for a in build_parser()._actions if isinstance(a.choices, dict))
+    assert sorted(sub.choices) == sorted(_INVENTORY)
+    for name, sp in sub.choices.items():
+        got = {(a.option_strings[0], a.type, a.default, a.required)
+               for a in sp._actions if a.dest != "help"}
+        assert got == _COMMON | _INVENTORY[name], name
+
+
+def test_adversarial_huge_n_exits_two_at_once():
+    # ceil(0.5 / eps) ~ 5e299: float steps of the candidate search could not move it
+    proc = subprocess.run([sys.executable, "-m", "gpflab.cli", "adversarial",
+                           "--n", "1e300", "--eps", "1e-300"],
+                          capture_output=True, text=True, timeout=30)
+    assert proc.returncode == 2 and proc.stdout == ""
+    assert proc.stderr.startswith("error:") and proc.stderr.count("\n") == 1
 
 
 # ---------------------------------------------------------------------------

@@ -199,7 +199,7 @@ def test_gamma_sparse_answer_pinned(sieve_m):
     # 9e6 products, past 2**23 of them
     args = cli.build_parser().parse_args(
         ["gamma-plus", "--n", "100000", "--random-card", "3000", "--rng-seed", "2"])
-    A, B, _ = cli._pair_of_sets(args)
+    A, B = cli._sets(args)
     res = gamma_plus(A, B, sieve_m)
     assert (res.gamma_plus, res.witness, res.c_count) == \
         (9987100129, (99872, 99999, 9987100129), 8951003)
