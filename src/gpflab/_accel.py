@@ -6,7 +6,9 @@ divides each prime power out of a range of integers with one strided slice,
 so its Python loop runs once per prime power (tau tables, theta counts, mu
 and phi of the moduli); ``_peel`` strips the smallest prime power from a
 block of values per round, so its loop runs about as many times as a value
-has prime factors.  Neither loops once per integer.
+has prime factors.  Neither loops once per integer.  ``bv_max_scan`` keys
+each prime by one integer, h = phi*rank - index, and takes its floats only
+at the largest and the smallest key, every tie included.
 """
 
 from __future__ import annotations
@@ -178,27 +180,34 @@ def compensated_cumsum(a: np.ndarray) -> np.ndarray:
 
 def bv_max_scan(res: np.ndarray, q: int) -> float:
     """max over y and residues a coprime to q of |pi(y;q,a) - pi(y)/phi(q)|,
-    from ``res``, the residues mod q of the primes up to x in order.  A class
-    count steps up with the prime index k while t = (k+1)/phi grows, so the
-    deviation peaks at a step (rank - t[k]), just before one (t[k-1] - rank
-    + 1) or after the last prime; a difference negates exactly."""
+    from ``res``, the residues mod q of the primes up to x in order.  The
+    prime of index k and class rank r has the key h = phi*r - k: the deviation
+    at its step, r - (k+1)/phi, is (h-1)/phi, and just before it, k/phi -
+    (r-1), is (phi-h)/phi.  So the peaks sit at max h, min h or after the last
+    prime; both floats are taken at every prime of either key, since equal
+    keys can round an ulp apart."""
     if not res.size:
         return 0.0
     coprime = np.gcd(np.arange(q, dtype=np.int64), q) == 1
     phi = int(np.count_nonzero(coprime))
     res = res.astype(np.uint8 if q <= 1 << 8 else np.uint16 if q <= 1 << 16 else np.int64)
-    tt = np.arange(res.size + 1, dtype=np.float64) / phi  # tt[k + 1] = t[k]
     cnt = np.bincount(res, minlength=q)
-    start = np.cumsum(cnt) - cnt
+    start = np.add.accumulate(cnt) - cnt
     order = np.argsort(res, kind="stable")  # radix sort: each class in prime order
-    rank = np.arange(1, res.size + 1) - np.repeat(start, cnt)
-    at = rank - tt[1:][order]
-    before = tt[:-1][order] - (rank - 1)
-    # a class not coprime to q holds at most one prime, one dividing q
-    skip = start[~coprime & (cnt > 0)]
-    at[skip] = before[skip] = 0.0
-    return max(0.0, float(at.max()), float(before.max()),
-               float(tt[-1] - cnt[coprime].min()))
+    h = np.arange(phi, phi * (res.size + 1), phi) - order - (phi * start).repeat(cnt)
+    # a class not coprime to q holds at most one prime, one dividing q; its
+    # slot copies slot j, the first not skipped (skip is ascending)
+    skip = start[(cnt > 0) & ~coprime]
+    j = np.count_nonzero(skip == np.arange(skip.size))
+    if j == res.size:  # every prime divides q
+        return res.size / phi
+    h[skip], order[skip] = h[j], order[j]
+    sel = np.flatnonzero((h == h.max()) | (h == h.min()))
+    k = order[sel]
+    r = (h[sel] + k) // phi
+    # -(k+1)/phi + r and k/phi + (1-r): both deviations, bit for bit
+    dev = np.concatenate((~k, k)) / phi + np.concatenate((r, 1 - r))
+    return float(max(dev.max(), 0.0, res.size / phi - int(cnt[coprime].min())))
 
 
 # ---------------------------------------------------------------------------

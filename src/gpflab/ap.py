@@ -268,7 +268,7 @@ def bv_sum(x, Q: int, sieve: PrimeSieve, threads: int = 1) -> DiscrepancyReport:
     """
     _check("bv_sum", Q, x)
     xi = _xi_in_sieve(x, sieve, "bv_sum")
-    ps = sieve.primes[:sieve.pi(xi)]
+    ps = sieve.primes[:sieve.pi(xi)].astype(np.uint32)  # below the 1e8 cap
     qs = list(range(1, Q + 1))
     devs = _ordered_map(lambda q: _accel.bv_max_scan(ps % q, q) if q > 1 else 0.0,
                         qs, threads)

@@ -191,7 +191,7 @@ def _cmd_gpf(args):
 def _cmd_gamma_plus(args):
     A, B = _sets(args)
     shifted.check_gamma_pairs(A, B)  # before the sieve is built
-    sieve = _sieve_for(args, max(A.n_max, B.n_max) + 1)
+    sieve = _sieve_for(args, max(A.max_member(), B.max_member()) + 1)
     res = shifted.gamma_plus(A, B, sieve)
     rows = [{"gamma_plus": res.gamma_plus,
              "witness_a": res.witness[0], "witness_b": res.witness[1]}]

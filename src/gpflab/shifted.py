@@ -89,6 +89,10 @@ class IndexSet:
             for v in self.members().tolist():
                 fh.write(f"{v}\n")
 
+    def max_member(self) -> int:
+        """The largest member, 0 for the empty set."""
+        return int(np.flatnonzero(self.bits).max(initial=0))
+
     def cardinality(self) -> int:
         return int(np.count_nonzero(self.bits))
 
@@ -163,11 +167,11 @@ def gamma_plus(A: IndexSet, B: IndexSet, sieve: PrimeSieve) -> GammaResult:
     """
     if A.cardinality() == 0 or B.cardinality() == 0:
         raise InvalidArgumentError("gamma_plus needs nonempty sets")
-    if max(A.n_max, B.n_max) > sieve.limit:
-        raise RangeBudgetError("gamma_plus needs n_max <= sieve.limit")
     check_gamma_pairs(A, B)
     a_members = A.members()
     b_arr = B.members()
+    if max(a_members[-1], b_arr[-1]) > sieve.limit:
+        raise RangeBudgetError("gamma_plus needs every member <= sieve.limit")
     mask = _product_table(a_members, b_arr)
     distinct = (_distinct_shifted_products(a_members, b_arr) if mask is None
                 else np.flatnonzero(mask))

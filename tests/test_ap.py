@@ -178,6 +178,37 @@ def test_bv_sum_matches_brute(sieve_10k):
     assert rep != bv_sum(2000, 19, sieve_10k)
 
 
+def _scalar_bv_max(primes: list[int], q: int, phi: int) -> float:
+    """bv_max_scan one prime at a time, in the same float expressions: each
+    coprime class's deviation at its steps, just before each step, and after
+    the last prime."""
+    counts: dict[int, int] = {}
+    best = 0.0
+    for k, p in enumerate(primes):
+        a = p % q
+        if gcd(a, q) != 1:
+            continue
+        rank = counts[a] = counts.get(a, 0) + 1
+        best = max(best, rank - (k + 1) / phi, k / phi - (rank - 1))
+    least = min(counts.values()) if len(counts) == phi else 0
+    return max(best, len(primes) / phi - least)
+
+
+# every prime divides q at x = 2 and q even, at x = 3 and 6 | q, at x = 5 and
+# 30 | q; residues pass as uint8 up to q = 256, uint16 up to 65536, else int64
+_SCAN_MODULI = [*range(1, 301), 65536, 65537, 70000, 510510]
+
+
+@pytest.mark.parametrize("x", [2, 3, 5, 30, 1000, 12345])
+def test_bv_max_scan_matches_scalar_walk(sieve_m, x):
+    ps = sieve_m.primes[:sieve_m.pi(x)]
+    walk = ps.tolist()
+    for q in _SCAN_MODULI:
+        want = _scalar_bv_max(walk, q, naive_phi(q))
+        assert _accel.bv_max_scan(ps % q, q) == want, (x, q)
+        assert _accel.bv_max_scan(ps.astype(np.uint32) % q, q) == want, (x, q)
+
+
 def test_bv_sum_monotone_in_q(sieve_10k):
     totals = [bv_sum(2000, Q, sieve_10k).total for Q in (5, 10, 20, 40)]
     for lo, hi in zip(totals, totals[1:]):
@@ -446,6 +477,8 @@ def test_threads_do_not_change_results(sieve_20k):
     two = call(threads=2)
     assert one.total == two.total
     assert one.per_q == two.per_q
+    wide = [bv_sum(20_000, 150, sieve_20k, threads=n) for n in (1, 2)]
+    assert wide[0] == wide[1]
 
 
 def test_fixed_point_sums_round_like_fsum():

@@ -128,6 +128,28 @@ def test_gamma_plus_set_files(capsys, tmp_path):
     assert rows[0]["gamma_plus"] == "7"
 
 
+def test_gamma_plus_sieves_to_the_largest_member(capsys, monkeypatch, tmp_path):
+    from gpflab import cli
+
+    limits = []
+
+    def recording_sieve(limit):
+        limits.append(limit)
+        return build_sieve(limit)
+
+    monkeypatch.setattr(cli, "build_sieve", recording_sieve)
+    (tmp_path / "a.txt").write_text("3\n17\n250\n999\n1234\n")
+    (tmp_path / "b.txt").write_text("2\n5\n77\n600\n2001\n")
+    files = ["--set-a", str(tmp_path / "a.txt"), "--set-b", str(tmp_path / "b.txt")]
+    code, bounded, _ = run_cli(capsys, ["gamma-plus", "--n", "1e7", *files])
+    assert code == 0 and limits == [2002]
+    code, unbounded, _ = run_cli(capsys, ["gamma-plus", *files])
+    assert code == 0 and bounded == unbounded
+    code, out, err = run_cli(capsys, ["gamma-plus", "--n", "2000", *files])
+    assert (code, out) == (1, "") and "2001 exceeds n_max 2000" in err
+    assert limits == [2002, 2002]
+
+
 def test_gamma_plus_needs_a_set_choice(capsys):
     code, _, err = run_cli(capsys, ["gamma-plus", "--n", "10"])
     assert code == 1

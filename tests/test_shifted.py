@@ -113,6 +113,10 @@ def test_gamma_rejects_bad_inputs(sieve_10k):
         gamma_plus(IndexSet(5), IndexSet.dense(5), sieve_10k)
     with pytest.raises(RangeBudgetError):
         gamma_plus(IndexSet.dense(10_001), IndexSet.dense(10), sieve_10k)
+    # the sieve must reach the members, not n_max
+    wide = IndexSet.from_iterable([4, 9_999], n_max=10**6)
+    tight = IndexSet.from_iterable([4, 9_999])
+    assert gamma_plus(wide, wide, sieve_10k) == gamma_plus(tight, tight, sieve_10k)
     # 3163**2 pairs are over the 1e7 budget, 3162**2 are not
     with pytest.raises(RangeBudgetError, match="budget"):
         gamma_plus(IndexSet.dense(3163), IndexSet.dense(3163), sieve_10k)

@@ -71,32 +71,36 @@ def test_small_sieve_contents():
     assert s.spf[12] == 2 and s.spf[25] == 5 and s.spf[29] == 29
 
 
+# peak growth is read from the child's own VmHWM (KiB): ru_maxrss would start
+# from the peak of the test process, which a child keeps across exec
+_PEAK_GROWTH = ("def hwm():\n"
+                "    with open('/proc/self/status') as fh:\n"
+                "        return next(int(l.split()[1]) for l in fh if l.startswith('VmHWM'))\n"
+                "from gpflab.sieve import build_sieve\n"
+                "before = hwm()\n"
+                "{call}\n"
+                "print(hwm() - before)")
+
+
+def _peak_growth_kib(call: str) -> int:
+    out = subprocess.run([sys.executable, "-c", _PEAK_GROWTH.format(call=call)],
+                         capture_output=True, text=True, check=True, timeout=120)
+    return int(out.stdout)
+
+
 def test_build_sieve_peak_memory():
     """At limit 2e7 the build fills a byte sieve (19 MiB, freed) and keeps
     the primes (10 MiB), not the spf table; it must grow the peak RSS of a
     fresh process by less than 256 MiB."""
-    code = ("import resource\n"
-            "from gpflab.sieve import build_sieve\n"
-            "before = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss\n"
-            "build_sieve(2 * 10**7)\n"
-            "print(resource.getrusage(resource.RUSAGE_SELF).ru_maxrss - before)")
-    out = subprocess.run([sys.executable, "-c", code], capture_output=True,
-                         text=True, check=True, timeout=120)
-    assert int(out.stdout) < 256 * 1024  # ru_maxrss counts KiB on Linux
+    assert _peak_growth_kib("build_sieve(2 * 10**7)") < 256 * 1024
 
 
 def test_spf_fill_peak_memory():
     """Reading spf at limit 2e7 fills its int32 table (76 MiB) on top of the
     build: 86 MiB of peak growth in a fresh process, measured.  An int64
     table (153 MiB) beside the primes (10 MiB) would not fit in 160 MiB."""
-    code = ("import resource\n"
-            "from gpflab.sieve import build_sieve\n"
-            "before = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss\n"
-            "assert build_sieve(2 * 10**7).spf.size == 2 * 10**7 + 1\n"
-            "print(resource.getrusage(resource.RUSAGE_SELF).ru_maxrss - before)")
-    out = subprocess.run([sys.executable, "-c", code], capture_output=True,
-                         text=True, check=True, timeout=120)
-    assert int(out.stdout) < 160 * 1024  # ru_maxrss counts KiB on Linux
+    call = "assert build_sieve(2 * 10**7).spf.size == 2 * 10**7 + 1"
+    assert _peak_growth_kib(call) < 160 * 1024
 
 
 def test_factorize_known_values(sieve_m):
