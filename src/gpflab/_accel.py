@@ -185,7 +185,8 @@ def bv_max_scan(res: np.ndarray, q: int) -> float:
     at its step, r - (k+1)/phi, is (h-1)/phi, and just before it, k/phi -
     (r-1), is (phi-h)/phi.  So the peaks sit at max h, min h or after the last
     prime; both floats are taken at every prime of either key, since equal
-    keys can round an ulp apart."""
+    keys can round an ulp apart, a ``_BLOCK`` of them at a time (at q = 2
+    every prime ties)."""
     if not res.size:
         return 0.0
     coprime = np.gcd(np.arange(q, dtype=np.int64), q) == 1
@@ -203,11 +204,14 @@ def bv_max_scan(res: np.ndarray, q: int) -> float:
         return res.size / phi
     h[skip], order[skip] = h[j], order[j]
     sel = np.flatnonzero((h == h.max()) | (h == h.min()))
-    k = order[sel]
-    r = (h[sel] + k) // phi
-    # -(k+1)/phi + r and k/phi + (1-r): both deviations, bit for bit
-    dev = np.concatenate((~k, k)) / phi + np.concatenate((r, 1 - r))
-    return float(max(dev.max(), 0.0, res.size / phi - int(cnt[coprime].min())))
+    top = res.size / phi - int(cnt[coprime].min())
+    for lo in range(0, sel.size, _BLOCK):
+        k = order[sel[lo:lo + _BLOCK]]
+        r = (h[sel[lo:lo + _BLOCK]] + k) // phi
+        # -(k+1)/phi + r and k/phi + (1-r): both deviations, bit for bit
+        dev = np.concatenate((~k, k)) / phi + np.concatenate((r, 1 - r))
+        top = max(top, dev.max())
+    return float(max(top, 0.0))
 
 
 # ---------------------------------------------------------------------------

@@ -22,8 +22,7 @@ import numpy as np
 
 from . import _accel
 from .errors import InvalidArgumentError, RangeBudgetError
-from .sieve import (MAX_SIEVE_LIMIT, PrimeSieve, _higher_powers, euler_phi,
-                    segmented_primes)
+from .sieve import MAX_SIEVE_LIMIT, PrimeSieve, _higher_powers, segmented_primes
 
 
 def check_modulus(what: str, name: str, q: int) -> None:
@@ -96,7 +95,7 @@ def error_term(x, q: int, a: int, sieve: PrimeSieve) -> float:
     check_modulus("error_term", "q", q)
     if gcd(a, q) != 1:
         raise InvalidArgumentError(f"error_term needs gcd(a, q) == 1, got a={a}, q={q}")
-    return pi_ap(x, q, a, sieve) - pi_of(x, sieve) / euler_phi(q, sieve)
+    return pi_ap(x, q, a, sieve) - pi_of(x, sieve) / int(_phi_of([q], sieve)[0])
 
 
 @dataclass(frozen=True, eq=False)

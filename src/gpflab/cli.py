@@ -65,8 +65,13 @@ def _emit(columns, rows, args) -> None:
 
 
 def _sieve_for(args, needed: int):
-    limit = args.sieve_limit if args.sieve_limit else max(int(needed), 3)
+    limit = max(int(needed), 3) if args.sieve_limit is None else args.sieve_limit
     return build_sieve(limit)
+
+
+def _row(**row):
+    """The columns and the one row of a single-row answer, named once."""
+    return list(row), [row]
 
 
 def _parse_float(text: str) -> float:
@@ -166,7 +171,7 @@ def _sets(args) -> list[shifted.IndexSet]:
         return [shifted.IndexSet.dense(args.n)] * len(flags)
     if all(paths):
         return [shifted.IndexSet.from_file(path, n_max=args.n) for path in paths]
-    if args.random_card:
+    if args.random_card is not None:
         if args.n is None:
             raise InvalidArgumentError("--random-card needs --n")
         rng = _rng(args)
@@ -190,12 +195,10 @@ def _cmd_gpf(args):
 
 def _cmd_gamma_plus(args):
     A, B = _sets(args)
-    shifted.check_gamma_pairs(A, B)  # before the sieve is built
     sieve = _sieve_for(args, max(A.max_member(), B.max_member()) + 1)
     res = shifted.gamma_plus(A, B, sieve)
-    rows = [{"gamma_plus": res.gamma_plus,
-             "witness_a": res.witness[0], "witness_b": res.witness[1]}]
-    return ["gamma_plus", "witness_a", "witness_b"], rows
+    return _row(gamma_plus=res.gamma_plus,
+                witness_a=res.witness[0], witness_b=res.witness[1])
 
 
 def _cmd_lv_count(args):
@@ -207,8 +210,8 @@ def _cmd_ford_ratio(args):
     ns = args.n_list if args.n_list is not None else args.n
     if ns is None:
         raise InvalidArgumentError("need --n or --n-list")
-    rows = [{"N": n, "count": shifted.lv_count(n), "ratio": shifted.ford_ratio(n)}
-            for n in ns]
+    rows = [{"N": n, "count": (c := shifted.lv_count(n)),
+             "ratio": shifted._ford_ratio_of(c, n)} for n in ns]
     return ["N", "count", "ratio"], rows
 
 
@@ -217,10 +220,7 @@ def _cmd_smooth(args):
     # the primes above isqrt(x) that the sieve lacks
     sieve = _sieve_for(args, min(int(args.y), isqrt(int(args.x)) + 1)
                        if 2 <= args.y < args.x else 3)
-    rep = smooth.psi_approx_report(args.x, args.y, sieve)
-    rows = [{"x": rep.x, "y": rep.y, "u": rep.u, "exact": rep.exact,
-             "approx": rep.approx, "residual": rep.residual}]
-    return ["x", "y", "u", "exact", "approx", "residual"], rows
+    return _row(**vars(smooth.psi_approx_report(args.x, args.y, sieve)))
 
 
 def _cmd_rho(args):
@@ -233,11 +233,9 @@ def _cmd_pi_ap(args):
     err = None
     if gcd(args.a, args.q) == 1:
         err = ap.error_term(args.x, args.q, args.a, sieve)
-    rows = [{"x": args.x, "q": args.q, "a": args.a,
-             "pi_count": ap.pi_ap(args.x, args.q, args.a, sieve),
-             "psi_weight": ap.psi_ap(args.x, args.q, args.a, sieve),
-             "error": err}]
-    return ["x", "q", "a", "pi_count", "psi_weight", "error"], rows
+    return _row(x=args.x, q=args.q, a=args.a,
+                pi_count=ap.pi_ap(args.x, args.q, args.a, sieve),
+                psi_weight=ap.psi_ap(args.x, args.q, args.a, sieve), error=err)
 
 
 def _report_rows(rep: ap.DiscrepancyReport, args, extra: dict):
@@ -245,8 +243,7 @@ def _report_rows(rep: ap.DiscrepancyReport, args, extra: dict):
         cols = ["x"] + list(extra) + ["q", "value"]
         rows = [dict(x=rep.x, **extra, q=q, value=v) for q, v in rep.per_q]
         return cols, rows
-    cols = ["x"] + list(extra) + ["total", "normalized"]
-    return cols, [dict(x=rep.x, **extra, total=rep.total, normalized=rep.normalized)]
+    return _row(x=rep.x, **extra, total=rep.total, normalized=rep.normalized)
 
 
 def _auto_bv_q(x: float) -> int:
@@ -256,7 +253,8 @@ def _auto_bv_q(x: float) -> int:
 def _window(args, x: float) -> tuple[int, float, float]:
     """Q, P1 and P2 of the window at x: --Q, --p1 and --p2, by default
     sqrt(x log^3 x) (1 for x <= 1), sqrt(x) and x."""
-    Q = args.Q or (max(1, int(sqrt(x * log(x) ** 3))) if x > 1 else 1)
+    if (Q := args.Q) is None:
+        Q = max(1, int(sqrt(x * log(x) ** 3))) if x > 1 else 1
     P1 = args.p1 if args.p1 is not None else sqrt(max(x, 0.0))
     P2 = args.p2 if args.p2 is not None else x
     return Q, P1, P2
@@ -268,7 +266,7 @@ def _cmd_bv_sum(args):
         raise InvalidArgumentError("--x-list needs at least one value")
     all_rows = []
     for x in xs:
-        Q = args.Q if args.Q else _auto_bv_q(x)
+        Q = _auto_bv_q(x) if args.Q is None else args.Q
         sieve = _sieve_for(args, int(x))
         rep = ap.bv_sum(x, Q, sieve, threads=args.threads)
         cols, rows = _report_rows(rep, args, {"Q": Q})
@@ -278,14 +276,14 @@ def _cmd_bv_sum(args):
 
 def _cmd_signed_sum(args):
     sieve = _sieve_for(args, int(args.x))
-    Q = args.Q if args.Q else _auto_bv_q(args.x)
+    Q = _auto_bv_q(args.x) if args.Q is None else args.Q
     rep = ap.signed_sum(args.x, Q, args.a, sieve)
     return _report_rows(rep, args, {"Q": Q, "a": args.a})
 
 
 def _cmd_dyadic_sum(args):
     sieve = _sieve_for(args, int(args.x))
-    Q = args.Q if args.Q else _auto_bv_q(args.x)
+    Q = _auto_bv_q(args.x) if args.Q is None else args.Q
     rep = ap.dyadic_abs_sum(args.x, Q, args.a, sieve, use_psi=args.psi)
     extra = {"Q": Q, "a": args.a, "weight": "psi" if args.psi else "pi"}
     return _report_rows(rep, args, extra)
@@ -330,10 +328,8 @@ def _cmd_hb_verify(args):
         rows = [{"n": res.n, "x": res.x, "J": res.J, "j": j, "term": t}
                 for j, t in res.terms]
         return cols, rows
-    cols = ["n", "x", "J", "total", "von_mangoldt", "abs_error"]
-    rows = [{"n": res.n, "x": res.x, "J": res.J, "total": res.total,
-             "von_mangoldt": lam, "abs_error": abs(res.total - lam)}]
-    return cols, rows
+    return _row(n=res.n, x=res.x, J=res.J, total=res.total,
+                von_mangoldt=lam, abs_error=abs(res.total - lam))
 
 
 def _load_sequence(args) -> sequences.WeightedSequence:
@@ -346,9 +342,8 @@ def _load_sequence(args) -> sequences.WeightedSequence:
 
 def _cmd_delta(args):
     f = _load_sequence(args)
-    rows = [{"q": args.q, "a": args.a, "value": sequences.delta(f, args.q, args.a),
-             "norm": sequences.norm(f)}]
-    return ["q", "a", "value", "norm"], rows
+    return _row(q=args.q, a=args.a, value=sequences.delta(f, args.q, args.a),
+                norm=sequences.norm(f))
 
 
 def _cmd_cond_check(args):
@@ -357,30 +352,27 @@ def _cmd_cond_check(args):
     if cond == "A1":
         if args.d is None or args.k is None or args.ell is None:
             raise InvalidArgumentError("A1 needs --d, --k, --ell")
-        row = {"condition": "A1", "holds": None, "worst_case": None,
-               "lhs": sequences.a1_lhs(f, args.d, args.k, args.ell), "rhs": None}
-    else:
-        check, dest = {"A2": (sequences.check_A2, "bound"),
-                       "A3": (sequences.check_A3, "x"),
-                       "A4": (sequences.check_A4, "z")}[cond]
-        value = getattr(args, dest)
-        if value is None:
-            raise InvalidArgumentError(f"{cond} needs --{dest}")
-        rep = check(f, value)
-        row = {"condition": rep.condition, "holds": rep.holds,
-               "worst_case": rep.worst_case, "lhs": rep.lhs, "rhs": rep.rhs}
-    return ["condition", "holds", "worst_case", "lhs", "rhs"], [row]
+        return _row(condition="A1", holds=None, worst_case=None,
+                    lhs=sequences.a1_lhs(f, args.d, args.k, args.ell), rhs=None)
+    check, dest = {"A2": (sequences.check_A2, "bound"),
+                   "A3": (sequences.check_A3, "x"),
+                   "A4": (sequences.check_A4, "z")}[cond]
+    value = getattr(args, dest)
+    if value is None:
+        raise InvalidArgumentError(f"{cond} needs --{dest}")
+    rep = check(f, value)
+    return _row(condition=rep.condition, holds=rep.holds,
+                worst_case=rep.worst_case, lhs=rep.lhs, rhs=rep.rhs)
 
 
 def _cmd_divisor_lhs(args):
     params = {k: v for k, v in vars(args).items() if v is not None}
-    _, span = sequences.selector_params(args.selector, params)  # before the sieve
+    _, span = sequences.selector_params(args.selector, params)  # sizes the sieve
     sieve = _sieve_for(args, span)
     lhs = sequences.divisor_sum_lhs(args.selector, params, sieve)
     rhs = sequences.divisor_sum_rhs_shape(args.selector, params)
-    rows = [{"selector": args.selector, "lhs": lhs, "rhs_shape": rhs,
-             "ratio": lhs / rhs if rhs else None}]
-    return ["selector", "lhs", "rhs_shape", "ratio"], rows
+    return _row(selector=args.selector, lhs=lhs, rhs_shape=rhs,
+                ratio=lhs / rhs if rhs else None)
 
 
 def _cmd_adversarial(args):
@@ -389,59 +381,42 @@ def _cmd_adversarial(args):
         A.to_file(args.write_a)
     if args.write_b:
         B.to_file(args.write_b)
-    rows = [{"N": args.n, "eps": args.eps, "p": p,
-             "card_a": len(A), "card_b": len(B)}]
-    return ["N", "eps", "p", "card_a", "card_b"], rows
+    return _row(N=args.n, eps=args.eps, p=p, card_a=len(A), card_b=len(B))
 
 
 def _cmd_thm1_search(args):
     sieve = _sieve_for(args, isqrt(max(int(args.hi), 0)) + 1)
     hit = shifted.prime_in_interval_search(args.n, args.lo, args.hi, sieve)
-    row = {"N": args.n, "lo": args.lo, "hi": args.hi,
-           "found": hit is not None,
-           "p": hit[0] if hit else None,
-           "a": hit[1] if hit else None,
-           "b": hit[2] if hit else None}
-    return ["N", "lo", "hi", "found", "p", "a", "b"], [row]
+    p, a, b = hit or (None, None, None)
+    return _row(N=args.n, lo=args.lo, hi=args.hi, found=hit is not None, p=p, a=a, b=b)
 
 
 def _cmd_thm1_sum(args):
     sieve = _sieve_for(args, args.n + 1)
     Y, Z1, Z2 = shifted.theorem1_thresholds(args.n, args.a_exp)
     total = shifted.theorem1_sum(args.n, args.a_exp, sieve)
-    rows = [{"N": args.n, "A_exp": args.a_exp, "Y": Y, "Z1": Z1, "Z2": Z2,
-             "total": total}]
-    return ["N", "A_exp", "Y", "Z1", "Z2", "total"], rows
+    return _row(N=args.n, A_exp=args.a_exp, Y=Y, Z1=Z1, Z2=Z2, total=total)
 
 
 def _cmd_thm2_sum(args):
     (B,) = _sets(args)
     sieve = _sieve_for(args, args.n + 1)
     total = shifted.theorem2_sum(args.n, args.delta, B, sieve)
-    rows = [{"N": args.n, "delta": args.delta, "card_b": len(B), "total": total}]
-    return ["N", "delta", "card_b", "total"], rows
+    return _row(N=args.n, delta=args.delta, card_b=len(B), total=total)
 
 
 def _cmd_ledger(args):
     A, B = _sets(args)
     N = max(A.n_max, B.n_max)  # --n when given, else the largest file value
-    products.check_ledger_size(A, B, N)  # before the sieve is built
     sieve = _sieve_for(args, max(N, 3))
-    rep = products.ledger_report(A, B, N, sieve)
-    cols = ["N", "A_card", "B_card", "log_E", "log_E1", "log_E2",
-            "sigma1", "sigma2", "lemma72_lhs", "lemma72_rhs", "implied_exponent"]
-    rows = [{c: getattr(rep, c) for c in cols}]
-    return cols, rows
+    return _row(**vars(products.ledger_report(A, B, N, sieve)))
 
 
 def _cmd_sqerr_check(args):
     (U,) = _sets(args)
-    products.check_sqerr_n(args.n)  # before the sieve is built
     sieve = _sieve_for(args, max(args.n, 3))
     res = products.square_errors_check(U, args.n, sieve)
-    rows = [{"N": args.n, "card": len(U), "lhs": res.lhs, "rhs": res.rhs,
-             "holds": res.holds}]
-    return ["N", "card", "lhs", "rhs", "holds"], rows
+    return _row(N=args.n, card=len(U), lhs=res.lhs, rhs=res.rhs, holds=res.holds)
 
 
 # ---------------------------------------------------------------------------

@@ -214,10 +214,14 @@ def ford_ratio(N: int) -> float:
 
     with c the multiplication-table exponent (about 0.0861)."""
     N = int(N)
+    return _ford_ratio_of(lv_count(N), N)
+
+
+def _ford_ratio_of(count: int, N: int) -> float:
+    """ford_ratio(N) from count = lv_count(N)."""
     if N < 3:
         raise InvalidArgumentError("ford_ratio needs N >= 3 (log log N > 0)")
-    lv = lv_count(N)
-    return lv * log(N) ** FORD_EXPONENT * log(log(N)) ** 1.5 / float(N) ** 2
+    return count * log(N) ** FORD_EXPONENT * log(log(N)) ** 1.5 / float(N) ** 2
 
 
 def adversarial_sets(N: int, eps: float) -> tuple[int, IndexSet, IndexSet]:

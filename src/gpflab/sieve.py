@@ -1,7 +1,7 @@
 """Prime sieve and exact arithmetic functions.
 
-The sieve lists the primes up to its limit and strikes its smallest-prime-
-factor table from them on first read; factorization is exact for every
+The sieve fills the primes up to its limit, and its smallest-prime-factor
+table, each on first read; factorization is exact for every
 integer up to limit*(limit+2), because after stripping all prime factors
 <= limit the remaining cofactor of such an integer is either 1 or prime
 (two factors above the limit would exceed (limit+1)^2).
@@ -32,26 +32,31 @@ _FINISH_ROUNDS = 4
 
 
 class PrimeSieve:
-    """The primes up to a limit, and their smallest-prime-factor table.
+    """The primes up to a limit and their smallest-prime-factor table, each
+    filled on first read: a call checks its arguments before either exists.
 
     Attributes
     ----------
     limit : int
         Largest integer covered by the sieve.
     primes : ndarray of int64
-        All primes <= limit, ascending.
+        All primes <= limit, ascending; filled by ``prime_fill``.
     spf : ndarray of int32
         spf[n] is the smallest prime factor of n for 2 <= n <= limit
-        (spf[1] == 1); filled from the primes on first read.
+        (spf[1] == 1); filled by ``spf_fill``, which does not read ``primes``.
     """
 
-    __slots__ = ("limit", "primes", "_spf", "_theta_cum")
+    __slots__ = ("limit", "_primes", "_spf", "_theta_cum")
 
-    def __init__(self, limit, primes):
+    def __init__(self, limit):
         self.limit = limit
-        self.primes = primes
-        self._spf = None
-        self._theta_cum = None
+        self._primes = self._spf = self._theta_cum = None
+
+    @property
+    def primes(self) -> np.ndarray:
+        if self._primes is None:
+            self._primes = _accel.prime_fill(self.limit)
+        return self._primes
 
     @property
     def spf(self) -> np.ndarray:
@@ -71,17 +76,17 @@ class PrimeSieve:
         return self._theta_cum
 
     def __repr__(self):
-        return f"PrimeSieve(limit={self.limit}, primes={self.primes.size})"
+        return f"PrimeSieve(limit={self.limit})"
 
 
 def build_sieve(limit: int) -> PrimeSieve:
-    """Sieve the primes up to limit."""
+    """A sieve up to limit; its tables are filled on first read."""
     limit = int(limit)
     if limit < 2:
         raise InvalidArgumentError("sieve limit must be at least 2")
     if limit > MAX_SIEVE_LIMIT:
         raise RangeBudgetError(f"sieve limit {limit} exceeds cap {MAX_SIEVE_LIMIT}")
-    return PrimeSieve(limit, _accel.prime_fill(limit))
+    return PrimeSieve(limit)
 
 
 def is_prime_u64(n: int) -> bool:

@@ -5,6 +5,7 @@ over residues) rather than reusing library internals.
 """
 
 import math
+import tracemalloc
 from math import gcd, log
 
 import numpy as np
@@ -207,6 +208,22 @@ def test_bv_max_scan_matches_scalar_walk(sieve_m, x):
         want = _scalar_bv_max(walk, q, naive_phi(q))
         assert _accel.bv_max_scan(ps % q, q) == want, (x, q)
         assert _accel.bv_max_scan(ps.astype(np.uint32) % q, q) == want, (x, q)
+
+
+def test_bv_sum_q2_peak_memory():
+    """At q = 2 every prime ties for the largest key.  Its deviations are
+    taken a block of primes at a time, so bv_sum(2e7, 2) holds about 36 MiB
+    of the numpy heap at its peak, measured, where all of them at once took
+    103 MiB."""
+    sieve = build_sieve(2 * 10**7)
+    assert sieve.primes.size == 1_270_607  # filled before the trace
+    tracemalloc.start()
+    try:
+        assert bv_sum(2e7, 2, sieve).total == 1.0
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 64 * 2**20
 
 
 def test_bv_sum_monotone_in_q(sieve_10k):

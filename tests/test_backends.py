@@ -90,6 +90,21 @@ def test_spf_is_filled_once_on_first_read(monkeypatch):
     assert sieve.spf is spf and calls == [10_000]
 
 
+def test_primes_filled_once_on_first_read(monkeypatch):
+    calls, fill = [], _accel.prime_fill
+
+    def counted(limit):
+        calls.append(limit)
+        return fill(limit)
+
+    monkeypatch.setattr(_accel, "prime_fill", counted)
+    sieve = build_sieve(10_000)
+    assert calls == [] and repr(sieve) == "PrimeSieve(limit=10000)"
+    primes = sieve.primes
+    assert np.array_equal(primes, fill(10_000))
+    assert sieve.primes is primes and calls == [10_000]
+
+
 def test_roundtrip_finds_a_corrupted_entry():
     spf = _accel.spf_fill(50_000)
     assert _accel.roundtrip_first_bad(spf, 50_000) == 0

@@ -218,6 +218,17 @@ def test_ford_ratio_n_list(capsys):
     assert float(rows[1]["ratio"]) == pytest.approx(shifted.ford_ratio(100))
 
 
+def test_ford_ratio_counts_each_n_once(capsys, monkeypatch):
+    from gpflab import _accel
+
+    calls, count = [], _accel.product_mark_count
+    monkeypatch.setattr(_accel, "product_mark_count", lambda n: calls.append(n) or count(n))
+    code, out, _ = run_cli(capsys, ["ford-ratio", "--n-list", "10,100"])
+    assert code == 0 and calls == [10, 100]
+    assert out.splitlines() == ["N,count,ratio", "10,42,0.343716274461491",
+                                "100,2906,0.625485478936884"]
+
+
 def test_ford_ratio_needs_n(capsys):
     code, _, err = run_cli(capsys, ["ford-ratio"])
     assert code == 1
@@ -839,13 +850,19 @@ def test_huge_sizes_exit_two(capsys, argv):
         assert f"needs {argv[argv.index('1e20') - 1][2:]} < 2**63" in err
 
 
+def _no_fill(monkeypatch):
+    """Make each table fill of the sieve raise."""
+    from gpflab import _accel
+
+    def no_fill(limit):
+        raise AssertionError(f"table of {limit} filled before the refusal")
+
+    monkeypatch.setattr(_accel, "prime_fill", no_fill)
+    monkeypatch.setattr(_accel, "spf_fill", no_fill)
+
+
 def test_gamma_plus_pair_budget_before_the_sieve(capsys, monkeypatch):
-    from gpflab import cli
-
-    def no_sieve(limit):
-        raise AssertionError(f"sieve of {limit} built before the pair budget")
-
-    monkeypatch.setattr(cli, "build_sieve", no_sieve)
+    _no_fill(monkeypatch)
     code, out, err = run_cli(capsys, ["gamma-plus", "--n", "3163", "--dense"])
     assert code == 2 and out == ""
     assert err == "error: gamma_plus budget is |A|*|B| <= 10000000, got 10004569\n"
@@ -860,15 +877,29 @@ def test_gamma_plus_pair_budget_before_the_sieve(capsys, monkeypatch):
      "ledger_report budget is |A|*|B| <= 100000000, got 100020001"),
 ])
 def test_sqerr_and_ledger_budgets_before_the_sieve(capsys, monkeypatch, argv, err_line):
-    from gpflab import cli
-
-    def no_sieve(limit):
-        raise AssertionError(f"sieve of {limit} built before the budget")
-
-    monkeypatch.setattr(cli, "build_sieve", no_sieve)
+    _no_fill(monkeypatch)
     code, out, err = run_cli(capsys, argv)
     assert code == 2 and out == ""
     assert err == f"error: {err_line}\n"
+
+
+@pytest.mark.parametrize("argv, err_line", [
+    # 0 is a value, not the option left out: the library refuses it
+    *[([cmd, "--x", "2e4", "--Q", "0"], f"{what} needs Q >= 1")
+      for cmd, what in (("bv-sum", "bv_sum"), ("signed-sum", "signed_sum"),
+                        ("dyadic-sum", "dyadic_abs_sum"), ("thm4-sum", "theorem4_sum"),
+                        ("lambda-ext", "lambda_extension_sum"))],
+    (["gpf", "--n", "97", "--sieve-limit", "0"], "sieve limit must be at least 2"),
+    (["gamma-plus", "--n", "50", "--random-card", "0"],
+     "random cardinality must be in [1, N]"),
+    (["pi-ap", "--x", "1e8", "--q", "0", "--a", "1"], "error_term needs q >= 1"),
+    (["thm4-sum", "--x", "5e7", "--p1", "50", "--p2", "2"],
+     "theorem4_sum needs 1 <= P1 <= P2"),
+])
+def test_refusal_fills_no_table(capsys, monkeypatch, argv, err_line):
+    _no_fill(monkeypatch)
+    code, out, err = run_cli(capsys, argv)
+    assert (code, out, err) == (1, "", f"error: {err_line}\n")
 
 
 # outputs recorded with the spf table filled up front; a call that reads only
@@ -898,6 +929,8 @@ _PRIMES_ONLY = [
      'fourfold-glued,31246,872151084.63735,3.58263614531792e-05'),
     (['cond-check', '--indicator', '1000,1999', '--condition', 'A4', '--z', '7'],
      'A4,false,1000,1999,2000'),
+    (['pi-ap', '--x', '2e4', '--q', '3', '--a', '1'],
+     '20000,3,1,1124,10007.7764503341,-7'),
 ]
 
 

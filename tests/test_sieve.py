@@ -89,16 +89,17 @@ def _peak_growth_kib(call: str) -> int:
 
 
 def test_build_sieve_peak_memory():
-    """At limit 2e7 the build fills a byte sieve (19 MiB, freed) and keeps
-    the primes (10 MiB), not the spf table; it must grow the peak RSS of a
-    fresh process by less than 256 MiB."""
-    assert _peak_growth_kib("build_sieve(2 * 10**7)") < 256 * 1024
+    """Reading primes at limit 2e7 fills a byte sieve (19 MiB, freed) and
+    keeps the primes (10 MiB), not the spf table; it must grow the peak RSS
+    of a fresh process by less than 256 MiB."""
+    assert _peak_growth_kib("build_sieve(2 * 10**7).primes") < 256 * 1024
 
 
 def test_spf_fill_peak_memory():
-    """Reading spf at limit 2e7 fills its int32 table (76 MiB) on top of the
-    build: 86 MiB of peak growth in a fresh process, measured.  An int64
-    table (153 MiB) beside the primes (10 MiB) would not fit in 160 MiB."""
+    """Reading spf at limit 2e7 fills its int32 table (76 MiB) from the
+    primes up to isqrt(limit) alone, without the primes up to the limit: 76
+    MiB of peak growth in a fresh process, measured.  An int64 table (153
+    MiB) would not fit in 160 MiB."""
     call = "assert build_sieve(2 * 10**7).spf.size == 2 * 10**7 + 1"
     assert _peak_growth_kib(call) < 160 * 1024
 
