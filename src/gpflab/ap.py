@@ -64,13 +64,11 @@ def psi_cheb(x, sieve: PrimeSieve) -> float:
 
 
 def _prime_powers(x: int, sieve: PrimeSieve) -> tuple[np.ndarray, np.ndarray]:
-    """Prime powers n <= x with weights log p, sorted by n."""
+    """Prime powers n <= x, each once, with weights log p, in no
+    particular order."""
     ps = sieve.primes[:sieve.pi(x)]
     pk, _, lp = _higher_powers(x, sieve)
-    n_all = np.concatenate([ps, pk])
-    w_all = np.concatenate([np.log(ps.astype(np.float64)), lp])
-    order = np.argsort(n_all, kind="stable")
-    return n_all[order], w_all[order]
+    return np.concatenate([ps, pk]), np.concatenate([np.log(ps.astype(np.float64)), lp])
 
 
 def pi_ap(x, q: int, a: int, sieve: PrimeSieve) -> int:
@@ -95,7 +93,12 @@ def error_term(x, q: int, a: int, sieve: PrimeSieve) -> float:
     check_modulus("error_term", "q", q)
     if gcd(a, q) != 1:
         raise InvalidArgumentError(f"error_term needs gcd(a, q) == 1, got a={a}, q={q}")
-    return pi_ap(x, q, a, sieve) - pi_of(x, sieve) / int(_phi_of([q], sieve)[0])
+    return _error_of(pi_ap(x, q, a, sieve), x, q, sieve)
+
+
+def _error_of(count: int, x, q: int, sieve: PrimeSieve) -> float:
+    """error_term(x, q, a) from count = pi_ap(x, q, a)."""
+    return count - pi_of(x, sieve) / int(_phi_of([q], sieve)[0])
 
 
 @dataclass(frozen=True, eq=False)

@@ -230,12 +230,13 @@ def _cmd_rho(args):
 
 def _cmd_pi_ap(args):
     sieve = _sieve_for(args, int(args.x))
-    err = None
-    if gcd(args.a, args.q) == 1:
-        err = ap.error_term(args.x, args.q, args.a, sieve)
-    return _row(x=args.x, q=args.q, a=args.a,
-                pi_count=ap.pi_ap(args.x, args.q, args.a, sieve),
-                psi_weight=ap.psi_ap(args.x, args.q, args.a, sieve), error=err)
+    coprime = gcd(args.a, args.q) == 1
+    if coprime:  # a bad q is refused under error_term's name
+        ap.check_modulus("error_term", "q", args.q)
+    count = ap.pi_ap(args.x, args.q, args.a, sieve)
+    return _row(x=args.x, q=args.q, a=args.a, pi_count=count,
+                psi_weight=ap.psi_ap(args.x, args.q, args.a, sieve),
+                error=ap._error_of(count, args.x, args.q, sieve) if coprime else None)
 
 
 def _report_rows(rep: ap.DiscrepancyReport, args, extra: dict):

@@ -11,6 +11,7 @@ from math import fsum, log
 
 import numpy as np
 
+from .ap import _round_fixed
 from .errors import InvalidArgumentError, RangeBudgetError
 from .shifted import IndexSet, _product_table
 from .sieve import PrimeSieve, _higher_powers
@@ -36,12 +37,25 @@ def r_count(U: IndexSet, h: int, m: int) -> int:
 
 
 def log_E(A: IndexSet, B: IndexSet) -> float:
-    """log of the product of (a*b + 1) over all pairs."""
+    """log of the product of (a*b + 1) over all pairs: each row a summed
+    exactly and rounded once, as fsum would, then fsum over the rows.  The
+    rows go in blocks of about ``_BLOCK`` pairs, one log per block."""
     if len(A) == 0 or len(B) == 0:
         raise InvalidArgumentError("log_E needs nonempty sets")
+    a = A.members().astype(np.float64)
     bs = B.members().astype(np.float64)
-    rows = [fsum(np.log(a * bs + 1.0).tolist()) for a in A.members().tolist()]
-    return fsum(rows)
+    # members lie in [1, 1e8], so each term log(ab + 1), with ab formed in
+    # float64 (inexact above 2**53), lies in [log 2, log(1e16 + 1)], within
+    # [0.5, 64): a whole multiple of 2**-53, so k is exact and below 2**59.
+    # Its 32-bit limbs sum below 2**32 * |B| and 2**27 * |B|, under 2**63
+    # for any |B| <= 1e8
+    limbs = np.empty((a.size, 2), dtype=np.int64)
+    step = max(1, _BLOCK // bs.size)
+    for i in range(0, a.size, step):
+        k = (np.log(a[i:i + step, None] * bs + 1.0) * 2.0**53).astype(np.int64)
+        limbs[i:i + step, 0] = (k & 0xFFFFFFFF).sum(axis=1)
+        limbs[i:i + step, 1] = (k >> 32).sum(axis=1)
+    return fsum(_round_fixed(limbs, -53).tolist())
 
 
 @dataclass(frozen=True)
@@ -68,9 +82,9 @@ def _moduli(N: int, cap: int, sieve: PrimeSieve) -> list[tuple[int, int]]:
 # (tau(32432400) = 600 is the largest): uint16 cannot overflow
 _HIST_CAP = 1 << 25
 
-# (element, modulus) entries per block of moduli in log_E1: its temporaries
-# stay near 512 KiB, while one batch over all moduli raised the peak RSS of
-# ``ledger --n 1000`` by 15 MiB
+# (element, modulus) entries per block of moduli in log_E1, and pairs per
+# block of rows in log_E: their temporaries stay near 512 KiB, while one
+# batch over all moduli raised the peak RSS of ``ledger --n 1000`` by 15 MiB
 _BLOCK = 1 << 16
 
 

@@ -11,7 +11,7 @@ from math import gcd, log
 import numpy as np
 import pytest
 
-from gpflab import _accel
+from gpflab import _accel, ap
 from gpflab.ap import (
     _fixed,
     _mobius_phi,
@@ -128,6 +128,26 @@ def test_psi_ap_matches_trial_division(sieve_10k):
     for q, a in ((3, 1), (5, 2), (8, 7), (6, 3)):
         want = math.fsum(naive_lambda(n) for n in range(1, 2001) if n % q == a)
         assert abs(psi_ap(2000, q, a, sieve_10k) - want) < 1e-9
+
+
+def test_prime_powers_order_free(monkeypatch, sieve_m):
+    """psi_ap and the psi discrepancies read the prime powers unsorted;
+    sorting them by n, as they once were, changes no bit."""
+    def run():
+        return ([psi_ap(x, q, a, sieve_m) for x in (10, 1000, 10**6)
+                 for q, a in ((1, 0), (3, 1), (4, 3), (10, 7))],
+                [dyadic_abs_sum(x, Q, 1, sieve_m, use_psi=True)
+                 for x in (10, 1000, 10**6) for Q in (2, 5, 30)])
+    got = run()
+    unsorted = ap._prime_powers
+
+    def by_n(x, sieve):
+        ns, ws = unsorted(x, sieve)
+        order = np.argsort(ns, kind="stable")
+        return ns[order], ws[order]
+
+    monkeypatch.setattr(ap, "_prime_powers", by_n)
+    assert run() == got
 
 
 def test_error_term_sum_rule(sieve_10k):

@@ -289,6 +289,23 @@ def test_pi_ap_row(capsys):
         ap.error_term(100.0, 4, 3, sieve))
 
 
+# rows recorded when the handler counted the progression twice
+@pytest.mark.parametrize("argv, row", [
+    (["--x", "1e6", "--q", "3", "--a", "1"], "1000000,3,1,39231,500144.208997665,-18"),
+    (["--x", "1e6", "--q", "4", "--a", "2"], "1000000,4,2,1,0.693147180559945,"),
+    (["--x", "100000", "--q", "7", "--a", "3"], "100000,7,3,1613,16761.1087644385,14.3333333333333"),
+    (["--x", "100", "--q", "1", "--a", "0"], "100,1,0,25,94.0453112293574,0"),
+    (["--x", "2", "--q", "5", "--a", "2"], "2,5,2,1,0.693147180559945,0.75"),
+])
+def test_pi_ap_counts_once(capsys, monkeypatch, argv, row):
+    calls = []
+    count = ap.pi_ap
+    monkeypatch.setattr(ap, "pi_ap", lambda *a: calls.append(a) or count(*a))
+    code, out, _ = run_cli(capsys, ["pi-ap", *argv])
+    assert code == 0 and out.splitlines()[1] == row
+    assert len(calls) == 1
+
+
 def test_pi_ap_noncoprime_blank_error(capsys):
     code, out, _ = run_cli(capsys, ["pi-ap", "--x", "100", "--q", "4", "--a", "2"])
     assert code == 0

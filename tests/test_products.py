@@ -3,6 +3,7 @@ validated against per-pair trial-division factorization."""
 
 import math
 import random
+import tracemalloc
 from math import log
 
 import numpy as np
@@ -72,6 +73,51 @@ def test_log_E_small():
     assert abs(log_E(s3, s3) - log(705600.0)) < 1e-12
     with pytest.raises(InvalidArgumentError):
         log_E(IndexSet(4), s3)
+
+
+def row_fsums(A, B):
+    """log E summed as fsum over the rows of each a's fsum over B."""
+    bs = B.members().astype(np.float64)
+    return math.fsum([math.fsum(np.log(a * bs + 1.0).tolist()) for a in A.members().tolist()])
+
+
+def test_log_E_equals_row_fsums_dense():
+    for N in range(1, 201):
+        D = IndexSet.dense(N)
+        assert log_E(D, D) == row_fsums(D, D), N
+
+
+def test_log_E_equals_row_fsums_wide_members():
+    # members up to the 1e8 cap: a*b passes 2**53 and is rounded in float64
+    edge = IndexSet.from_iterable([1, 2, 10**8 - 1, 10**8])
+    assert log_E(edge, edge) == row_fsums(edge, edge)
+    rng = random.Random(21)
+    past = 0
+    for _ in range(8):
+        A, B = (IndexSet.from_iterable(rng.sample(range(1, 10**8 + 1), rng.randint(1, 40)))
+                for _ in range(2))
+        assert log_E(A, B) == row_fsums(A, B)
+        past += int(A.members()[-1]) * int(B.members()[-1]) > 2**53
+    assert past
+
+
+def test_log_E_one_row_per_block():
+    B = IndexSet.dense(products._BLOCK + 4465)
+    A = IndexSet.from_iterable([1, 2, 3, 7, products._BLOCK + 4465])
+    assert log_E(A, B) == row_fsums(A, B)
+
+
+def test_log_E_temporaries_bounded():
+    """1.6e7 pairs a block of rows at a time: the whole float64 matrix
+    would be 128 MiB."""
+    D = IndexSet.dense(4000)
+    tracemalloc.start()
+    try:
+        log_E(D, D)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 8 * 2**20
 
 
 def test_log_E1_split_small(sieve_10k):
