@@ -83,9 +83,11 @@ def psi_ap(x, q: int, a: int, sieve: PrimeSieve) -> float:
     """Sum of Lambda(n) over n <= x with n = a (mod q)."""
     check_modulus("psi_ap", "q", q)
     xi = _xi_in_sieve(x, sieve, "psi_ap")
-    ns, ws = _prime_powers(xi, sieve)
-    mask = ns % q == a % q
-    return fsum(ws[mask].tolist())
+    ps = sieve.primes[:sieve.pi(xi)]
+    pk, _, lp = _higher_powers(xi, sieve)
+    # the logs of the class's primes only; fsum does not depend on the order
+    hits = np.log(ps[ps % q == a % q].astype(np.float64))
+    return fsum(hits.tolist() + lp[pk % q == a % q].tolist())
 
 
 def error_term(x, q: int, a: int, sieve: PrimeSieve) -> float:
@@ -241,15 +243,22 @@ def _fixed(v: np.ndarray) -> tuple[np.ndarray, int]:
 def _round_fixed(rows: np.ndarray, base: int) -> np.ndarray:
     """The correctly rounded float of each row of limb sums, which is what
     fsum gives for the same terms.  The sums must be >= 0."""
-    rows = np.concatenate([rows, np.zeros((rows.shape[0], 1), dtype=np.int64)], axis=1)
-    for k in range(rows.shape[1] - 1):  # carry every limb into [0, 2**32)
+    width = rows.shape[1]
+    rows = np.concatenate([rows, np.zeros((rows.shape[0], 3), dtype=np.int64)], axis=1)
+    for k in range(width):  # carry every limb into [0, 2**32)
         carry = rows[:, k] >> 32
         rows[:, k] -= carry << 32
         rows[:, k + 1] += carry
-    data = rows.astype("<u4").tobytes()
-    width, scale = 4 * rows.shape[1], 1 << -base
-    return np.fromiter((int.from_bytes(data[i:i + width], "little") / scale
-                        for i in range(0, len(data), width)), np.float64, rows.shape[0])
+    # from the top nonzero limb t (at least 2): H holds its 32 bits and the top
+    # 21 of limb t-1, L the other 11 and limb t-2, plus a sticky bit for any
+    # limb below.  Both are exact floats, so H + L rounds once, correctly
+    nz = rows != 0
+    t = np.maximum(rows.shape[1] - 1 - np.argmax(nz[:, ::-1], axis=1), 2)
+    at = np.arange(0, rows.size, rows.shape[1]) + t  # limb t in the flat rows
+    top, mid, low = (rows.ravel()[at - i] for i in range(3))
+    sticky = nz.cumsum(axis=1).ravel()[at - 2] > (low != 0)
+    H = np.ldexp(((top << 21) + (mid >> 11)).astype(np.float64), 43)
+    return np.ldexp(H + (((mid & 0x7FF) << 32) + (low | sticky)), base + 32 * (t - 2))
 
 
 # ---------------------------------------------------------------------------

@@ -369,7 +369,7 @@ def _cmd_cond_check(args):
 def _cmd_divisor_lhs(args):
     params = {k: v for k, v in vars(args).items() if v is not None}
     _, span = sequences.selector_params(args.selector, params)  # sizes the sieve
-    sieve = _sieve_for(args, span)
+    sieve = _sieve_for(args, isqrt(span) + 1)
     lhs = sequences.divisor_sum_lhs(args.selector, params, sieve)
     rhs = sequences.divisor_sum_rhs_shape(args.selector, params)
     return _row(selector=args.selector, lhs=lhs, rhs_shape=rhs,

@@ -14,8 +14,7 @@ import numpy as np
 from . import _accel
 from .ap import check_modulus, default_rough_z
 from .errors import InvalidArgumentError, RangeBudgetError
-from .sieve import (PrimeSieve, _rough_mask, _tau_order, build_sieve, euler_phi,
-                    factorize, rough_table)
+from .sieve import PrimeSieve, _rough_mask, _tau_order, build_sieve, euler_phi, factorize
 
 _SPAN_BUDGET = 100_000_000  # widest window of a dense sequence
 
@@ -325,11 +324,18 @@ def heath_brown_terms(n: int, x, J: int, sieve: PrimeSieve) -> HeathBrownResult:
 # ---------------------------------------------------------------------------
 # exactly evaluated multi-variable divisor sums
 
-_SINGLE = 10_000_000  # largest table of a single-variable sum
+_SINGLE = 10_000_000  # largest x (x*y for a window) of a single-variable sum
 _MULTI = 1_000_000  # largest table of a four- or s-fold sum
+_WALK = 1 << 18  # integers per block of the single-variable walk
+# The int64 sums are exact: D_k(x) = sum_{n<=x} tau_k(n) <= x (ln x + k-1)^(k-1)
+# / (k-1)!, by induction on D_{k+1}(x) = sum_{n<=x} D_k(x/n), and a weight is
+# at most tau_17 (j <= 16, plus one when glued).  So a block sum of
+# rough-tau-hyperbola stays below D_17(1e7) < 6.2e17 < 2**63 for x <= _SINGLE,
+# and a chain prefix below D_17(1e6) < 1.9e16 for x <= _MULTI; float() of the
+# exact total is the correctly rounded sum.
 
 # selector: the parameters it reads (the s-fold sums also read j1..js), the
-# parameters whose product its tables span, and the budget of that span
+# parameters whose product bounds its n, and the budget of that bound
 _SELECTORS = {
     "window-tau-power": (("x", "y", "ell", "k"), ("x",), _SINGLE),
     "rough-tau": (("x", "z", "j"), ("x",), _SINGLE),
@@ -381,22 +387,53 @@ def selector_params(selector: str, params: dict) -> tuple[list, int]:
     return [params[k] for k in keys], hi
 
 
-def _ld_sum(arr) -> float:
-    return float(np.sum(arr.astype(np.longdouble)))
-
-
-def _weight_table(limit: int, j: int, z, sieve: PrimeSieve, glued=False) -> np.ndarray:
-    """tau_j(n) * [n is z-rough] as float64 over [0, limit], or with
-    ``glued`` its convolution with 1, which counts the glued free variable.
-
-    The convolution sums tau_j over the divisors of the z-rough part of n,
-    so it is tau_{j+1} of that part.
-    """
-    j = _tau_order(j)
-    tab = _accel.tau_table(sieve.primes, 0, limit, j + glued, z).astype(np.float64)
+def _weight_table(lo: int, hi: int, j: int, z, primes: np.ndarray, glued=False) -> np.ndarray:
+    """tau_j(n) * [n is z-rough] as int64 over [lo, hi], from the primes up
+    to isqrt(hi); with ``glued``, tau_{j+1} of the z-rough part of n (the
+    convolution of tau_j with 1), which counts the glued free variable."""
+    tab = _accel.tau_table(primes, lo, hi, _tau_order(j) + glued, z)
     if not glued:
-        tab[~rough_table(limit, z, sieve)] = 0.0
+        tab *= _rough_mask(lo, hi, z, primes)
     return tab
+
+
+def _single_sum(selector: str, given: list, hi: int, primes: np.ndarray) -> float:
+    """One of the seven single-variable sums, by a walk over its window of n
+    ``_WALK`` integers at a time.  rough-tau and rough-tau-hyperbola add int64
+    block sums as Python ints; the others write their float terms in the
+    order of n into one array and round its one long-double sum."""
+    if selector == "window-tau-power":  # the n in (x - y, x], not empty as y >= 1
+        x, y, j, k = given
+        lo, z = floor(x - y) + 1, 2
+    else:  # harmonic-log sums the n > w (w may be inf), window-harmonic the n > x
+        *lead, z, j = given
+        lo = floor(min(hi, lead[0])) + 1 if selector.endswith(("log", "window-harmonic")) else 1
+    exact = selector in ("rough-tau", "rough-tau-hyperbola")
+    total, terms = 0, None if exact else np.empty(hi + 1 - lo, dtype=np.longdouble)
+    if selector == "rough-tau-hyperbola-harmonic":
+        x, y = (np.longdouble(v) for v in lead)
+        harm = np.zeros(hi + 1, dtype=np.longdouble)
+        np.cumsum(1.0 / np.arange(1, hi + 1, dtype=np.longdouble), out=harm[1:])
+    for a in range(lo, hi + 1, _WALK):
+        b = min(a + _WALK, hi + 1)
+        w = _weight_table(a, b - 1, j, z, primes)
+        n = np.arange(a, b, dtype=np.int64)
+        if selector == "rough-tau":
+            total += int(w.sum())
+        elif selector == "rough-tau-hyperbola":
+            total += int((w * (hi // n)).sum())
+        elif selector == "window-tau-power":
+            terms[a - lo:b - lo] = w.astype(np.float64) ** int(k)
+        elif selector == "rough-tau-harmonic-log":
+            terms[a - lo:b - lo] = w / (n * np.log(2.0 * n))
+        elif selector == "rough-tau-hyperbola-harmonic":
+            n = n.astype(np.longdouble)
+            inner = (harm[np.minimum(np.floor(x * y / n).astype(np.int64), hi)]
+                     - harm[np.minimum(np.floor(x / n).astype(np.int64), hi)])
+            terms[a - lo:b - lo] = w / n * inner
+        else:  # rough-tau-harmonic, rough-tau-window-harmonic
+            terms[a - lo:b - lo] = w / n
+    return float(total) if exact else float(np.sum(terms))
 
 
 def _chain(xi: int, y: float, w_lo: float, tables: list[np.ndarray], caps: dict) -> float:
@@ -404,7 +441,7 @@ def _chain(xi: int, y: float, w_lo: float, tables: list[np.ndarray], caps: dict)
     w_lo <= e_s <= ... <= e_1 with e_1 * ... * e_s <= xi, where each entry
     i: r of ``caps`` also bounds e_i <= y * e_r.  The innermost variable is
     summed from a prefix table."""
-    pre1 = np.cumsum(tables[0].astype(np.longdouble))
+    pre1 = np.cumsum(tables[0])
     chain = [0] * (len(tables) + 1)  # chain[i] holds e_i while it is fixed
     parts = []
 
@@ -419,7 +456,7 @@ def _chain(xi: int, y: float, w_lo: float, tables: list[np.ndarray], caps: dict)
         tab = tables[pos - 1]
         e = lo
         while prod * e**pos <= xi and e <= cap:
-            if tab[e] != 0.0:
+            if tab[e] != 0:
                 chain[pos] = e
                 rec(pos - 1, e, prod * e, wgt * tab[e])
             e += 1
@@ -434,51 +471,13 @@ def divisor_sum_lhs(selector: str, params: dict, sieve: PrimeSieve) -> float:
     Selector tokens name the sum's structure; every sum is evaluated by
     nested enumeration with pruning (or an equivalent exact regrouping of
     the innermost free variable).  See divisor_sum_rhs_shape for the matching
-    reference upper-bound shapes evaluated with constant 1.
-    """
+    reference upper-bound shapes evaluated with constant 1.  The sieve holds
+    the primes up to isqrt of the selector's bound on n."""
     given, hi = selector_params(selector, params)
-    if hi > sieve.limit:
-        span = "*".join(_SELECTORS[selector][1])
-        raise RangeBudgetError(f"needs {span} <= sieve.limit")
-
-    if selector == "window-tau-power":
-        x, y, ell, k = given
-        # the n in (x - y, x]: 1 <= y <= x, so the window is not empty
-        tab = _accel.tau_table(sieve.primes, floor(x - y) + 1, hi, _tau_order(ell), 2)
-        return _ld_sum(tab.astype(np.float64) ** int(k))
-
-    if not selector.startswith(("fourfold", "sfold")):
-        *lead, z, j = given
-        w = _weight_table(hi, int(j), z, sieve)
-        if selector == "rough-tau":
-            return _ld_sum(w[1:])
-        if selector == "rough-tau-hyperbola":
-            return _ld_sum(w[1:] * (hi // np.arange(1, hi + 1, dtype=np.int64)))
-        ns = np.arange(hi + 1, dtype=np.float64)
-        if selector == "rough-tau-harmonic":
-            return _ld_sum(w[1:] / ns[1:])
-        if selector == "rough-tau-harmonic-log":
-            mask = ns > lead[0]  # w >= 1 leaves out n = 0
-            return _ld_sum(w[mask] / (ns[mask] * np.log(2.0 * ns[mask])))
-        x, y = lead
-        if selector == "rough-tau-window-harmonic":
-            mask = (ns > x) & (ns <= x * y)
-            return _ld_sum(w[mask] / ns[mask])
-        # rough-tau-hyperbola-harmonic: the terms a block of n at a time into
-        # one array, so that the one pairwise sum adds them in the same order
-        harm = np.zeros(hi + 1, dtype=np.longdouble)
-        np.cumsum(1.0 / np.arange(1, hi + 1, dtype=np.int64).astype(np.longdouble),
-                  out=harm[1:])
-        terms = np.empty(hi, dtype=np.longdouble)
-        for lo in range(1, hi + 1, _accel._BLOCK):
-            top = min(lo + _accel._BLOCK, hi + 1)
-            n = np.arange(lo, top, dtype=np.int64).astype(np.longdouble)
-            lo_t = np.floor(np.longdouble(x) / n).astype(np.int64)
-            hi_t = np.floor(np.longdouble(x) * np.longdouble(y) / n).astype(np.int64)
-            inner = harm[np.minimum(hi_t, hi)] - harm[np.minimum(lo_t, hi)]
-            terms[lo - 1:top - 1] = (w[lo:top].astype(np.longdouble) / n) * inner
-        return float(np.sum(terms))
-
+    if isqrt(hi) > sieve.limit:
+        raise RangeBudgetError(f"needs isqrt({'*'.join(_SELECTORS[selector][1])}) <= sieve.limit")
+    if _SELECTORS[selector][2] == _SINGLE:
+        return _single_sum(selector, given, hi, sieve.primes)
     if selector.startswith("fourfold"):
         x, y, z, w_lo, *js = given
         glued = [selector == "fourfold-glued", False, False, False]
@@ -489,7 +488,7 @@ def divisor_sum_lhs(selector: str, params: dict, sieve: PrimeSieve) -> float:
         glued = [i == nu for i in range(1, len(js) + 1)]
         caps = {len(js) - 2: len(js)}
     keys = [(int(j), g) for j, g in zip(js, glued)]
-    built = {(j, g): _weight_table(hi, j, z, sieve, g) for j, g in dict.fromkeys(keys)}
+    built = {(j, g): _weight_table(0, hi, j, z, sieve.primes, g) for j, g in dict.fromkeys(keys)}
     return _chain(hi, float(y), float(w_lo), [built[key] for key in keys], caps)
 
 

@@ -40,7 +40,8 @@ class PrimeSieve:
     limit : int
         Largest integer covered by the sieve.
     primes : ndarray of int64
-        All primes <= limit, ascending; filled by ``prime_fill``.
+        All primes <= limit, ascending; filled by ``prime_fill`` up to
+        max(``_SEGMENT_CHUNK``, isqrt(limit)) and by ``_prime_spans`` above.
     spf : ndarray of int32
         spf[n] is the smallest prime factor of n for 2 <= n <= limit
         (spf[1] == 1); filled by ``spf_fill``, which does not read ``primes``.
@@ -55,7 +56,11 @@ class PrimeSieve:
     @property
     def primes(self) -> np.ndarray:
         if self._primes is None:
-            self._primes = _accel.prime_fill(self.limit)
+            head = min(self.limit, max(_SEGMENT_CHUNK, isqrt(self.limit)))
+            self._primes = _accel.prime_fill(head)
+            if head < self.limit:
+                self._primes = np.concatenate(
+                    [self._primes, *_prime_spans(head, self.limit, self._primes)])
         return self._primes
 
     @property

@@ -534,6 +534,39 @@ def test_fixed_point_sums_round_like_fsum():
         assert got.hex() == math.fsum(v.tolist()).hex()
 
 
+def _round_fixed_per_row(rows: np.ndarray, base: int) -> np.ndarray:
+    # the reference: each carried row read as one Python int, then divided
+    rows = np.concatenate([rows, np.zeros((rows.shape[0], 1), dtype=np.int64)], axis=1)
+    for k in range(rows.shape[1] - 1):
+        carry = rows[:, k] >> 32
+        rows[:, k] -= carry << 32
+        rows[:, k + 1] += carry
+    data = rows.astype("<u4").tobytes()
+    width, scale = 4 * rows.shape[1], 1 << -base
+    return np.fromiter((int.from_bytes(data[i:i + width], "little") / scale
+                        for i in range(0, len(data), width)), np.float64, rows.shape[0])
+
+
+def test_round_fixed_matches_the_per_row_form():
+    rng = np.random.default_rng(11)
+    cases = []
+    for _ in range(3_000):
+        m, width = int(rng.integers(1, 20)), int(rng.integers(1, 6))
+        rows = rng.integers(0, 2 ** int(rng.integers(1, 63)), size=(m, width), dtype=np.int64)
+        rows[rng.random(rows.shape) < 0.3] = 0
+        cases.append((rows, int(rng.integers(-200, 0))))
+    # exact ties (2**53 + 1) * 2**k, and their neighbours, across limbs
+    for k in range(1, 100):
+        for d in (-1, 0, 1):
+            v = ((1 << 53) + 1 << k) + d
+            limbs = [v >> 32 * i & 0xFFFFFFFF for i in range(v.bit_length() // 32 + 1)]
+            cases += [(np.array([limbs], dtype=np.int64), base) for base in (-1, -53, -300)]
+    for rows, base in cases:
+        want = _round_fixed_per_row(rows.copy(), base)
+        got = _round_fixed(rows.copy(), base)
+        assert [v.hex() for v in got.tolist()] == [v.hex() for v in want.tolist()], (rows, base)
+
+
 def test_trivial_bound_ratio(sieve_10k):
     rep = bv_sum(2000, 10, sieve_10k)
     assert abs(trivial_bound_ratio(rep) - rep.total / (2000.0 * log(4000.0))) < 1e-15

@@ -321,9 +321,9 @@ def test_rough_and_glued_tables_match_loop_forms():
         for j in (0, 1, 2, 3, 5, 16):
             want = dirichlet_tau_table(limit, j).astype(np.float64)
             want[~rough] = 0.0
-            got = sequences._weight_table(limit, j, z, sieve)
+            got = sequences._weight_table(0, limit, j, z, sieve.primes)
             assert np.array_equal(got, want)
-            glued = sequences._weight_table(limit, j, z, sieve, glued=True)
+            glued = sequences._weight_table(0, limit, j, z, sieve.primes, glued=True)
             assert np.array_equal(glued, divisor_sum_table(want))
 
 

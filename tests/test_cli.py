@@ -514,7 +514,7 @@ def test_divisor_lhs_sieve_covers_the_span(capsys, monkeypatch):
     code, out, _ = run_cli(capsys, ["divisor-lhs", "--selector",
                                     "rough-tau-window-harmonic", "--x", "50",
                                     "--y", "3", "--z", "7", "--j", "2"])
-    assert code == 0 and limits == [150]
+    assert code == 0 and limits == [13]  # isqrt(50 * 3) + 1
     _, rows = parse_csv(out)
     lhs = sequences.divisor_sum_lhs("rough-tau-window-harmonic",
                                     {"x": 50, "y": 3.0, "z": 7, "j": 2}, build_sieve(150))

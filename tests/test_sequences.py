@@ -10,12 +10,13 @@ from math import gcd, isqrt, log
 
 import pytest
 
+from gpflab import sequences
 from gpflab.errors import InvalidArgumentError, RangeBudgetError
 from gpflab.sequences import (DIVISOR_SELECTORS, ConditionReport,
                               WeightedSequence, a1_lhs, check_A2, check_A3,
                               check_A4, convolve, convolve3, delta,
                               divisor_sum_lhs, divisor_sum_rhs_shape,
-                              heath_brown_terms, norm)
+                              heath_brown_terms, norm, selector_params)
 from gpflab.sieve import build_sieve, factorize, is_prime_u64, rough_indicator, tau_ell
 
 
@@ -912,6 +913,54 @@ def test_hyperbola_harmonic_peak_memory():
     out = subprocess.run([sys.executable, "-c", code], capture_output=True,
                          text=True, check=True, timeout=120)
     assert int(out.stdout) < 300 * 1024  # VmHWM counts KiB
+
+
+@pytest.mark.parametrize("x", [1e3, 1e5, 2e6])
+def test_hyperbola_is_the_next_divisor_sum(x):
+    # sum_{n<=x} tau_j(n) * (x // n) and sum_{m<=x} tau_{j+1}(m) both count
+    # the (j+1)-tuples with product at most x; at z = 2 every n is rough
+    sieve = build_sieve(isqrt(int(x)))
+    for j in (1, 3, 15):
+        hyp = divisor_sum_lhs("rough-tau-hyperbola", {"x": x, "z": 2, "j": j}, sieve)
+        assert hyp == divisor_sum_lhs("rough-tau", {"x": x, "z": 2, "j": j + 1}, sieve), j
+
+
+def test_divisor_sums_keep_their_bits_in_small_blocks(sieve_m, monkeypatch):
+    # a walk of 97 integers a block splits every window of the pinned rows
+    monkeypatch.setattr(sequences, "_WALK", 97)
+    for sel, params, lhs, _ in _BRUTE_PINNED:
+        assert divisor_sum_lhs(sel, params, sieve_m).hex() == lhs, (sel, params)
+
+
+def test_divisor_sums_need_the_primes_up_to_isqrt(sieve_m):
+    # a sieve up to isqrt of the bound on n answers as a wide one does, one
+    # below it is refused
+    for sel, params, lhs, _ in _BRUTE_PINNED:
+        root = isqrt(selector_params(sel, params)[1])
+        assert divisor_sum_lhs(sel, params, build_sieve(root)).hex() == lhs, (sel, params)
+        with pytest.raises(RangeBudgetError, match="isqrt"):
+            divisor_sum_lhs(sel, params, build_sieve(root - 1))
+
+
+def test_rough_tau_hyperbola_peak_memory():
+    """x = 4e6 on a sieve whose primes are already read: the walk holds a
+    block of 2**18 integers at a time.  A table over all of [0, x] grew the
+    peak by 146 MiB, the walk by about 2 MiB."""
+    code = ("def hwm():\n"
+            "    with open('/proc/self/status') as fh:\n"
+            "        return next(int(l.split()[1]) for l in fh if l.startswith('VmHWM'))\n"
+            "from gpflab.sequences import divisor_sum_lhs\n"
+            "from gpflab.sieve import build_sieve\n"
+            "sieve = build_sieve(4 * 10**6 + 1)\n"
+            "sieve.primes\n"
+            "before = hwm()\n"
+            "value = divisor_sum_lhs('rough-tau-hyperbola', {'x': 4e6, 'z': 5, 'j': 3}, sieve)\n"
+            "print(hwm() - before, value)")
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                         text=True, check=True, timeout=120)
+    growth, value = out.stdout.split()
+    assert float(value) == 196907873
+    assert int(growth) < 64 * 1024  # VmHWM counts KiB
 
 
 def test_rhs_shapes_positive_finite():

@@ -254,6 +254,18 @@ def test_is_prime_u64_spot_checks():
             is_prime_u64(n)
 
 
+def test_primes_above_the_head_come_from_segments(monkeypatch):
+    # a byte sieve fills the primes up to max(_SEGMENT_CHUNK, isqrt(limit)),
+    # segments of _SEGMENT_CHUNK integers the rest; here a few hundred each
+    from gpflab import _accel, sieve
+
+    monkeypatch.setattr(sieve, "_SEGMENT_CHUNK", 97)
+    for limit in (2, 97, 98, 1_000, 9_409, 9_410, 110_000):
+        got = build_sieve(limit).primes
+        assert got.dtype == np.int64
+        assert np.array_equal(got, _accel.prime_fill(limit)), limit
+
+
 def test_segmented_primes_beyond_limit(sieve_m):
     got = segmented_primes(1_000_000, 1_010_000, sieve_m).tolist()
     want = [n for n in range(1_000_001, 1_010_001) if naive_is_prime(n)]
