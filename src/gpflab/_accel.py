@@ -8,7 +8,9 @@ and phi of the moduli); ``_peel`` strips the smallest prime power from a
 block of values per round, so its loop runs about as many times as a value
 has prime factors.  Neither loops once per integer.  ``bv_max_scan`` keys
 each prime by one integer, h = phi*rank - index, and takes its floats only
-at the largest and the smallest key, every tie included.
+at the largest and the smallest key, every tie included.  Every float sum
+here is exact, in integer limbs or Python ints, and rounded once: the
+correctly rounded sum, what fsum gives.
 """
 
 from __future__ import annotations
@@ -166,12 +168,90 @@ def segment_mark(lo: int, hi: int, base_primes: np.ndarray) -> np.ndarray:
 
 
 # ---------------------------------------------------------------------------
-# compensated cumulative sum (prefix tables of log-weights)
+# exact float sums, rounded once
+
+
+def _fixed(v: np.ndarray) -> tuple[np.ndarray, int]:
+    """Nonnegative floats as exact fixed-point limbs along a new last axis,
+    with their base: v == sum_k out[..., k] * 2**(base + 32*k)."""
+    # the smallest nonzero v, hence every v, is a whole multiple of 2**base
+    base = min(int(np.frexp(v[v > 0].min(initial=1.0))[1]) - 53, -1)
+    u = np.ldexp(v, -base)
+    top = int(np.frexp(u.max(initial=0.0))[1])
+    return np.stack([np.fmod(np.floor(np.ldexp(u, -32 * k)), 2.0**32).astype(np.int64)
+                     for k in range(top // 32 + 1)], axis=-1), base
+
+
+def _round_fixed(rows: np.ndarray, base: int) -> np.ndarray:
+    """The correctly rounded float of each row of limb sums, which is what
+    fsum gives for the same terms.  The sums must be >= 0."""
+    width = rows.shape[1]
+    rows = np.concatenate([rows, np.zeros((rows.shape[0], 3), dtype=np.int64)], axis=1)
+    for k in range(width):  # carry every limb into [0, 2**32)
+        carry = rows[:, k] >> 32
+        rows[:, k] -= carry << 32
+        rows[:, k + 1] += carry
+    # from the top nonzero limb t (at least 2): H holds its 32 bits and the top
+    # 21 of limb t-1, L the other 11 and limb t-2, plus a sticky bit for any
+    # limb below.  Both are exact floats, so H + L rounds once, correctly
+    nz = rows != 0
+    t = np.maximum(rows.shape[1] - 1 - np.argmax(nz[:, ::-1], axis=1), 2)
+    at = np.arange(0, rows.size, rows.shape[1]) + t  # limb t in the flat rows
+    top, mid, low = (rows.ravel()[at - i] for i in range(3))
+    sticky = nz.cumsum(axis=1).ravel()[at - 2] > (low != 0)
+    H = np.ldexp(((top << 21) + (mid >> 11)).astype(np.float64), 43)
+    return np.ldexp(H + (((mid & 0x7FF) << 32) + (low | sticky)), base + 32 * (t - 2))
+
+
+def round_limbs(lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
+    """(hi * 2**32 + lo) * 2**-53, correctly rounded, for sums lo, hi >= 0 of
+    the low and high 32-bit limbs of whole multiples of 2**-53 whose total is
+    below 2**32: the carried high limb stays below 2**53, so both halves of
+    the one add are exact floats."""
+    return np.ldexp((hi + (lo >> 32)).astype(np.float64) * 2.0**32
+                    + (lo & 0xFFFFFFFF).astype(np.float64), -53)
 
 
 def compensated_cumsum(a: np.ndarray) -> np.ndarray:
-    """Prefix sums accumulated in extended precision, rounded to float64."""
-    return np.cumsum(a.astype(np.longdouble)).astype(np.float64)
+    """The correctly rounded prefix sums of ``a``, floats in [0.5, 2**10)
+    with a total below 2**32 (logs of primes, whose sum theta(1e8) < 1e8):
+    each is k * 2**-53 with k an int64, whose 32-bit limbs are summed apart,
+    ``_BLOCK`` entries at a time, and carried into one add by ``round_limbs``."""
+    out = np.empty(a.size)
+    lo = hi = 0
+    for i in range(0, a.size, _BLOCK):
+        k = (a[i:i + _BLOCK] * 2.0**53).astype(np.int64)
+        los = np.cumsum(k & 0xFFFFFFFF) + lo
+        his = np.cumsum(k >> 32) + hi
+        out[i:i + _BLOCK] = round_limbs(los, his)
+        lo, hi = int(los[-1]) & 0xFFFFFFFF, int(his[-1] + (los[-1] >> 32))
+    return out
+
+
+def exact_sum(v: np.ndarray, total: int = 0, base: int = 0) -> tuple[int, int]:
+    """total * 2**base + sum(v) as (total', base'), exactly, for float64 v
+    (OverflowError if one is not finite), ``_BLOCK`` terms at a time.  Each v
+    is t * 2**(e - 27) with frexp's e and |t| < 2**27 a multiple of 2**-26; by
+    e, the floors of t and their fractions then sum exactly in float64
+    bincounts, and Python ints join the bins."""
+    for i in range(0, v.size, _BLOCK):
+        if not np.isfinite(v[i:i + _BLOCK]).all():
+            raise OverflowError("a float term is not finite")
+        t, e = np.frexp(v[i:i + _BLOCK])
+        e0 = int(e.min())
+        e = np.subtract(e, e0, dtype=np.intp)
+        h = np.floor(np.ldexp(t, 27, out=t))
+        bins = zip(np.bincount(e, weights=h).tolist(),
+                   np.bincount(e, weights=np.subtract(t, h, out=t)).tolist())
+        s = sum((int(a) << 26) + int(b * 2**26) << k for k, (a, b) in enumerate(bins))
+        low = min(base, e0 - 53)
+        total, base = (total << (base - low)) + (s << (e0 - 53 - low)), low
+    return total, base
+
+
+def round_exact(total: int, base: int) -> float:
+    """total * 2**base rounded once, correctly: Python's int division is."""
+    return total / (1 << -base) if base < 0 else float(total << base)
 
 
 # ---------------------------------------------------------------------------

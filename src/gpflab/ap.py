@@ -4,12 +4,12 @@ The five aggregates share one progression-mass engine: each call builds one
 weight table over the integers, reads the progression mass of a modulus q on
 the strided slice ``w[a % q::q]`` and the coprime mass by Moebius inversion
 over the squarefree d | q, for a whole modulus range at once.  fsum-defined
-masses are summed exactly in fixed point and rounded once, left-to-right
-ones keep their order, so every per_q entry is the exact per-modulus value
-and the total is a compensated sum in ascending q.  Only bv_sum, whose
-per-modulus rank scans are long numpy calls, spreads its moduli over
-threads; the result does not depend on the thread count.  The tables live
-only as long as the call.
+masses are summed exactly in fixed point and rounded once (``_accel``'s
+``_fixed``), left-to-right ones keep their order, so every per_q entry is
+the exact per-modulus value and the total is the fsum of the entries or of
+their absolute values.  Only bv_sum, whose per-modulus rank scans are long
+numpy calls, spreads its moduli over threads; the result does not depend on
+the thread count.  The tables live only as long as the call.
 """
 
 from __future__ import annotations
@@ -229,38 +229,6 @@ def _moebius_blocks(D: int, Q: int, width: int, sieve: PrimeSieve):
             yield r0, r1, d, mu[d - 1], np.searchsorted(d_q[f0:f1], np.arange(Q + r0, Q + r1 + 1))
 
 
-def _fixed(v: np.ndarray) -> tuple[np.ndarray, int]:
-    """Nonnegative floats as exact fixed-point limbs along a new last axis,
-    with their base: v == sum_k out[..., k] * 2**(base + 32*k)."""
-    # the smallest nonzero v, hence every v, is a whole multiple of 2**base
-    base = min(int(np.frexp(v[v > 0].min(initial=1.0))[1]) - 53, -1)
-    u = np.ldexp(v, -base)
-    top = int(np.frexp(u.max(initial=0.0))[1])
-    return np.stack([np.fmod(np.floor(np.ldexp(u, -32 * k)), 2.0**32).astype(np.int64)
-                     for k in range(top // 32 + 1)], axis=-1), base
-
-
-def _round_fixed(rows: np.ndarray, base: int) -> np.ndarray:
-    """The correctly rounded float of each row of limb sums, which is what
-    fsum gives for the same terms.  The sums must be >= 0."""
-    width = rows.shape[1]
-    rows = np.concatenate([rows, np.zeros((rows.shape[0], 3), dtype=np.int64)], axis=1)
-    for k in range(width):  # carry every limb into [0, 2**32)
-        carry = rows[:, k] >> 32
-        rows[:, k] -= carry << 32
-        rows[:, k + 1] += carry
-    # from the top nonzero limb t (at least 2): H holds its 32 bits and the top
-    # 21 of limb t-1, L the other 11 and limb t-2, plus a sticky bit for any
-    # limb below.  Both are exact floats, so H + L rounds once, correctly
-    nz = rows != 0
-    t = np.maximum(rows.shape[1] - 1 - np.argmax(nz[:, ::-1], axis=1), 2)
-    at = np.arange(0, rows.size, rows.shape[1]) + t  # limb t in the flat rows
-    top, mid, low = (rows.ravel()[at - i] for i in range(3))
-    sticky = nz.cumsum(axis=1).ravel()[at - 2] > (low != 0)
-    H = np.ldexp(((top << 21) + (mid >> 11)).astype(np.float64), 43)
-    return np.ldexp(H + (((mid & 0x7FF) << 32) + (low | sticky)), base + 32 * (t - 2))
-
-
 # ---------------------------------------------------------------------------
 # aggregates
 
@@ -373,7 +341,7 @@ def theorem4_sum(x, Q: int, P1, P2, a: int, sieve: PrimeSieve) -> DiscrepancyRep
     # per q in [Q, 2Q): the fsum of tvals over m coprime to q and, for each
     # window prime p | q, the count of m <= xi // p coprime to q, both by
     # Moebius over the squarefree d | q (d <= m_max, as larger d divide no m)
-    T, base = _fixed(tvals)
+    T, base = _accel._fixed(tvals)
     D = min(m_max, 2 * Q - 1)
     S = np.zeros((D, T.shape[1]), dtype=np.int64)  # row d - 1: T over m = 0 (mod d)
     for own, j in _expand_blocks(m_max // np.arange(1, D + 1)):  # own ascends, missing no d
@@ -393,7 +361,7 @@ def theorem4_sum(x, Q: int, P1, P2, a: int, sieve: PrimeSieve) -> DiscrepancyRep
         # bincount adds in index order: each q's terms go in ascending p
         corr[r0:r1] = np.bincount(r, logs[owner[e0:e1]] * cnt, minlength=r1 - r0)
 
-    errs = a_side - (_round_fixed(mass[rows], base) - corr[rows]) / phi
+    errs = a_side - (_accel._round_fixed(mass[rows], base) - corr[rows]) / phi
     return _report(x, qs, errs)
 
 
@@ -447,7 +415,7 @@ def lambda_extension_sum(x, Q: int, P1, P2, a: int, z,
     # term table: row star_off[s] + c is log p * c, the term of star s at count c
     star, c = _expand(span + 1)
     star_off = np.cumsum(span + 1) - (span + 1)
-    terms, base = _fixed(w[star] * c)
+    terms, base = _accel._fixed(w[star] * c)
     # stars sharing a block (lo, hi) share their coprime count; group them
     blocks, block_of = np.unique(lo * (xi + 1) + hi, return_inverse=True)
     b_lo, b_hi = blocks // (xi + 1), blocks % (xi + 1)
@@ -485,8 +453,8 @@ def lambda_extension_sum(x, Q: int, P1, P2, a: int, z,
         er, es = ex_q[e0:e1] - Q, ex_star[e0:e1]
         np.subtract.at(cop, er, terms[star_off[es] + cnt[er - r0, block_of[es]]])
 
-    s2 = _round_fixed(cop[q_arr - Q], base) / phi
-    errs = np.where(q_arr == 1, 0.0, _round_fixed(prog, base) - s2)
+    s2 = _accel._round_fixed(cop[q_arr - Q], base) / phi
+    errs = np.where(q_arr == 1, 0.0, _accel._round_fixed(prog, base) - s2)
     return _report(x, qs, errs)
 
 

@@ -11,7 +11,7 @@ from math import fsum, log
 
 import numpy as np
 
-from .ap import _round_fixed
+from . import _accel
 from .errors import InvalidArgumentError, RangeBudgetError
 from .shifted import IndexSet, _product_table
 from .sieve import PrimeSieve, _higher_powers
@@ -46,16 +46,16 @@ def log_E(A: IndexSet, B: IndexSet) -> float:
     bs = B.members().astype(np.float64)
     # members lie in [1, 1e8], so each term log(ab + 1), with ab formed in
     # float64 (inexact above 2**53), lies in [log 2, log(1e16 + 1)], within
-    # [0.5, 64): a whole multiple of 2**-53, so k is exact and below 2**59.
-    # Its 32-bit limbs sum below 2**32 * |B| and 2**27 * |B|, under 2**63
-    # for any |B| <= 1e8
+    # [0.5, 37): a whole multiple of 2**-53, so k is exact and below 2**59.
+    # Its 32-bit limbs sum below 2**32 * |B| < 2**63, and a row's total stays
+    # below 37 * |B| < 2**32 for any |B| <= 1e8, as round_limbs needs
     limbs = np.empty((a.size, 2), dtype=np.int64)
     step = max(1, _BLOCK // bs.size)
     for i in range(0, a.size, step):
         k = (np.log(a[i:i + step, None] * bs + 1.0) * 2.0**53).astype(np.int64)
         limbs[i:i + step, 0] = (k & 0xFFFFFFFF).sum(axis=1)
         limbs[i:i + step, 1] = (k >> 32).sum(axis=1)
-    return fsum(_round_fixed(limbs, -53).tolist())
+    return fsum(_accel.round_limbs(limbs[:, 0], limbs[:, 1]).tolist())
 
 
 @dataclass(frozen=True)

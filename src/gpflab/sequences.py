@@ -399,9 +399,9 @@ def _weight_table(lo: int, hi: int, j: int, z, primes: np.ndarray, glued=False) 
 
 def _single_sum(selector: str, given: list, hi: int, primes: np.ndarray) -> float:
     """One of the seven single-variable sums, by a walk over its window of n
-    ``_WALK`` integers at a time.  rough-tau and rough-tau-hyperbola add int64
-    block sums as Python ints; the others write their float terms in the
-    order of n into one array and round its one long-double sum."""
+    ``_WALK`` integers at a time, into one exact total * 2**base rounded once.
+    rough-tau and rough-tau-hyperbola add int64 block sums at base 0; the
+    others add each block's float64 terms exactly (``_accel.exact_sum``)."""
     if selector == "window-tau-power":  # the n in (x - y, x], not empty as y >= 1
         x, y, j, k = given
         lo, z = floor(x - y) + 1, 2
@@ -409,7 +409,7 @@ def _single_sum(selector: str, given: list, hi: int, primes: np.ndarray) -> floa
         *lead, z, j = given
         lo = floor(min(hi, lead[0])) + 1 if selector.endswith(("log", "window-harmonic")) else 1
     exact = selector in ("rough-tau", "rough-tau-hyperbola")
-    total, terms = 0, None if exact else np.empty(hi + 1 - lo, dtype=np.longdouble)
+    total = base = 0
     if selector == "rough-tau-hyperbola-harmonic":
         x, y = (np.longdouble(v) for v in lead)
         harm = np.zeros(hi + 1, dtype=np.longdouble)
@@ -419,21 +419,25 @@ def _single_sum(selector: str, given: list, hi: int, primes: np.ndarray) -> floa
         w = _weight_table(a, b - 1, j, z, primes)
         n = np.arange(a, b, dtype=np.int64)
         if selector == "rough-tau":
-            total += int(w.sum())
+            terms = w
         elif selector == "rough-tau-hyperbola":
-            total += int((w * (hi // n)).sum())
+            terms = w * (hi // n)
         elif selector == "window-tau-power":
-            terms[a - lo:b - lo] = w.astype(np.float64) ** int(k)
+            terms = w.astype(np.float64) ** int(k)
         elif selector == "rough-tau-harmonic-log":
-            terms[a - lo:b - lo] = w / (n * np.log(2.0 * n))
+            terms = w / (n * np.log(2.0 * n))
         elif selector == "rough-tau-hyperbola-harmonic":
             n = n.astype(np.longdouble)
             inner = (harm[np.minimum(np.floor(x * y / n).astype(np.int64), hi)]
                      - harm[np.minimum(np.floor(x / n).astype(np.int64), hi)])
-            terms[a - lo:b - lo] = w / n * inner
+            terms = (w / n * inner).astype(np.float64)
         else:  # rough-tau-harmonic, rough-tau-window-harmonic
-            terms[a - lo:b - lo] = w / n
-    return float(total) if exact else float(np.sum(terms))
+            terms = w / n
+        if exact:
+            total += int(terms.sum())
+        else:
+            total, base = _accel.exact_sum(terms, total, base)
+    return _accel.round_exact(total, base)
 
 
 def _chain(xi: int, y: float, w_lo: float, tables: list[np.ndarray], caps: dict) -> float:

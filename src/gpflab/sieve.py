@@ -74,7 +74,7 @@ class PrimeSieve:
         return np.searchsorted(self.primes, x, side="right")
 
     def theta_cumulative(self) -> np.ndarray:
-        """theta at each prime: compensated prefix sums of log p."""
+        """theta at each prime: the correctly rounded prefix sums of log p."""
         if self._theta_cum is None:
             self._theta_cum = _accel.compensated_cumsum(
                 np.log(self.primes.astype(np.float64)))
@@ -420,14 +420,6 @@ def tau_table(limit: int, ell: int) -> np.ndarray:
     if limit > MAX_SIEVE_LIMIT:
         raise RangeBudgetError(f"tau_table limit {limit} exceeds cap {MAX_SIEVE_LIMIT}")
     return _accel.tau_table(build_sieve(max(2, isqrt(limit))).primes, 0, limit, ell, 2)
-
-
-def rough_table(limit: int, z, sieve: PrimeSieve) -> np.ndarray:
-    """Boolean table over [0, limit]: True where all prime factors >= z."""
-    limit = int(limit)
-    if limit > sieve.limit:
-        raise RangeBudgetError("rough_table needs limit <= sieve.limit")
-    return _rough_mask(0, limit, z, sieve.primes)
 
 
 def _rough_mask(lo: int, hi: int, z, primes: np.ndarray) -> np.ndarray:

@@ -12,10 +12,9 @@ import numpy as np
 import pytest
 
 from gpflab import _accel, ap
+from gpflab._accel import _fixed, _round_fixed
 from gpflab.ap import (
-    _fixed,
     _mobius_phi,
-    _round_fixed,
     bv_sum,
     default_rough_z,
     dyadic_abs_sum,

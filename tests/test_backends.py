@@ -15,8 +15,8 @@ import pytest
 from gpflab import _accel, sequences
 from gpflab.errors import InvalidArgumentError, RangeBudgetError
 from gpflab.sequences import WeightedSequence, check_A2
-from gpflab.sieve import (MAX_SIEVE_LIMIT, build_sieve, factorize,
-                          greatest_prime_factor, greatest_prime_factor_batch, rough_table,
+from gpflab.sieve import (MAX_SIEVE_LIMIT, _rough_mask, build_sieve, factorize,
+                          greatest_prime_factor, greatest_prime_factor_batch,
                           segmented_primes, tau_ell, tau_table, theta_count)
 
 
@@ -317,7 +317,7 @@ def test_rough_and_glued_tables_match_loop_forms():
     limit = 3_000
     sieve = build_sieve(limit)
     for z in (1, 2, 3, 5, 7.5, 60, 3_001):
-        rough = rough_table(limit, z, sieve)
+        rough = _rough_mask(0, limit, z, sieve.primes)
         for j in (0, 1, 2, 3, 5, 16):
             want = dirichlet_tau_table(limit, j).astype(np.float64)
             want[~rough] = 0.0
@@ -346,16 +346,39 @@ def test_segmented_primes_matches_plain_sieve():
 def test_segmented_primes_in_small_chunks(monkeypatch):
     monkeypatch.setattr("gpflab.sieve._SEGMENT_CHUNK", 97)
     sieve = build_sieve(1_000)
-    plain = build_sieve(110_000).primes
+    plain = _accel.prime_fill(110_000)  # one byte sieve, no segment
     for lo, hi in ((100_000, 110_000), (500, 5_000), (996, 1_010), (1_000, 1_097),
                    (1_000, 1_098), (1_200, 1_200)):
         want = plain[(plain > lo) & (plain <= hi)]
         assert np.array_equal(segmented_primes(lo, hi, sieve), want), (lo, hi)
 
 
-def test_compensated_cumsum_matches_fsum():
-    logs = np.log(build_sieve(100_000).primes.astype(np.float64))
+def test_compensated_cumsum_matches_fsum(sieve_m):
+    # every prefix is the correctly rounded one; a cumsum in 80-bit long
+    # double misrounds at 401 of these 78,498 entries, 3980 the first and
+    # 78349 the last
+    logs = np.log(sieve_m.primes.astype(np.float64))
     got = _accel.compensated_cumsum(logs)
-    for idx in (0, 1, 100, 5_000, logs.size - 1):
-        exact = math.fsum(logs[: idx + 1].tolist())
-        assert got[idx] == pytest.approx(exact, rel=1e-13)
+    for idx in (0, 1, 100, 3_980, 4_106, 5_000, 16_383, 16_384, 75_551, 78_349,
+                logs.size - 1):
+        assert got[idx] == math.fsum(logs[: idx + 1].tolist()), idx
+
+
+def test_exact_sum_matches_fsum():
+    # signs, zeros, subnormals and 16 decades, split at random between two
+    # calls carried through (total, base)
+    rng = np.random.default_rng(7)
+    for case in range(200):
+        n = int(rng.integers(0, 40_000))
+        v = rng.random(n) * 10.0 ** rng.integers(-8, 8, n)
+        v[rng.random(n) < 0.1] = 0.0
+        if case % 2:
+            v[rng.random(n) < 0.5] *= -1
+        if case % 5 == 0:
+            v[: n // 100] = 5e-324 * rng.integers(1, 1 << 20, n // 100)
+        cut = int(rng.integers(0, n + 1))
+        total, base = _accel.exact_sum(v[:cut])
+        assert _accel.round_exact(*_accel.exact_sum(v[cut:], total, base)) == math.fsum(v.tolist())
+    assert _accel.round_exact(*_accel.exact_sum(np.array([1e308, 1e308, -1e308]))) == 1e308
+    with pytest.raises(OverflowError):
+        _accel.exact_sum(np.array([1.0, np.inf]))

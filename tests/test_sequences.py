@@ -6,8 +6,9 @@ import random
 import subprocess
 import sys
 import time
-from math import gcd, isqrt, log
+from math import floor, gcd, isqrt, log
 
+import numpy as np
 import pytest
 
 from gpflab import sequences
@@ -961,6 +962,95 @@ def test_rough_tau_hyperbola_peak_memory():
     growth, value = out.stdout.split()
     assert float(value) == 196907873
     assert int(growth) < 64 * 1024  # VmHWM counts KiB
+
+
+def test_rough_tau_harmonic_peak_memory():
+    """x = 4e6 on a sieve whose primes are already read: each block's float
+    terms are summed exactly and dropped, where one long-double array of the
+    whole window took 61 MiB."""
+    code = ("def hwm():\n"
+            "    with open('/proc/self/status') as fh:\n"
+            "        return next(int(l.split()[1]) for l in fh if l.startswith('VmHWM'))\n"
+            "from gpflab.sequences import divisor_sum_lhs\n"
+            "from gpflab.sieve import build_sieve\n"
+            "sieve = build_sieve(4 * 10**6 + 1)\n"
+            "sieve.primes\n"
+            "before = hwm()\n"
+            "divisor_sum_lhs('rough-tau-harmonic', {'x': 4e6, 'z': 5, 'j': 3}, sieve)\n"
+            "print(hwm() - before)")
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                         text=True, check=True, timeout=120)
+    assert int(out.stdout) < 32 * 1024  # VmHWM counts KiB
+
+
+def _plain_terms(selector: str, p: dict) -> list[float]:
+    """The float64 terms of one of the five float single-variable sums, from
+    a Python spf list: tau_j of each z-rough n, its float ops one at a time.
+    The logs come from np.log, which need not match math.log to the last bit,
+    and hyperbola-harmonic keeps its long-double harmonic numbers, floors and
+    product, as the sum does."""
+    x = p["x"]
+    by_xy = selector in ("rough-tau-window-harmonic", "rough-tau-hyperbola-harmonic")
+    hi = floor(x * p["y"]) if by_xy else floor(x)
+    spf = list(range(hi + 1))
+    for q in range(2, isqrt(hi) + 1):
+        if spf[q] == q:
+            for m in range(q * q, hi + 1, q):
+                spf[m] = min(spf[m], q)
+
+    def weight(n, j, z):
+        if n > 1 and spf[n] < z:
+            return 0
+        t = 1
+        while n > 1:
+            q, e = spf[n], 0
+            while n % q == 0:
+                n, e = n // q, e + 1
+            t *= math.comb(e + j - 1, j - 1) if j else 0
+        return t
+
+    if selector == "window-tau-power":
+        return [float(weight(n, p["ell"], 2)) ** p["k"]
+                for n in range(floor(x - p["y"]) + 1, hi + 1)]
+    w = [weight(n, p["j"], p["z"]) for n in range(hi + 1)]
+    if selector == "rough-tau-harmonic":
+        return [w[n] / n for n in range(1, hi + 1)]
+    if selector == "rough-tau-window-harmonic":
+        return [w[n] / n for n in range(floor(min(hi, x)) + 1, hi + 1)]
+    if selector == "rough-tau-harmonic-log":
+        logs = np.log(2.0 * np.arange(1, hi + 1)).tolist()
+        return [w[n] / (n * logs[n - 1]) for n in range(floor(min(hi, p["w"])) + 1, hi + 1)]
+    ld = np.longdouble
+    harm = [ld(0)]
+    for k in range(1, hi + 1):
+        harm.append(harm[-1] + ld(1.0) / ld(k))
+    X, Y = ld(x), ld(p["y"])
+    return [float(ld(w[n]) / ld(n) * (harm[min(int(np.floor(X * Y / ld(n))), hi)]
+                                       - harm[min(int(np.floor(X / ld(n))), hi)]))
+            for n in range(1, hi + 1)]
+
+
+def test_float_divisor_sums_are_fsums_of_their_terms(monkeypatch):
+    # each of the five float selectors is the correctly rounded sum of its
+    # float64 terms, however the walk's blocks of 97 integers cut the window
+    monkeypatch.setattr(sequences, "_WALK", 97)
+    sieve = build_sieve(isqrt(20_000))
+    rng = random.Random(23)
+    for _ in range(6):
+        x = rng.choice([rng.randint(1, 20_000), rng.uniform(1, 20_000)])
+        y = rng.uniform(1, 20_000 / x)
+        params = {
+            "window-tau-power": {"x": x, "y": rng.uniform(1, x), "ell": rng.randint(1, 4),
+                                 "k": rng.randint(0, 3)},
+            "rough-tau-harmonic": {"x": x},
+            "rough-tau-harmonic-log": {"x": x, "w": rng.choice([1, rng.uniform(1, x), math.inf])},
+            "rough-tau-window-harmonic": {"x": x, "y": y},
+            "rough-tau-hyperbola-harmonic": {"x": x, "y": y},
+        }
+        for sel, p in params.items():
+            p = {"z": rng.choice([1, 2, 2.5, 3, 7, 150, 20_001]), "j": rng.randint(0, 5), **p}
+            want = math.fsum(_plain_terms(sel, p))
+            assert divisor_sum_lhs(sel, p, sieve) == want, (sel, p)
 
 
 def test_rhs_shapes_positive_finite():

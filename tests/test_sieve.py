@@ -11,6 +11,7 @@ from hypothesis import given, settings, strategies as st
 from gpflab.errors import InvalidArgumentError, RangeBudgetError
 from gpflab.sieve import (
     MAX_SIEVE_LIMIT,
+    _rough_mask,
     build_sieve,
     divisor_list,
     euler_phi,
@@ -20,7 +21,6 @@ from gpflab.sieve import (
     is_prime_u64,
     moebius,
     rough_indicator,
-    rough_table,
     segmented_primes,
     smooth_rough_split,
     tau_ell,
@@ -213,7 +213,7 @@ def test_smooth_rough_split(sieve_m):
 
 
 def test_rough_table_matches_pointwise(sieve_m):
-    tab = rough_table(3000, 7, sieve_m)
+    tab = _rough_mask(0, 3000, 7, sieve_m.primes)
     for n in range(1, 3001):
         assert bool(tab[n]) == bool(rough_indicator(n, 7, sieve_m))
 
@@ -225,7 +225,7 @@ def test_rough_table_strikes_match_pointwise(sieve_10k):
     for limit in limits:
         r = isqrt(limit)
         for z in (1, 2, 2.5, 7, r, r + 1, r + 2, limit, limit + 1, inf):
-            tab = rough_table(limit, z, sieve_10k)
+            tab = _rough_mask(0, limit, z, sieve_10k.primes)
             want = [False] + [bool(rough_indicator(n, z, sieve_10k))
                               for n in range(1, limit + 1)]
             assert tab.tolist() == want, (limit, z)

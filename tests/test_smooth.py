@@ -57,11 +57,11 @@ def test_psi_count_sieves_no_segment_above_y(monkeypatch):
 def test_psi_count_segments_primes_above_the_sieve(monkeypatch):
     # for y >= sqrt(x) an n <= x is y-smooth unless one prime p in (y, x]
     # divides it, and at most one can: Psi(x, y) = x - sum of x // p over
-    # them, read here from a plain sieve up to x.  A sieve up to
-    # isqrt(x) + 1 leaves the primes in (isqrt(x), y] to the segments, a
-    # few hundred integers at a time
+    # them, read here from one byte sieve up to x, which uses no segment.  A
+    # sieve up to isqrt(x) + 1 leaves the primes in (isqrt(x), y] to the
+    # segments, a few hundred integers at a time
     monkeypatch.setattr(sieve, "_SEGMENT_CHUNK", 997)
-    plain = build_sieve(100_003).primes
+    plain = _accel.prime_fill(100_003)
     for x in (10_000, 65_535, 65_536, 100_003):
         root = build_sieve(isqrt(x) + 1)
         for y in sorted({isqrt(x) + 1, isqrt(x) + 2, 2_000, 2_003, 4_999, x // 2, x - 1}):
