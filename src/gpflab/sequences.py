@@ -329,10 +329,10 @@ _MULTI = 1_000_000  # largest table of a four- or s-fold sum
 _WALK = 1 << 18  # integers per block of the single-variable walk
 # The int64 sums are exact: D_k(x) = sum_{n<=x} tau_k(n) <= x (ln x + k-1)^(k-1)
 # / (k-1)!, by induction on D_{k+1}(x) = sum_{n<=x} D_k(x/n), and a weight is
-# at most tau_17 (j <= 16, plus one when glued).  So a block sum of
-# rough-tau-hyperbola stays below D_17(1e7) < 6.2e17 < 2**63 for x <= _SINGLE,
-# and a chain prefix below D_17(1e6) < 1.9e16 for x <= _MULTI; float() of the
-# exact total is the correctly rounded sum.
+# at most tau_17 (j <= 16, plus one when glued).  So a block sum of glued
+# weights (rough-tau-hyperbola) stays below D_17(1e7) < 6.2e17 < 2**63 for
+# x <= _SINGLE, and a chain prefix below D_17(1e6) < 1.9e16 for x <= _MULTI;
+# the exact total, a Python int, is rounded once.
 
 # selector: the parameters it reads (the s-fold sums also read j1..js), the
 # parameters whose product bounds its n, and the budget of that bound
@@ -400,43 +400,36 @@ def _weight_table(lo: int, hi: int, j: int, z, primes: np.ndarray, glued=False) 
 def _single_sum(selector: str, given: list, hi: int, primes: np.ndarray) -> float:
     """One of the seven single-variable sums, by a walk over its window of n
     ``_WALK`` integers at a time, into one exact total * 2**base rounded once.
-    rough-tau and rough-tau-hyperbola add int64 block sums at base 0; the
-    others add each block's float64 terms exactly (``_accel.exact_sum``)."""
+    The hyperbola sums are regrouped over m = n*k: sum_n w(n) * floor(x/n) is
+    the sum over m <= x of the glued weight (w * 1)(m), tau_{j+1} of the
+    z-rough part of m, and sum_n w(n)/n * (H(xy/n) - H(x/n)) is the sum over
+    x < m <= xy of that weight over m.  rough-tau and rough-tau-hyperbola add
+    int64 block sums at base 0; the others add each block's float64 terms
+    exactly (``_accel.exact_sum``)."""
     if selector == "window-tau-power":  # the n in (x - y, x], not empty as y >= 1
         x, y, j, k = given
         lo, z = floor(x - y) + 1, 2
-    else:  # harmonic-log sums the n > w (w may be inf), window-harmonic the n > x
+    else:  # with two leading parameters, the n past the first: harmonic-log
+        # sums the n > w (w may be inf), the two window sums the n > x
         *lead, z, j = given
-        lo = floor(min(hi, lead[0])) + 1 if selector.endswith(("log", "window-harmonic")) else 1
-    exact = selector in ("rough-tau", "rough-tau-hyperbola")
+        lo = floor(min(hi, lead[0])) + 1 if len(lead) == 2 else 1
+    glued = selector.startswith("rough-tau-hyperbola")
     total = base = 0
-    if selector == "rough-tau-hyperbola-harmonic":
-        x, y = (np.longdouble(v) for v in lead)
-        harm = np.zeros(hi + 1, dtype=np.longdouble)
-        np.cumsum(1.0 / np.arange(1, hi + 1, dtype=np.longdouble), out=harm[1:])
     for a in range(lo, hi + 1, _WALK):
         b = min(a + _WALK, hi + 1)
-        w = _weight_table(a, b - 1, j, z, primes)
+        w = _weight_table(a, b - 1, j, z, primes, glued)
+        if selector in ("rough-tau", "rough-tau-hyperbola"):
+            total += int(w.sum())
+            continue
         n = np.arange(a, b, dtype=np.int64)
-        if selector == "rough-tau":
-            terms = w
-        elif selector == "rough-tau-hyperbola":
-            terms = w * (hi // n)
-        elif selector == "window-tau-power":
-            terms = w.astype(np.float64) ** int(k)
+        if selector == "window-tau-power":
+            with np.errstate(over="ignore"):  # exact_sum refuses the inf
+                terms = w.astype(np.float64) ** int(k)
         elif selector == "rough-tau-harmonic-log":
             terms = w / (n * np.log(2.0 * n))
-        elif selector == "rough-tau-hyperbola-harmonic":
-            n = n.astype(np.longdouble)
-            inner = (harm[np.minimum(np.floor(x * y / n).astype(np.int64), hi)]
-                     - harm[np.minimum(np.floor(x / n).astype(np.int64), hi)])
-            terms = (w / n * inner).astype(np.float64)
-        else:  # rough-tau-harmonic, rough-tau-window-harmonic
+        else:  # rough-tau-harmonic and the two window sums
             terms = w / n
-        if exact:
-            total += int(terms.sum())
-        else:
-            total, base = _accel.exact_sum(terms, total, base)
+        total, base = _accel.exact_sum(terms, total, base)
     return _accel.round_exact(total, base)
 
 

@@ -559,6 +559,18 @@ def test_divisor_lhs_checks_parameters_before_the_sieve(capsys, monkeypatch, arg
     assert len(err.splitlines()) == 1 and err.startswith("error:")
 
 
+def test_divisor_lhs_overflowing_power_is_one_line():
+    # tau^1000 overflows float64 and the exact sum refuses the inf; numpy's
+    # RuntimeWarning must not reach stderr first (pytest would capture it
+    # in-process, so the call runs in a child)
+    proc = subprocess.run([sys.executable, "-m", "gpflab.cli", "divisor-lhs",
+                           "--selector", "window-tau-power", "--x", "1000", "--y", "100",
+                           "--ell", "2", "--k", "1000"],
+                          capture_output=True, text=True, timeout=30)
+    assert proc.returncode == 2 and proc.stdout == ""
+    assert proc.stderr == "error: a float term is not finite\n"
+
+
 def test_adversarial_row_and_files(capsys, tmp_path):
     fa = tmp_path / "adv_a.txt"
     fb = tmp_path / "adv_b.txt"

@@ -6,19 +6,21 @@ import random
 import subprocess
 import sys
 import time
+from fractions import Fraction
 from math import floor, gcd, isqrt, log
 
 import numpy as np
 import pytest
 
-from gpflab import sequences
+from gpflab import _accel, sequences
 from gpflab.errors import InvalidArgumentError, RangeBudgetError
 from gpflab.sequences import (DIVISOR_SELECTORS, ConditionReport,
                               WeightedSequence, a1_lhs, check_A2, check_A3,
                               check_A4, convolve, convolve3, delta,
                               divisor_sum_lhs, divisor_sum_rhs_shape,
                               heath_brown_terms, norm, selector_params)
-from gpflab.sieve import build_sieve, factorize, is_prime_u64, rough_indicator, tau_ell
+from gpflab.sieve import (_rough_mask, build_sieve, factorize, is_prime_u64,
+                          rough_indicator, tau_ell)
 
 
 def naive_phi(q: int) -> int:
@@ -897,10 +899,11 @@ def test_hyperbola_harmonic_keeps_its_bits(sieve_m, x, y, z, j, want):
 
 
 def test_hyperbola_harmonic_peak_memory():
-    """x*y = 4e6 integers: 207 MiB of peak growth measured with the terms
-    computed a block at a time, 390 MiB with every longdouble array at full
-    length.  The peak is the process's own VmHWM: ru_maxrss would start from
-    the peak of the test process, which a child keeps across exec."""
+    """x*y = 4e6 integers, the primes read inside the call: the glued walk
+    grows the peak by about 14 MiB, a long-double table of harmonic numbers
+    over [0, x*y] by 124 MiB.  The peak is the process's own VmHWM: ru_maxrss
+    would start from the peak of the test process, which a child keeps across
+    exec."""
     code = ("def hwm():\n"
             "    with open('/proc/self/status') as fh:\n"
             "        return next(int(l.split()[1]) for l in fh if l.startswith('VmHWM'))\n"
@@ -913,7 +916,7 @@ def test_hyperbola_harmonic_peak_memory():
             "print(hwm() - before)")
     out = subprocess.run([sys.executable, "-c", code], capture_output=True,
                          text=True, check=True, timeout=120)
-    assert int(out.stdout) < 300 * 1024  # VmHWM counts KiB
+    assert int(out.stdout) < 32 * 1024  # VmHWM counts KiB
 
 
 @pytest.mark.parametrize("x", [1e3, 1e5, 2e6])
@@ -983,51 +986,60 @@ def test_rough_tau_harmonic_peak_memory():
     assert int(out.stdout) < 32 * 1024  # VmHWM counts KiB
 
 
-def _plain_terms(selector: str, p: dict) -> list[float]:
-    """The float64 terms of one of the five float single-variable sums, from
-    a Python spf list: tau_j of each z-rough n, its float ops one at a time.
-    The logs come from np.log, which need not match math.log to the last bit,
-    and hyperbola-harmonic keeps its long-double harmonic numbers, floors and
-    product, as the sum does."""
-    x = p["x"]
-    by_xy = selector in ("rough-tau-window-harmonic", "rough-tau-hyperbola-harmonic")
-    hi = floor(x * p["y"]) if by_xy else floor(x)
+def _plain_spf(hi: int) -> list[int]:
+    """The smallest prime factor of each 2 <= n <= hi, by a Python sieve."""
     spf = list(range(hi + 1))
     for q in range(2, isqrt(hi) + 1):
         if spf[q] == q:
             for m in range(q * q, hi + 1, q):
                 spf[m] = min(spf[m], q)
+    return spf
 
-    def weight(n, j, z):
-        if n > 1 and spf[n] < z:
-            return 0
-        t = 1
-        while n > 1:
-            q, e = spf[n], 0
-            while n % q == 0:
-                n, e = n // q, e + 1
-            t *= math.comb(e + j - 1, j - 1) if j else 0
-        return t
 
+def _plain_factors(n: int, spf: list[int]):
+    """(p, e) for each p**e exactly dividing n, smallest p first."""
+    while n > 1:
+        q, e = spf[n], 0
+        while n % q == 0:
+            n, e = n // q, e + 1
+        yield q, e
+
+
+def _plain_weight(n: int, j: int, z, spf: list[int]) -> int:
+    """tau_j(n) if n is z-rough, else 0."""
+    fs = list(_plain_factors(n, spf))
+    if fs and fs[0][0] < z:
+        return 0
+    return math.prod(math.comb(e + j - 1, j - 1) if j else 0 for _, e in fs)
+
+
+def _plain_glued(m: int, j: int, z, spf: list[int]) -> int:
+    """tau_{j+1} of the z-rough part of m: tau_j(n) summed over the z-rough n | m."""
+    return math.prod(math.comb(e + j, j) for q, e in _plain_factors(m, spf) if q >= z)
+
+
+def _plain_terms(selector: str, p: dict) -> list[float]:
+    """The float64 terms of one of the five float single-variable sums, from
+    a Python spf list: tau_j of each z-rough n, its float ops one at a time;
+    for hyperbola-harmonic the glued weight of each m in (x, x*y] over m.
+    The logs come from np.log, which need not match math.log to the last bit."""
+    x = p["x"]
+    by_xy = selector in ("rough-tau-window-harmonic", "rough-tau-hyperbola-harmonic")
+    hi = floor(x * p["y"]) if by_xy else floor(x)
+    spf = _plain_spf(hi)
     if selector == "window-tau-power":
-        return [float(weight(n, p["ell"], 2)) ** p["k"]
+        return [float(_plain_weight(n, p["ell"], 2, spf)) ** p["k"]
                 for n in range(floor(x - p["y"]) + 1, hi + 1)]
-    w = [weight(n, p["j"], p["z"]) for n in range(hi + 1)]
+    if selector == "rough-tau-hyperbola-harmonic":
+        return [_plain_glued(m, p["j"], p["z"], spf) / m
+                for m in range(floor(min(hi, x)) + 1, hi + 1)]
+    w = [_plain_weight(n, p["j"], p["z"], spf) for n in range(hi + 1)]
     if selector == "rough-tau-harmonic":
         return [w[n] / n for n in range(1, hi + 1)]
     if selector == "rough-tau-window-harmonic":
         return [w[n] / n for n in range(floor(min(hi, x)) + 1, hi + 1)]
-    if selector == "rough-tau-harmonic-log":
-        logs = np.log(2.0 * np.arange(1, hi + 1)).tolist()
-        return [w[n] / (n * logs[n - 1]) for n in range(floor(min(hi, p["w"])) + 1, hi + 1)]
-    ld = np.longdouble
-    harm = [ld(0)]
-    for k in range(1, hi + 1):
-        harm.append(harm[-1] + ld(1.0) / ld(k))
-    X, Y = ld(x), ld(p["y"])
-    return [float(ld(w[n]) / ld(n) * (harm[min(int(np.floor(X * Y / ld(n))), hi)]
-                                       - harm[min(int(np.floor(X / ld(n))), hi)]))
-            for n in range(1, hi + 1)]
+    logs = np.log(2.0 * np.arange(1, hi + 1)).tolist()  # rough-tau-harmonic-log
+    return [w[n] / (n * logs[n - 1]) for n in range(floor(min(hi, p["w"])) + 1, hi + 1)]
 
 
 def test_float_divisor_sums_are_fsums_of_their_terms(monkeypatch):
@@ -1051,6 +1063,62 @@ def test_float_divisor_sums_are_fsums_of_their_terms(monkeypatch):
             p = {"z": rng.choice([1, 2, 2.5, 3, 7, 150, 20_001]), "j": rng.randint(0, 5), **p}
             want = math.fsum(_plain_terms(sel, p))
             assert divisor_sum_lhs(sel, p, sieve) == want, (sel, p)
+
+
+def test_hyperbola_harmonic_is_the_glued_window_exactly():
+    """sum_n w(n)/n * (H(hi // n) - H(x // n)), with w = tau_j * [z-rough] and
+    exact harmonic numbers, equals the sum of glued(m)/m over x < m <= hi,
+    both times L = lcm(1..hi) as integers; the float sum is within 1 ulp."""
+    sieve = build_sieve(isqrt(20_000))
+    rng = random.Random(24)
+    for _ in range(20):
+        x = rng.choice([rng.randint(1, 20_000), rng.uniform(1, 20_000)])
+        p = {"x": x, "y": rng.uniform(1, 20_000 / x),
+             "z": rng.choice([1, 2, 2.5, 3, 7, 150, 20_001]), "j": rng.randint(0, 16)}
+        lo, hi = floor(x), floor(x * p["y"])
+        spf = _plain_spf(hi)
+        big = 1  # lcm(1..hi): the largest power <= hi of each prime
+        for q in range(2, hi + 1):
+            if spf[q] == q:
+                qe = q
+                while qe * q <= hi:
+                    qe *= q
+                big *= qe
+        ends = {k // n for k in (lo, hi) for n in range(1, hi + 1)}
+        harm, acc, by_m = {0: 0}, 0, 0  # big * H(k) at the k in ends
+        for m in range(1, hi + 1):
+            inv = big // m
+            acc += inv
+            if m in ends:
+                harm[m] = acc
+            if m > lo:
+                by_m += _plain_glued(m, p["j"], p["z"], spf) * inv
+        by_n = 0
+        for n in range(1, hi + 1):
+            w = _plain_weight(n, p["j"], p["z"], spf)
+            if w:
+                q, r = divmod(harm[hi // n] - harm[lo // n], n)
+                assert r == 0
+                by_n += w * q
+        assert by_n == by_m, p
+        got = divisor_sum_lhs("rough-tau-hyperbola-harmonic", p, sieve)
+        ulps = abs(Fraction(got) - Fraction(by_m, big)) / Fraction(math.ulp(got))
+        assert ulps <= 1, (p, float(ulps))
+
+
+@pytest.mark.parametrize("walk, x_max", [(1 << 18, 200_000), (97, 20_000)], ids=["wide", "walk97"])
+def test_hyperbola_is_the_masked_sum_exactly(monkeypatch, walk, x_max):
+    # sum_{n<=x} tau_j(n) [n z-rough] (x // n), from the masked table, is the
+    # sum of the glued weights over m <= x that the walk takes
+    monkeypatch.setattr(sequences, "_WALK", walk)
+    sieve = build_sieve(isqrt(x_max))
+    rng = random.Random(walk)
+    for _ in range(8):
+        x = rng.choice([rng.randint(1, x_max), rng.uniform(1, x_max)])
+        z, j, xi = rng.choice([1, 2, 2.5, 3, 7, 150, 450, 200_001]), rng.randint(0, 16), floor(x)
+        w = _accel.tau_table(sieve.primes, 0, xi, j, z) * _rough_mask(0, xi, z, sieve.primes)
+        want = sum((w[1:] * (xi // np.arange(1, xi + 1))).tolist())
+        assert divisor_sum_lhs("rough-tau-hyperbola", {"x": x, "z": z, "j": j}, sieve) == float(want)
 
 
 def test_rhs_shapes_positive_finite():
