@@ -112,8 +112,12 @@ def _parse_int(text: str) -> int:
 
 
 def _list_of(parse):
-    # an empty value is the option left out, while "," is an empty list
-    return lambda text: [parse(t) for t in text.split(",") if t.strip()] if text else None
+    def items(text: str) -> list:
+        values = [parse(t) for t in text.split(",") if t.strip()]
+        if not values:
+            raise argparse.ArgumentTypeError(f"needs at least one value, got {text!r}")
+        return values
+    return items
 
 
 _int_list = _list_of(_parse_int)
@@ -137,13 +141,13 @@ def _threads(text: str) -> int:
 
 
 def _one_or_list(args, name: str) -> list[float]:
-    """The values of --NAME-list, else the one value of --NAME."""
-    values = getattr(args, f"{name}_list")
-    if values is not None:
-        return values
-    if getattr(args, name) is None:
+    """The values of --NAME-list or the one value of --NAME, whichever is given."""
+    one, values = getattr(args, name), getattr(args, f"{name}_list")
+    if one is not None and values is not None:
+        raise InvalidArgumentError(f"give --{name} or --{name}-list, not both")
+    if one is None and values is None:
         raise InvalidArgumentError(f"need --{name} or --{name}-list")
-    return [getattr(args, name)]
+    return [one] if values is None else values
 
 
 def _rng(args):
@@ -184,8 +188,6 @@ def _sets(args) -> list[shifted.IndexSet]:
 
 
 def _cmd_gpf(args):
-    if not args.n:
-        raise InvalidArgumentError("--n needs at least one value")
     if min(args.n) < 1:
         raise InvalidArgumentError("gpf needs n >= 1")
     sieve = _sieve_for(args, isqrt(max(args.n)) + 1)
@@ -202,16 +204,13 @@ def _cmd_gamma_plus(args):
 
 
 def _cmd_lv_count(args):
-    rows = [{"N": n, "count": shifted.lv_count(n)} for n in args.n or []]
+    rows = [{"N": n, "count": shifted.lv_count(n)} for n in args.n]
     return ["N", "count"], rows
 
 
 def _cmd_ford_ratio(args):
-    ns = args.n_list if args.n_list is not None else args.n
-    if ns is None:
-        raise InvalidArgumentError("need --n or --n-list")
     rows = [{"N": n, "count": (c := shifted.lv_count(n)),
-             "ratio": shifted._ford_ratio_of(c, n)} for n in ns]
+             "ratio": shifted._ford_ratio_of(c, n)} for n in args.n_list]
     return ["N", "count", "ratio"], rows
 
 
@@ -262,11 +261,8 @@ def _window(args, x: float) -> tuple[int, float, float]:
 
 
 def _cmd_bv_sum(args):
-    xs = _one_or_list(args, "x")
-    if not xs:  # the columns come from the first report
-        raise InvalidArgumentError("--x-list needs at least one value")
     all_rows = []
-    for x in xs:
+    for x in _one_or_list(args, "x"):
         Q = _auto_bv_q(x) if args.Q is None else args.Q
         sieve = _sieve_for(args, int(x))
         rep = ap.bv_sum(x, Q, sieve, threads=args.threads)
@@ -430,25 +426,20 @@ class _Parser(argparse.ArgumentParser):
         raise InvalidArgumentError(message)
 
 
-def _add_common(sp):
-    sp.add_argument("--output", default=None, help="write rows to a file")
-    sp.add_argument("--format", choices=("csv", "json"), default="csv")
-    sp.add_argument("--threads", type=_threads, default=1,
-                    help="worker threads for bv-sum, capped at the CPU count")
-    sp.add_argument("--rng-seed", type=_parse_int, default=0)
-    sp.add_argument("--sieve-limit", type=_parse_int, default=None)
-
-
 def build_parser() -> argparse.ArgumentParser:
     parser = _Parser(prog="gpflab",
                      description="computational lab for greatest prime factors "
                                  "of shifted products and related sums")
     sub = parser.add_subparsers(dest="command", required=True, parser_class=_Parser)
 
-    def cmd(name, handler, help_text, sets=(), n_required=False):
-        # sets: the set-file flags, declared with --n, --dense and --random-card
+    def cmd(name, handler, help_text, sets=(), n_required=False, sieve=True):
+        # sets: the set-file flags, declared with --n, --dense, --random-card and
+        # --rng-seed; sieve: the handler sizes a sieve, which --sieve-limit fixes
         sp = sub.add_parser(name, help=help_text)
-        _add_common(sp)
+        sp.add_argument("--output", default=None, help="write rows to a file")
+        sp.add_argument("--format", choices=("csv", "json"), default="csv")
+        if sieve:
+            sp.add_argument("--sieve-limit", type=_parse_int, default=None)
         sp.set_defaults(handler=handler, set_files=sets)
         if sets:
             sp.add_argument("--n", type=_parse_int, default=None, required=n_required)
@@ -456,6 +447,7 @@ def build_parser() -> argparse.ArgumentParser:
             for flag in sets:
                 sp.add_argument(flag, default=None)
             sp.add_argument("--random-card", type=_parse_int, default=None)
+            sp.add_argument("--rng-seed", type=_parse_int, default=0)
         return sp
 
     sp = cmd("gpf", _cmd_gpf, "greatest prime factor of given integers")
@@ -465,20 +457,20 @@ def build_parser() -> argparse.ArgumentParser:
         "max greatest prime factor over shifted products of two sets",
         sets=("--set-a", "--set-b"))
 
-    sp = cmd("lv-count", _cmd_lv_count, "count distinct products a*b, a,b <= N")
+    sp = cmd("lv-count", _cmd_lv_count, "count distinct products a*b, a,b <= N",
+             sieve=False)
     sp.add_argument("--n", type=_int_list, required=True, help="comma separated N values")
 
     sp = cmd("ford-ratio", _cmd_ford_ratio,
-             "distinct-product count against its density shape")
-    sp.add_argument("--n", type=_int_list, default=None, help="comma separated N values")
-    sp.add_argument("--n-list", type=_int_list, default=None,
+             "distinct-product count against its density shape", sieve=False)
+    sp.add_argument("--n-list", type=_int_list, required=True,
                     help="comma separated N values, one output row each")
 
     sp = cmd("smooth", _cmd_smooth, "smooth-number count and its approximation")
     sp.add_argument("--x", type=_parse_x, required=True)
     sp.add_argument("--y", type=_parse_x, required=True)
 
-    sp = cmd("rho", _cmd_rho, "Dickman rho values")
+    sp = cmd("rho", _cmd_rho, "Dickman rho values", sieve=False)
     sp.add_argument("--u", type=_parse_x, default=None)
     sp.add_argument("--u-list", type=_x_items, default=None)
 
@@ -492,6 +484,8 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--x-list", type=_x_items, default=None)
     sp.add_argument("--Q", type=_parse_int, default=None)
     sp.add_argument("--per-q", action="store_true")
+    sp.add_argument("--threads", type=_threads, default=1,
+                    help="worker threads, capped at the CPU count")
 
     sp = cmd("signed-sum", _cmd_signed_sum, "signed discrepancy sum at fixed a")
     sp.add_argument("--x", type=_parse_x, required=True)
@@ -534,14 +528,15 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--j", type=_parse_int, default=3, help="number of levels J")
     sp.add_argument("--terms", action="store_true", help="emit raw terms")
 
-    sp = cmd("delta", _cmd_delta, "progression discrepancy of a weighted sequence")
+    sp = cmd("delta", _cmd_delta, "progression discrepancy of a weighted sequence",
+             sieve=False)
     sp.add_argument("--seq-file", default=None)
     sp.add_argument("--indicator", type=_bounds, default=None, metavar="LO,HI")
     sp.add_argument("--q", type=_parse_int, required=True)
     sp.add_argument("--a", type=_parse_int, required=True)
 
     sp = cmd("cond-check", _cmd_cond_check,
-             "structural condition checks on a weighted sequence")
+             "structural condition checks on a weighted sequence", sieve=False)
     sp.add_argument("--seq-file", default=None)
     sp.add_argument("--indicator", type=_bounds, default=None, metavar="LO,HI")
     sp.add_argument("--condition", choices=("A1", "A2", "A3", "A4"), required=True)
@@ -568,7 +563,7 @@ def build_parser() -> argparse.ArgumentParser:
         sp.add_argument(f"--j{i}", type=_parse_int, default=None)
 
     sp = cmd("adversarial", _cmd_adversarial,
-             "congruence sets whose shifted products all share one prime")
+             "congruence sets whose shifted products all share one prime", sieve=False)
     sp.add_argument("--n", type=_parse_int, required=True)
     sp.add_argument("--eps", type=_parse_float, required=True)
     sp.add_argument("--write-a", default=None)

@@ -33,27 +33,12 @@ from .sieve import PrimeSieve, _prime_spans
 
 _PSI_X_BUDGET = 1_000_000_000
 
-# the default grid, shared by build_dickman_table's defaults and the shipped
-# table, which is build_dickman_table() written as raw little-endian float64:
-#   build_dickman_table().values.astype("<f8").tofile("src/gpflab/dickman_rho.f64")
-_DEFAULT_INV_STEP = 256
-_DEFAULT_U_MAX = 20
-_DEFAULT_TABLE_PATH = Path(__file__).with_name("dickman_rho.f64")
-
-
-class DickmanTable:
-    """Dickman rho sampled at k/inv_step for 0 <= k <= u_max*inv_step."""
-
-    __slots__ = ("step", "inv_step", "u_max", "values")
-
-    def __init__(self, step, inv_step, u_max, values):
-        self.step = step
-        self.inv_step = inv_step
-        self.u_max = u_max
-        self.values = values
-
-    def __repr__(self):
-        return f"DickmanTable(step=1/{self.inv_step}, u_max={self.u_max})"
+# the one grid, k/_INV_STEP for 0 <= k <= _U_MAX*_INV_STEP; the shipped table is
+# build_dickman_table() written as raw little-endian float64:
+#   build_dickman_table().astype("<f8").tofile("src/gpflab/dickman_rho.f64")
+_INV_STEP = 256
+_U_MAX = 20
+_TABLE_PATH = Path(__file__).with_name("dickman_rho.f64")
 
 
 _SERIES_TERMS = 96  # truncation compounds across intervals; 96 terms is converged at u=20
@@ -83,19 +68,10 @@ def _eval_series(coeffs: list, t: "decimal.Decimal") -> "decimal.Decimal":
     return out
 
 
-def build_dickman_table(step: float = 1.0 / _DEFAULT_INV_STEP,
-                        u_max: float = float(_DEFAULT_U_MAX)) -> DickmanTable:
-    """Tabulate rho on a uniform grid from its piecewise power series."""
-    inv = int(round(1.0 / step))
-    if inv < 8 or abs(step * inv - 1.0) > 1e-12:
-        raise InvalidArgumentError("step must be 1/k for an integer k >= 8")
-    if u_max < 2 or u_max != int(u_max):
-        raise InvalidArgumentError("u_max must be an integer >= 2")
-    u_max = float(u_max)
-    top = int(u_max)
-
-    n = top * inv
-    rho = np.empty(n + 1, dtype=np.float64)
+def build_dickman_table() -> np.ndarray:
+    """Tabulate rho on the grid from its piecewise power series."""
+    inv, top = _INV_STEP, _U_MAX
+    rho = np.empty(top * inv + 1, dtype=np.float64)
     rho[: inv + 1] = 1.0
     with decimal.localcontext() as ctx:
         ctx.prec = 50
@@ -114,52 +90,45 @@ def build_dickman_table(step: float = 1.0 / _DEFAULT_INV_STEP,
             for i in range(1, inv + 1):
                 t = decimal.Decimal(2 * i - inv) / (2 * inv)
                 rho[m * inv + i] = float(_eval_series(coeffs, t))
-    return DickmanTable(1.0 / inv, inv, u_max, rho)
+    return rho
 
 
-_DEFAULT_TABLE: DickmanTable | None = None
+_TABLE: np.ndarray | None = None
 
 
-def default_dickman_table() -> DickmanTable:
-    """The process-wide default table, read once from the shipped file.
+def default_dickman_table() -> np.ndarray:
+    """The process-wide table, read once from the shipped file.
 
-    Its values are read-only, so no caller can change what later
-    dickman_rho calls see."""
-    global _DEFAULT_TABLE
-    if _DEFAULT_TABLE is None:
-        path = _DEFAULT_TABLE_PATH
-        values = np.fromfile(path, dtype="<f8")
-        size = _DEFAULT_U_MAX * _DEFAULT_INV_STEP + 1
+    It is read-only, so no caller can change what later dickman_rho calls
+    see."""
+    global _TABLE
+    if _TABLE is None:
+        values = np.fromfile(_TABLE_PATH, dtype="<f8")
+        size = _U_MAX * _INV_STEP + 1
         if values.size != size:
-            raise OSError(f"{path}: {values.size} float64 values, expected {size}")
+            raise OSError(f"{_TABLE_PATH}: {values.size} float64 values, expected {size}")
         values.flags.writeable = False
-        _DEFAULT_TABLE = DickmanTable(1.0 / _DEFAULT_INV_STEP, _DEFAULT_INV_STEP,
-                                      float(_DEFAULT_U_MAX), values)
-    return _DEFAULT_TABLE
+        _TABLE = values
+    return _TABLE
 
 
-def dickman_rho(u: float, table: DickmanTable | None = None) -> float:
+def dickman_rho(u: float) -> float:
     """Dickman rho(u); exactly 1.0 on [0, 1], interpolated from the table above."""
-    if table is None:
-        table = default_dickman_table()
+    vals = default_dickman_table()
     u = float(u)
-    if u < 0 or u > table.u_max:
-        raise InvalidArgumentError(f"u={u} outside [0, {table.u_max}]")
+    if u < 0 or u > _U_MAX:
+        raise InvalidArgumentError(f"u={u} outside [0, {float(_U_MAX)}]")
     if u <= 1.0:
         return 1.0
-    inv = table.inv_step
-    vals = table.values
+    inv = _INV_STEP
     pos = u * inv
     k = int(floor(pos))
-    if k >= vals.size - 1:
-        return float(vals[-1])
-    if pos == k:
+    if pos == k:  # a grid point, u = _U_MAX included
         return float(vals[k])
     # cubic stencil clamped inside the unit interval [m, m+1] containing u
     m = int(floor(u))
     lo = m * inv
-    hi = min((m + 1) * inv, vals.size - 1)
-    j0 = min(max(k - 1, lo), hi - 3)
+    j0 = min(max(k - 1, lo), lo + inv - 3)
     xj = (np.arange(j0, j0 + 4, dtype=np.float64)) / inv
     yj = vals[j0 : j0 + 4]
     out = 0.0
@@ -207,21 +176,18 @@ class PsiApproxReport:
     residual: float
 
 
-def psi_approx_report(x, y, sieve: PrimeSieve,
-                      table: DickmanTable | None = None) -> PsiApproxReport:
+def psi_approx_report(x, y, sieve: PrimeSieve) -> PsiApproxReport:
     """Exact smooth count next to its Dickman approximation x*rho(log x/log y).
 
     The residual is (exact - approx) * log y / x, the natural normalization
     of the known second-order term.
     """
-    if table is None:
-        table = default_dickman_table()
     if x < 1 or y <= 1:
         raise InvalidArgumentError("psi_approx_report needs x >= 1 and y > 1")
     u = log(x) / log(y)
-    if u > table.u_max:
+    if u > _U_MAX:
         raise InvalidArgumentError(f"log x/log y = {u:.3f} beyond table u_max")
     exact = psi_count(x, y, sieve)
-    approx = float(x) * dickman_rho(u, table)
+    approx = float(x) * dickman_rho(u)
     residual = (exact - approx) * log(y) / float(x)
     return PsiApproxReport(float(x), float(y), u, exact, approx, residual)

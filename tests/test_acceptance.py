@@ -278,11 +278,10 @@ def test_criterion_07_rho_analytic_and_factorial_bound():
         u = 1.0 + k / 99.0
         assert abs(smooth.dickman_rho(u) - (1.0 - log(u))) <= 1e-6
     table = smooth.default_dickman_table()
-    n = table.values.size
-    for i in range(n):
-        u = i * table.step
+    for i in range(table.size):
+        u = i / 256
         bound = math.exp(-math.lgamma(u + 1.0))
-        assert table.values[i] <= bound * (1.0 + 1e-9)
+        assert table[i] <= bound * (1.0 + 1e-9)
 
 
 def test_criterion_08_smooth_counts_match_naive_filter(oracle):
@@ -436,17 +435,17 @@ def test_criterion_10_product_counts_and_density_constant():
 
 def test_criterion_11_decay_charts(tmp_path):
     """Produce the discrepancy decay tables: byte-identical to the committed
-    charts, whatever the thread count.  Reporting only: no decay rate is
-    asserted."""
+    charts, and bv-sum's whatever its thread count.  Reporting only: no
+    decay rate is asserted."""
     charts = Path(__file__).resolve().parents[1] / "charts"
     xs = "10000,100000,1000000"
-    for command, name, ncols in (("bv-sum", "bv_decay.csv", 4),
-                                 ("thm4-sum", "thm4_decay.csv", 8)):
+    for command, name, ncols, options in (
+            ("bv-sum", "bv_decay.csv", 4, (["--threads", "1"], ["--threads", "3"])),
+            ("thm4-sum", "thm4_decay.csv", 8, ([],))):
         committed = (charts / name).read_bytes()
-        for threads in ("1", "3"):
-            out = tmp_path / f"threads{threads}_{name}"
-            rc = cli_main([command, "--x-list", xs, "--threads", threads,
-                           "--output", str(out)])
+        for i, extra in enumerate(options):
+            out = tmp_path / f"{i}_{name}"
+            rc = cli_main([command, "--x-list", xs, "--output", str(out), *extra])
             assert rc == 0
             assert out.read_bytes() == committed
         with (charts / name).open() as fh:

@@ -706,10 +706,9 @@ def test_threads_do_not_change_output(capsys):
     _, out4, _ = run_cli(capsys, base + ["--threads", "4"])
     assert out1 == out4
 
+    # thm4-sum runs on one thread and declares no --threads
     base = ["thm4-sum", "--x", "2000", "--Q", "4", "--p1", "3", "--p2", "50"]
-    _, out1, _ = run_cli(capsys, base + ["--threads", "1"])
-    _, out3, _ = run_cli(capsys, base + ["--threads", "3"])
-    assert out1 == out3
+    assert_one_line_error(*run_cli(capsys, base + ["--threads", "3"]))
 
 
 @pytest.mark.parametrize("value", ["0", "-5"])
@@ -765,6 +764,54 @@ def test_integer_lists_accept_exponent_form(capsys):
 ])
 def test_non_integral_integers_exit_one(capsys, argv):
     assert_one_line_error(*run_cli(capsys, argv))
+
+
+# every list option, with the options its command needs besides it
+_LIST_OPTIONS = [
+    (["gpf"], "--n"),
+    (["lv-count"], "--n"),
+    (["ford-ratio"], "--n-list"),
+    (["rho"], "--u-list"),
+    (["bv-sum", "--Q", "5"], "--x-list"),
+    (["thm4-sum", "--Q", "3"], "--x-list"),
+]
+
+
+@pytest.mark.parametrize("value", ["", ","])
+@pytest.mark.parametrize("argv, option", _LIST_OPTIONS)
+def test_list_without_items_exits_one(capsys, argv, option, value):
+    # one rule for every list: at least one value, checked by the parser
+    code, out, err = run_cli(capsys, argv + [option, value])
+    assert_one_line_error(code, out, err)
+    assert err == f"error: argument {option}: needs at least one value, got {value!r}\n"
+
+
+@pytest.mark.parametrize("argv", [
+    ["rho", "--u", "2", "--u-list", "3"],
+    ["bv-sum", "--x", "1000", "--x-list", "500", "--Q", "5"],
+    ["thm4-sum", "--x", "400", "--x-list", "200", "--Q", "3"],
+])
+def test_value_and_list_together_exit_one(capsys, argv):
+    # neither is dropped in favour of the other
+    code, out, err = run_cli(capsys, argv)
+    assert_one_line_error(code, out, err)
+    assert "not both" in err
+
+
+@pytest.mark.parametrize("argv", [
+    ["gpf", "--n", "12", "--threads", "2"],
+    ["lv-count", "--n", "10", "--threads", "2"],
+    ["gpf", "--n", "12", "--rng-seed", "5"],
+    ["smooth", "--x", "1000", "--y", "10", "--rng-seed", "1"],
+    ["rho", "--u", "2", "--sieve-limit", "10"],
+    ["ford-ratio", "--n-list", "10", "--sieve-limit", "10"],
+    ["cond-check", "--indicator", "1,30", "--condition", "A2", "--bound", "1",
+     "--sieve-limit", "10"],
+])
+def test_option_the_command_never_reads_exits_one(capsys, argv):
+    code, out, err = run_cli(capsys, argv)
+    assert_one_line_error(code, out, err)
+    assert f"unrecognized arguments: {' '.join(argv[-2:])}" in err
 
 
 @pytest.mark.parametrize("argv", [
@@ -1052,47 +1099,49 @@ def test_set_file_value_above_n_exits_one(capsys, tmp_path, command):
     assert "exceeds n_max 5" in err
 
 
-_COMMON = {("--output", None, None, False), ("--format", None, "csv", False),
-           ("--threads", _threads, 1, False), ("--rng-seed", _parse_int, 0, False),
-           ("--sieve-limit", _parse_int, None, False)}
-_PAIR_SOURCES = {("--n", _parse_int, None, False), ("--dense", None, False, False),
-                 ("--set-a", None, None, False), ("--set-b", None, None, False),
-                 ("--random-card", _parse_int, None, False)}
+_COMMON = {("--output", None, None, False), ("--format", None, "csv", False)}
+# the commands that size a sieve, and the commands that draw random sets
+_SIEVE = {("--sieve-limit", _parse_int, None, False)}
+_RANDOM = {("--random-card", _parse_int, None, False), ("--rng-seed", _parse_int, 0, False)}
+_PAIR_SOURCES = _SIEVE | _RANDOM | {
+    ("--n", _parse_int, None, False), ("--dense", None, False, False),
+    ("--set-a", None, None, False), ("--set-b", None, None, False)}
 _WINDOW = {("--Q", _parse_int, None, False), ("--p1", _parse_float, None, False),
            ("--p2", _parse_float, None, False), ("--a", _parse_int, 1, False),
            ("--per-q", None, False, False)}
 _SEQUENCE = {("--seq-file", None, None, False), ("--indicator", _bounds, None, False)}
-# (option, type, default, required) of every subcommand beyond _COMMON, as the
-# parent commit declares them
+# (option, type, default, required) of every subcommand beyond _COMMON: each
+# option is declared only where the handler reads it
 _INVENTORY = {
-    "gpf": {("--n", _int_list, None, True)},
+    "gpf": _SIEVE | {("--n", _int_list, None, True)},
     "gamma-plus": _PAIR_SOURCES,
     "lv-count": {("--n", _int_list, None, True)},
-    "ford-ratio": {("--n", _int_list, None, False), ("--n-list", _int_list, None, False)},
-    "smooth": {("--x", _parse_x, None, True), ("--y", _parse_x, None, True)},
+    "ford-ratio": {("--n-list", _int_list, None, True)},
+    "smooth": _SIEVE | {("--x", _parse_x, None, True), ("--y", _parse_x, None, True)},
     "rho": {("--u", _parse_x, None, False), ("--u-list", _x_items, None, False)},
-    "pi-ap": {("--x", _parse_x, None, True), ("--q", _parse_int, None, True),
-              ("--a", _parse_int, None, True)},
-    "bv-sum": {("--x", _parse_x, None, False), ("--x-list", _x_items, None, False),
-               ("--Q", _parse_int, None, False), ("--per-q", None, False, False)},
-    "signed-sum": {("--x", _parse_x, None, True), ("--Q", _parse_int, None, False),
-                   ("--a", _parse_int, 1, False), ("--per-q", None, False, False)},
-    "dyadic-sum": {("--x", _parse_x, None, True), ("--Q", _parse_int, None, False),
-                   ("--a", _parse_int, 1, False), ("--psi", None, False, False),
-                   ("--per-q", None, False, False)},
-    "thm4-sum": _WINDOW | {("--x", _parse_x, None, False),
-                           ("--x-list", _x_items, None, False)},
-    "lambda-ext": _WINDOW | {("--x", _parse_x, None, True),
-                             ("--z", _parse_float, None, False)},
-    "hb-verify": {("--n", _parse_int, None, True), ("--x", _parse_x, None, False),
-                  ("--j", _parse_int, 3, False), ("--terms", None, False, False)},
+    "pi-ap": _SIEVE | {("--x", _parse_x, None, True), ("--q", _parse_int, None, True),
+                       ("--a", _parse_int, None, True)},
+    "bv-sum": _SIEVE | {("--x", _parse_x, None, False), ("--x-list", _x_items, None, False),
+                        ("--Q", _parse_int, None, False), ("--per-q", None, False, False),
+                        ("--threads", _threads, 1, False)},
+    "signed-sum": _SIEVE | {("--x", _parse_x, None, True), ("--Q", _parse_int, None, False),
+                            ("--a", _parse_int, 1, False), ("--per-q", None, False, False)},
+    "dyadic-sum": _SIEVE | {("--x", _parse_x, None, True), ("--Q", _parse_int, None, False),
+                            ("--a", _parse_int, 1, False), ("--psi", None, False, False),
+                            ("--per-q", None, False, False)},
+    "thm4-sum": _SIEVE | _WINDOW | {("--x", _parse_x, None, False),
+                                    ("--x-list", _x_items, None, False)},
+    "lambda-ext": _SIEVE | _WINDOW | {("--x", _parse_x, None, True),
+                                      ("--z", _parse_float, None, False)},
+    "hb-verify": _SIEVE | {("--n", _parse_int, None, True), ("--x", _parse_x, None, False),
+                           ("--j", _parse_int, 3, False), ("--terms", None, False, False)},
     "delta": _SEQUENCE | {("--q", _parse_int, None, True), ("--a", _parse_int, None, True)},
     "cond-check": _SEQUENCE | {
         ("--condition", None, None, True), ("--d", _parse_int, None, False),
         ("--k", _parse_int, None, False), ("--ell", _parse_int, None, False),
         ("--bound", _parse_float, None, False), ("--x", _parse_x, None, False),
         ("--z", _parse_float, None, False)},
-    "divisor-lhs": {
+    "divisor-lhs": _SIEVE | {
         ("--selector", None, None, True), ("--x", _parse_x, None, False),
         ("--y", _parse_x, None, False), ("--z", _parse_float, None, False),
         ("--w", _parse_float, None, False), ("--j", _parse_int, None, False),
@@ -1101,16 +1150,17 @@ _INVENTORY = {
         *((f"--j{i}", _parse_int, None, False) for i in range(1, 7))},
     "adversarial": {("--n", _parse_int, None, True), ("--eps", _parse_float, None, True),
                     ("--write-a", None, None, False), ("--write-b", None, None, False)},
-    "thm1-search": {("--n", _parse_int, None, True), ("--lo", _parse_x, None, True),
-                    ("--hi", _parse_x, None, True)},
-    "thm1-sum": {("--n", _parse_int, None, True), ("--a-exp", _parse_float, 1.0, False)},
-    "thm2-sum": {("--n", _parse_int, None, True), ("--delta", _parse_float, None, True),
-                 ("--dense", None, False, False), ("--set-b", None, None, False),
-                 ("--random-card", _parse_int, None, False)},
+    "thm1-search": _SIEVE | {("--n", _parse_int, None, True), ("--lo", _parse_x, None, True),
+                             ("--hi", _parse_x, None, True)},
+    "thm1-sum": _SIEVE | {("--n", _parse_int, None, True),
+                          ("--a-exp", _parse_float, 1.0, False)},
+    "thm2-sum": _SIEVE | _RANDOM | {
+        ("--n", _parse_int, None, True), ("--delta", _parse_float, None, True),
+        ("--dense", None, False, False), ("--set-b", None, None, False)},
     "ledger": _PAIR_SOURCES,
-    "sqerr-check": {("--n", _parse_int, None, True), ("--dense", None, False, False),
-                    ("--set-file", None, None, False),
-                    ("--random-card", _parse_int, None, False)},
+    "sqerr-check": _SIEVE | _RANDOM | {
+        ("--n", _parse_int, None, True), ("--dense", None, False, False),
+        ("--set-file", None, None, False)},
 }
 
 

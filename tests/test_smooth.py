@@ -3,6 +3,7 @@
 from math import floor, gamma, isqrt, log
 import re
 
+import numpy as np
 import pytest
 
 from gpflab import _accel, cli, sieve, smooth
@@ -148,25 +149,23 @@ def test_rho_known_points():
 
 
 def test_rho_table_shape():
-    t = default_dickman_table()
-    vals = t.values
+    vals = default_dickman_table()
     assert vals[0] == 1.0
-    n_unit = round(1.0 / t.step)
+    n_unit = 256
     assert all(v == 1.0 for v in vals[: n_unit + 1])
     for i in range(n_unit, len(vals) - 1):
         assert vals[i + 1] <= vals[i]
         assert vals[i + 1] > 0.0
     for i, v in enumerate(vals.tolist()):
-        u = i * t.step
+        u = i / n_unit
         assert v <= (1.0 / gamma(u + 1.0)) * (1.0 + 1e-9)
 
 
 def test_shipped_table_is_the_series_build():
     shipped = default_dickman_table()
     built = build_dickman_table()
-    assert shipped.values.tobytes() == built.values.tobytes()
-    assert (shipped.step, shipped.inv_step, shipped.u_max) == (
-        built.step, built.inv_step, built.u_max)
+    assert (shipped.dtype, built.dtype) == (np.float64, np.float64)
+    assert shipped.tobytes() == built.tobytes()
 
 
 def test_default_table_is_read_not_built(monkeypatch):
@@ -174,28 +173,27 @@ def test_default_table_is_read_not_built(monkeypatch):
         raise AssertionError("default table rebuilt from the series")
 
     monkeypatch.setattr(smooth, "build_dickman_table", no_build)
-    monkeypatch.setattr(smooth, "_DEFAULT_TABLE", None)
-    t = default_dickman_table()
-    assert t.values.size == 20 * 256 + 1
+    monkeypatch.setattr(smooth, "_TABLE", None)
+    assert default_dickman_table().size == 20 * 256 + 1
     assert f"{dickman_rho(2.5):.15g}" == "0.130319561832251"
 
 
 def test_default_table_is_read_only():
     with pytest.raises(ValueError):
-        default_dickman_table().values[300] = 0.5
-    assert build_dickman_table(step=1.0 / 8, u_max=2.0).values.flags.writeable
+        default_dickman_table()[300] = 0.5
 
 
 def test_truncated_table_file_raises(tmp_path, monkeypatch, capsys):
     bad = tmp_path / "dickman_rho.f64"
-    bad.write_bytes(smooth._DEFAULT_TABLE_PATH.read_bytes()[:-8])
-    monkeypatch.setattr(smooth, "_DEFAULT_TABLE_PATH", bad)
-    monkeypatch.setattr(smooth, "_DEFAULT_TABLE", None)
+    bad.write_bytes(smooth._TABLE_PATH.read_bytes()[:-8])
+    monkeypatch.setattr(smooth, "_TABLE_PATH", bad)
+    monkeypatch.setattr(smooth, "_TABLE", None)
     with pytest.raises(OSError, match=re.escape(str(bad))):
         default_dickman_table()
-    assert cli.main(["rho", "--u-list", "2.5"]) == 1
-    out, err = capsys.readouterr()
-    assert out == "" and err.startswith(f"error: {bad}") and err.count("\n") == 1
+    for u in ("2.5", "0.5"):  # u <= 1 reads the table too
+        assert cli.main(["rho", "--u-list", u]) == 1
+        out, err = capsys.readouterr()
+        assert out == "" and err.startswith(f"error: {bad}") and err.count("\n") == 1
 
 
 def test_rho_out_of_range():
@@ -203,13 +201,6 @@ def test_rho_out_of_range():
         dickman_rho(-0.1)
     with pytest.raises(InvalidArgumentError):
         dickman_rho(20.5)
-
-
-def test_custom_table_step():
-    t = build_dickman_table(step=1.0 / 128, u_max=6.0)
-    assert abs(dickman_rho(2.0, t) - (1.0 - log(2.0))) < 1e-7
-    with pytest.raises(InvalidArgumentError):
-        dickman_rho(7.0, t)
 
 
 def test_psi_approx_report_fields(sieve_m):
