@@ -32,7 +32,6 @@ from .products import (
     log_E,
     log_E1,
     log_E2,
-    r_count,
     square_errors_check,
 )
 from .sequences import (
@@ -44,8 +43,6 @@ from .sequences import (
     check_A2,
     check_A3,
     check_A4,
-    convolve,
-    convolve3,
     delta,
     divisor_sum_lhs,
     divisor_sum_rhs_shape,
@@ -77,13 +74,8 @@ from .sieve import (
     greatest_prime_factor,
     greatest_prime_factor_batch,
     is_prime_u64,
-    moebius,
-    rough_indicator,
     segmented_primes,
-    smooth_rough_split,
-    tau_ell,
     tau_table,
-    theta_count,
     verify_factorization_roundtrip,
     von_mangoldt,
 )
@@ -106,21 +98,19 @@ __all__ = [
     "ConstructionFailedError", "GpflabError", "InvalidArgumentError",
     "RangeBudgetError",
     "LedgerReport", "LogSplitResult", "SquareErrorsResult", "ledger_report",
-    "log_E", "log_E1", "log_E2", "r_count", "square_errors_check",
+    "log_E", "log_E1", "log_E2", "square_errors_check",
     "DIVISOR_SELECTORS", "ConditionReport", "HeathBrownResult",
     "WeightedSequence", "a1_lhs", "check_A2", "check_A3", "check_A4",
-    "convolve", "convolve3", "delta", "divisor_sum_lhs",
-    "divisor_sum_rhs_shape", "heath_brown_terms", "norm",
+    "delta", "divisor_sum_lhs", "divisor_sum_rhs_shape", "heath_brown_terms",
+    "norm",
     "FORD_EXPONENT", "LV_COUNT_CAP", "GammaResult", "IndexSet",
     "adversarial_sets", "ford_ratio", "gamma_plus", "lv_count",
     "prime_in_interval_search", "theorem1_sum", "theorem1_thresholds",
     "theorem2_sum",
     "MAX_SIEVE_LIMIT", "Factorization", "PrimeSieve", "build_sieve",
     "divisor_list", "euler_phi", "factorize", "greatest_prime_factor",
-    "greatest_prime_factor_batch", "is_prime_u64", "moebius",
-    "rough_indicator", "segmented_primes", "smooth_rough_split", "tau_ell",
-    "tau_table", "theta_count", "verify_factorization_roundtrip",
-    "von_mangoldt",
+    "greatest_prime_factor_batch", "is_prime_u64", "segmented_primes",
+    "tau_table", "verify_factorization_roundtrip", "von_mangoldt",
     "PsiApproxReport", "build_dickman_table", "default_dickman_table",
     "dickman_rho", "psi_approx_report", "psi_count",
 ]

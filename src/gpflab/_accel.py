@@ -3,8 +3,8 @@
 The primes come from a byte sieve, the smallest-prime-factor table is struck
 from them.  Ranges are struck, value batches are peeled.  ``_strike``
 divides each prime power out of a range of integers with one strided slice,
-so its Python loop runs once per prime power (tau tables, theta counts, mu
-and phi of the moduli); ``_peel`` strips the smallest prime power from a
+so its Python loop runs once per prime power (tau tables, mu and phi of
+the moduli); ``_peel`` strips the smallest prime power from a
 block of values per round, so its loop runs about as many times as a value
 has prime factors.  Neither loops once per integer.  ``bv_max_scan`` keys
 each prime by one integer, h = phi*rank - index, and takes its floats only
@@ -120,18 +120,6 @@ def _strike(rem: np.ndarray, lo: int, primes: np.ndarray):
             rem[s] //= p
             yield p, k, s
             pk, k = pk * p, k + 1
-
-
-def theta_count_scan(x: int, u: int, v: int, primes: np.ndarray) -> int:
-    """Count of 1 <= n <= x < 2^31 whose u-smooth part is at least v;
-    ``primes`` holds every prime <= min(u, isqrt(x))."""
-    n = np.arange(1, x + 1, dtype=np.int32)
-    rem = n.copy()
-    for _ in _strike(rem, 1, primes[:np.searchsorted(primes, u, side="right")]):
-        pass
-    if u >= isqrt(x):  # a prime remainder <= u is smooth too
-        rem[rem <= u] = 1
-    return int(np.count_nonzero(np.floor_divide(n, rem, out=rem) >= v))
 
 
 def tau_table(primes: np.ndarray, lo: int, hi: int, ell: int, z) -> np.ndarray:

@@ -90,16 +90,9 @@ def psi_ap(x, q: int, a: int, sieve: PrimeSieve) -> float:
     return fsum(hits.tolist() + lp[pk % q == a % q].tolist())
 
 
-def error_term(x, q: int, a: int, sieve: PrimeSieve) -> float:
-    """pi(x; q, a) - pi(x)/phi(q) for gcd(a, q) == 1."""
+def error_term(count: int, x, q: int, sieve: PrimeSieve) -> float:
+    """pi(x; q, a) - pi(x)/phi(q) from count = pi_ap(x, q, a), gcd(a, q) == 1."""
     check_modulus("error_term", "q", q)
-    if gcd(a, q) != 1:
-        raise InvalidArgumentError(f"error_term needs gcd(a, q) == 1, got a={a}, q={q}")
-    return _error_of(pi_ap(x, q, a, sieve), x, q, sieve)
-
-
-def _error_of(count: int, x, q: int, sieve: PrimeSieve) -> float:
-    """error_term(x, q, a) from count = pi_ap(x, q, a)."""
     return count - pi_of(x, sieve) / int(_phi_of([q], sieve)[0])
 
 

@@ -210,7 +210,7 @@ def _cmd_lv_count(args):
 
 def _cmd_ford_ratio(args):
     rows = [{"N": n, "count": (c := shifted.lv_count(n)),
-             "ratio": shifted._ford_ratio_of(c, n)} for n in args.n_list]
+             "ratio": shifted.ford_ratio(c, n)} for n in args.n_list]
     return ["N", "count", "ratio"], rows
 
 
@@ -235,7 +235,7 @@ def _cmd_pi_ap(args):
     count = ap.pi_ap(args.x, args.q, args.a, sieve)
     return _row(x=args.x, q=args.q, a=args.a, pi_count=count,
                 psi_weight=ap.psi_ap(args.x, args.q, args.a, sieve),
-                error=ap._error_of(count, args.x, args.q, sieve) if coprime else None)
+                error=ap.error_term(count, args.x, args.q, sieve) if coprime else None)
 
 
 def _report_rows(rep: ap.DiscrepancyReport, args, extra: dict):
@@ -420,7 +420,26 @@ def _cmd_sqerr_check(args):
 # parser assembly
 
 
+@functools.cache
+def _once(action):
+    """``action`` refusing its option a second time, which would drop a value."""
+    class Once(action):
+        def __call__(self, parser, namespace, values, option_string=None):
+            given = vars(namespace).setdefault("given_options", set())
+            if self.dest in given:
+                raise argparse.ArgumentError(self, "given more than once")
+            given.add(self.dest)
+            super().__call__(parser, namespace, values, option_string)
+    return Once
+
+
 class _Parser(argparse.ArgumentParser):
+    def __init__(self, **kwargs):
+        # each option by its full name and at most once
+        super().__init__(allow_abbrev=False, **kwargs)
+        self.register("action", None, _once(argparse._StoreAction))
+        self.register("action", "store_true", _once(argparse._StoreTrueAction))
+
     def error(self, message):
         # argparse's own errors end like every other bad input: one line in main
         raise InvalidArgumentError(message)

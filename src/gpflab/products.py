@@ -29,26 +29,19 @@ def _members_checked(U: IndexSet, N: int, name: str) -> np.ndarray:
     return arr
 
 
-def r_count(U: IndexSet, h: int, m: int) -> int:
-    """Number of elements of U congruent to h mod m."""
-    if m < 1:
-        raise InvalidArgumentError("r_count needs m >= 1")
-    return int(np.count_nonzero(U.members() % m == h % m))
-
-
 def log_E(A: IndexSet, B: IndexSet) -> float:
-    """log of the product of (a*b + 1) over all pairs: each row a summed
-    exactly and rounded once, as fsum would, then fsum over the rows.  The
-    rows go in blocks of about ``_BLOCK`` pairs, one log per block."""
+    """log of the product of (a*b + 1) over all pairs, each a*b + 1 formed in
+    float64: above 2**53 a term is the log of the rounded product.  Each row
+    a is summed exactly and rounded once, as fsum would, then fsum over the
+    rows.  The rows go in blocks of about ``_BLOCK`` pairs, one log per block."""
     if len(A) == 0 or len(B) == 0:
         raise InvalidArgumentError("log_E needs nonempty sets")
     a = A.members().astype(np.float64)
     bs = B.members().astype(np.float64)
-    # members lie in [1, 1e8], so each term log(ab + 1), with ab formed in
-    # float64 (inexact above 2**53), lies in [log 2, log(1e16 + 1)], within
-    # [0.5, 37): a whole multiple of 2**-53, so k is exact and below 2**59.
-    # Its 32-bit limbs sum below 2**32 * |B| < 2**63, and a row's total stays
-    # below 37 * |B| < 2**32 for any |B| <= 1e8, as round_limbs needs
+    # members lie in [1, 1e8], so each term lies in [log 2, log(1e16 + 1)],
+    # within [0.5, 37): a whole multiple of 2**-53, so k is exact and below
+    # 2**59.  Its 32-bit limbs sum below 2**32 * |B| < 2**63, and a row's
+    # total stays below 37 * |B| < 2**32 for any |B| <= 1e8, as round_limbs needs
     limbs = np.empty((a.size, 2), dtype=np.int64)
     step = max(1, _BLOCK // bs.size)
     for i in range(0, a.size, step):

@@ -1,7 +1,7 @@
-"""Weighted sequences on integer intervals: norms, Dirichlet convolution,
-progression discrepancies, structural condition checks, a combinatorial
-expansion of the von Mangoldt function, and a family of exactly evaluated
-multi-variable divisor sums with their reference upper-bound shapes.
+"""Weighted sequences on integer intervals: norms, progression discrepancies,
+structural condition checks, a combinatorial expansion of the von Mangoldt
+function, and a family of exactly evaluated multi-variable divisor sums with
+their reference upper-bound shapes.
 """
 
 from __future__ import annotations
@@ -107,25 +107,6 @@ class WeightedSequence:
 def norm(f: WeightedSequence) -> float:
     """Euclidean norm of the weight vector."""
     return fsum(v * v for v in f.values.tolist()) ** 0.5
-
-
-def convolve(f: WeightedSequence, g: WeightedSequence) -> WeightedSequence:
-    """Dirichlet convolution: (f*g)(n) = sum over d*e = n of f(d) g(e)."""
-    lo = f.lo * g.lo
-    hi = f.hi * g.hi
-    out = np.zeros(_width(lo, hi))
-    g_idx = np.flatnonzero(g.values)
-    g_ns = g_idx + g.lo
-    g_vs = g.values[g_idx]
-    for off in np.flatnonzero(f.values).tolist():
-        d = f.lo + off
-        out[d * g_ns - lo] += f.values[off] * g_vs
-    return WeightedSequence(lo, hi, out)
-
-
-def convolve3(f: WeightedSequence, g: WeightedSequence, h: WeightedSequence) -> WeightedSequence:
-    """Triple Dirichlet convolution."""
-    return convolve(convolve(f, g), h)
 
 
 def _root_sieve(n_max: int) -> PrimeSieve:

@@ -207,18 +207,12 @@ def lv_count(N: int) -> int:
     return _accel.product_mark_count(N)
 
 
-def ford_ratio(N: int) -> float:
-    """Distinct-product count normalized by its known density shape:
+def ford_ratio(count: int, N: int) -> float:
+    """count = lv_count(N) normalized by its known density shape:
 
-        lv_count(N) * (log N)^c * (log log N)^(3/2) / N^2,
+        count * (log N)^c * (log log N)^(3/2) / N^2,
 
     with c the multiplication-table exponent (about 0.0861)."""
-    N = int(N)
-    return _ford_ratio_of(lv_count(N), N)
-
-
-def _ford_ratio_of(count: int, N: int) -> float:
-    """ford_ratio(N) from count = lv_count(N)."""
     if N < 3:
         raise InvalidArgumentError("ford_ratio needs N >= 3 (log log N > 0)")
     return count * log(N) ** FORD_EXPONENT * log(log(N)) ** 1.5 / float(N) ** 2

@@ -12,7 +12,7 @@ over the first twelve prime bases, valid for all 64-bit integers.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from math import ceil, comb, floor, isqrt, log
+from math import ceil, floor, isqrt, log
 
 import numpy as np
 
@@ -130,12 +130,6 @@ class Factorization:
 
     n: int
     factors: list[tuple[int, int]]
-
-    def reconstruct(self) -> int:
-        out = 1
-        for p, e in self.factors:
-            out *= p**e
-        return out
 
 
 def _max_factor_input(sieve: PrimeSieve) -> int:
@@ -283,15 +277,6 @@ def euler_phi(n: int, sieve: PrimeSieve) -> int:
     return out
 
 
-def moebius(n: int, sieve: PrimeSieve) -> int:
-    """Moebius function: 0 on non-squarefree n, else (-1)^(number of primes)."""
-    fact = factorize(n, sieve)
-    for _, e in fact.factors:
-        if e > 1:
-            return 0
-    return -1 if len(fact.factors) % 2 else 1
-
-
 def von_mangoldt(n: int, sieve: PrimeSieve) -> float:
     """log p on prime powers p^k, zero elsewhere."""
     fact = factorize(n, sieve)
@@ -305,59 +290,6 @@ def _tau_order(ell) -> int:
     if ell < 0 or ell > 16:
         raise InvalidArgumentError("tau_ell order must be in [0, 16]")
     return ell
-
-
-def tau_ell(n: int, ell: int, sieve: PrimeSieve) -> int:
-    """Number of ordered ell-tuples with product n (generalized divisor count).
-
-    tau_0 is the indicator of n == 1; tau_ell(p^e) = C(e+ell-1, ell-1).
-    """
-    ell = _tau_order(ell)
-    fact = factorize(n, sieve)
-    if ell == 0:
-        return 1 if fact.n == 1 else 0
-    out = 1
-    for _, e in fact.factors:
-        out *= comb(e + ell - 1, ell - 1)
-    return out
-
-
-def rough_indicator(n: int, z, sieve: PrimeSieve) -> int:
-    """1 when every prime factor of n is >= z (vacuous at n == 1), else 0."""
-    factors = factorize(n, sieve).factors
-    return 1 if not factors or factors[0][0] >= z else 0
-
-
-def smooth_rough_split(t: int, z, sieve: PrimeSieve) -> tuple[int, int]:
-    """Split t into (smooth, rough): the product of prime powers with p < z,
-    and the complementary part whose prime factors are all >= z."""
-    fact = factorize(t, sieve)
-    smooth = 1
-    rough = 1
-    for p, e in fact.factors:
-        if p < z:
-            smooth *= p**e
-        else:
-            rough *= p**e
-    return smooth, rough
-
-
-def theta_count(x, u, v, sieve: PrimeSieve) -> int:
-    """Count of 1 <= n <= x whose u-smooth part is at least v.
-
-    The u-smooth part is the product of the prime powers p^e || n with
-    p <= u.  Requires floor(x) <= sieve.limit (per-integer scan).
-    """
-    if x < 1:
-        raise InvalidArgumentError("theta_count needs x >= 1")
-    if u < 2:
-        raise InvalidArgumentError("theta_count needs u >= 2")
-    if v < 1:
-        raise InvalidArgumentError("theta_count needs v >= 1")
-    xi = floor(x)
-    if xi > sieve.limit:
-        raise RangeBudgetError("theta_count scans every n <= x, needs x <= limit")
-    return _accel.theta_count_scan(int(xi), int(floor(u)), int(ceil(v)), sieve.primes)
 
 
 def segmented_primes(lo, hi, sieve: PrimeSieve) -> np.ndarray:

@@ -154,15 +154,16 @@ def test_error_term_sum_rule(sieve_10k):
     # except for the primes dividing q
     x = 10_000
     for q in range(2, 51):
-        s = math.fsum(error_term(x, q, a, sieve_10k)
+        s = math.fsum(error_term(pi_ap(x, q, a, sieve_10k), x, q, sieve_10k)
                       for a in range(1, q + 1) if gcd(a, q) == 1)
         dropped = sum(1 for p in range(2, q + 1) if q % p == 0 and naive_is_prime(p))
         assert abs(s + dropped) < 1e-6
 
 
-def test_error_term_requires_coprime(sieve_10k):
-    with pytest.raises(InvalidArgumentError):
-        error_term(100, 6, 3, sieve_10k)
+def test_error_term_requires_a_modulus(sieve_10k):
+    # a class coprime to q is the caller's to pick; q itself is checked
+    with pytest.raises(InvalidArgumentError, match="error_term needs q >= 1"):
+        error_term(0, 100, 0, sieve_10k)
 
 
 def test_psi_theta_gap(sieve_m):

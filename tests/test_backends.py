@@ -17,7 +17,7 @@ from gpflab.errors import InvalidArgumentError, RangeBudgetError
 from gpflab.sequences import WeightedSequence, check_A2
 from gpflab.sieve import (MAX_SIEVE_LIMIT, _rough_mask, build_sieve, factorize,
                           greatest_prime_factor, greatest_prime_factor_batch,
-                          segmented_primes, tau_ell, tau_table, theta_count)
+                          segmented_primes, tau_table)
 
 
 def dirichlet_tau_table(limit: int, ell: int) -> np.ndarray:
@@ -191,14 +191,12 @@ def test_frontier_isqrt_matches_math_isqrt():
 
 
 def test_tau_table_matches_tau_ell():
-    sieve = build_sieve(4_000)
     for limit in (0, 1, 2, 10, 4_000):
         for ell in range(6):
             tab = tau_table(limit, ell)
             assert tab.dtype == np.int64 and tab.size == limit + 1
             assert tab[0] == 0
-            assert tab[1:].tolist() == [tau_ell(n, ell, sieve)
-                                        for n in range(1, limit + 1)]
+            assert np.array_equal(tab, dirichlet_tau_table(limit, ell))
 
 
 def test_tau_table_refuses_limits_out_of_range(monkeypatch):
@@ -217,21 +215,6 @@ def test_tau_table_matches_dirichlet_steps():
         assert np.array_equal(tau_table(3_000, ell), dirichlet_tau_table(3_000, ell))
     across_blocks = 3 * _accel._BLOCK // 2
     assert np.array_equal(tau_table(across_blocks, 3), dirichlet_tau_table(across_blocks, 3))
-
-
-def test_theta_count_across_blocks():
-    x = 3 * _accel._BLOCK // 2
-    primes = build_sieve(x).primes
-    for u in (2, 7, 300):
-        smooth = np.ones(x + 1, np.int64)
-        for p in build_sieve(max(u, 2)).primes.tolist():
-            pk = p
-            while pk <= x:
-                smooth[pk::pk] *= p
-                pk *= p
-        for v in (1, 2, 64, 5_000):
-            want = int(np.count_nonzero(smooth[1:] >= v))
-            assert _accel.theta_count_scan(x, u, v, primes) == want
 
 
 def trial_factors(n: int) -> list[tuple[int, int]]:
@@ -281,31 +264,14 @@ def test_strike_tau_window_matches_full_table():
                                       tab[lo:hi + 1]), (lo, hi, ell)
 
 
-def test_strike_theta_count_matches_trial_division():
-    facts = [[], []] + [trial_factors(n) for n in range(2, 31 * 31 + 2)]
-    primes = build_sieve(1_000).primes
-    for x in STRIKE_LIMITS[1:]:
-        r = math.isqrt(x)
-        for u in sorted({2, max(r - 1, 2), max(r, 2), r + 1, x, x + 1}):
-            smooth = [math.prod(p**e for p, e in facts[n] if p <= u)
-                      for n in range(1, x + 1)]
-            for v in (1, 2, 3, 5, x, x + 1, 10**30):
-                want = sum(s >= v for s in smooth)
-                assert _accel.theta_count_scan(x, u, v, primes) == want, (x, u, v)
-
-
 def test_range_tables_never_peel(monkeypatch):
-    """tau tables, the theta count and check_A2 strike prime powers over
-    their range; none walks the spf table value by value."""
+    """tau tables and check_A2 strike prime powers over their range;
+    neither walks the spf table value by value."""
     def no_peel(*args):
         raise AssertionError("a range was peeled")
 
     monkeypatch.setattr(_accel, "_peel", no_peel)
     assert np.array_equal(tau_table(2_000, 3), dirichlet_tau_table(2_000, 3))
-    sieve = build_sieve(2_000)
-    smooth = [math.prod(p**e for p, e in trial_factors(n) if p <= 7)
-              for n in range(1, 2_001)]
-    assert theta_count(2_000, 7, 12, sieve) == sum(s >= 12 for s in smooth)
     # weights tau(n), one of them raised: only that n breaks |f| <= tau
     tau = dirichlet_tau_table(2_000, 2).astype(np.float64)
     tau[1_680] += 0.5

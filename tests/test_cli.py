@@ -5,6 +5,7 @@ against direct library calls; the CLI's job is wiring, parsing, and output
 formatting, so the math itself is only spot-checked here.
 """
 
+import ast
 import contextlib
 import csv
 import io
@@ -215,7 +216,7 @@ def test_ford_ratio_n_list(capsys):
     header, rows = parse_csv(out)
     assert header == ["N", "count", "ratio"]
     assert len(rows) == 2
-    assert float(rows[1]["ratio"]) == pytest.approx(shifted.ford_ratio(100))
+    assert float(rows[1]["ratio"]) == pytest.approx(shifted.ford_ratio(2906, 100))
 
 
 def test_ford_ratio_counts_each_n_once(capsys, monkeypatch):
@@ -286,7 +287,7 @@ def test_pi_ap_row(capsys):
     sieve = build_sieve(100)
     assert int(rows[0]["pi_count"]) == ap.pi_ap(100.0, 4, 3, sieve)
     assert float(rows[0]["error"]) == pytest.approx(
-        ap.error_term(100.0, 4, 3, sieve))
+        ap.error_term(ap.pi_ap(100.0, 4, 3, sieve), 100.0, 4, sieve))
 
 
 # rows recorded when the handler counted the progression twice
@@ -814,6 +815,22 @@ def test_option_the_command_never_reads_exits_one(capsys, argv):
     assert f"unrecognized arguments: {' '.join(argv[-2:])}" in err
 
 
+@pytest.mark.parametrize("argv, err_line", [
+    # a prefix is not its option: each of these answered as --n-list, --threads
+    # and --u-list
+    (["ford-ratio", "--n", "10"], "the following arguments are required: --n-list"),
+    (["bv-sum", "--x", "1000", "--Q", "5", "--thr", "2"], "unrecognized arguments: --thr 2"),
+    (["rho", "--u-l", "2"], "unrecognized arguments: --u-l 2"),
+    # nor is a second value dropped in favour of the last one
+    (["rho", "--u-list", "2", "--u-list", "3"], "argument --u-list: given more than once"),
+    (["gpf", "--n", "12", "--n", "13"], "argument --n: given more than once"),
+    (["gpf", "--n=12", "--n", "13"], "argument --n: given more than once"),
+])
+def test_option_prefix_or_repeat_exits_one(capsys, argv, err_line):
+    code, out, err = run_cli(capsys, argv)
+    assert (code, out, err) == (1, "", f"error: {err_line}\n")
+
+
 @pytest.mark.parametrize("argv", [
     ["smooth", "--x", "nan", "--y", "10"],
     ["smooth", "--x", "1000", "--y", "inf"],
@@ -1174,6 +1191,102 @@ def test_option_inventory():
         assert got == _COMMON | _INVENTORY[name], name
 
 
+# ---------------------------------------------------------------------------
+# every public library function has a reader: a subcommand, a benchmark name
+# or an acceptance criterion.  Reachability is by name references in the
+# source, read with ast; nothing here imports the benchmark
+
+_REPO = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+_LIBRARY = ("sieve", "_accel", "ap", "shifted", "products", "sequences", "smooth")
+
+
+def _source(*parts):
+    with open(os.path.join(_REPO, *parts), encoding="utf-8") as fh:
+        return ast.parse(fh.read())
+
+
+def _gpflab_aliases(tree) -> dict:
+    """Each name a file binds by importing gpflab, as a path below the
+    package: ``from .sieve import f`` binds f to "sieve.f", ``from gpflab
+    import ap`` binds ap to "ap", ``import gpflab.cli`` binds gpflab to ""."""
+    out = {}
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            for a in node.names:
+                if a.name.split(".")[0] == "gpflab":
+                    out[a.asname or "gpflab"] = a.name[7:] if a.asname else ""
+        elif isinstance(node, ast.ImportFrom):
+            base = node.module or ""
+            if not node.level:
+                if base.split(".")[0] != "gpflab":
+                    continue
+                base = base[7:]
+            for a in node.names:
+                out[a.asname or a.name] = f"{base}.{a.name}".lstrip(".")
+    return out
+
+
+def _reads(node, aliases, module=None, local=()) -> set:
+    """The (module, name) pairs a piece of source reads: names of ``module``
+    defined at its top level in ``local``, names imported from gpflab, and
+    attribute chains such as ``ap.bv_sum`` or ``gpflab._accel.backend``."""
+    out = set()
+    for sub in ast.walk(node):
+        chain = []
+        while isinstance(sub, ast.Attribute):
+            chain.insert(0, sub.attr)
+            sub = sub.value
+        if not isinstance(sub, ast.Name):
+            continue
+        if sub.id in local:
+            out.add((module, sub.id))
+        elif sub.id in aliases:
+            path = [p for p in aliases[sub.id].split(".") + chain if p]
+            if len(path) >= 2:
+                out.add((path[0], path[1]))
+    return out
+
+
+def _unread_library_functions() -> list[str]:
+    edges, public = {}, []
+    for module in _LIBRARY:
+        tree = _source("src", "gpflab", f"{module}.py")
+        aliases = _gpflab_aliases(tree)
+        names = {}
+        for stmt in tree.body:
+            if isinstance(stmt, (ast.FunctionDef, ast.ClassDef)):
+                names[stmt.name] = stmt
+                if not stmt.name.startswith("_"):
+                    public.append((module, stmt.name))
+            elif isinstance(stmt, (ast.Assign, ast.AnnAssign)):
+                for target in stmt.targets if isinstance(stmt, ast.Assign) else [stmt.target]:
+                    if isinstance(target, ast.Name):
+                        names[target.id] = stmt
+        for name, stmt in names.items():
+            edges[module, name] = _reads(stmt, aliases, module, names)
+    cli = _source("src", "gpflab", "cli.py")
+    roots = _reads(cli, _gpflab_aliases(cli))
+    for parts in ("benchmark", "child.py"), ("tests", "test_acceptance.py"):
+        tree = _source(*parts)
+        roots |= _reads(tree, _gpflab_aliases(tree))
+    with open(os.path.join(_REPO, "BENCHMARK.json"), encoding="utf-8") as fh:
+        for metric in json.load(fh)["per_layer"]:  # <layer>.<function>.<what>
+            layer, *rest = metric["name"].split(".")
+            if len(rest) == 2:
+                roots.add(("_accel" if layer == "accel" else layer, rest[0]))
+    seen, todo = set(), list(roots)
+    while todo:
+        key = todo.pop()
+        if key in edges and key not in seen:
+            seen.add(key)
+            todo.extend(edges[key])
+    return [f"{m}.{n}" for m, n in public if (m, n) not in seen]
+
+
+def test_every_public_library_function_has_a_reader():
+    assert _unread_library_functions() == []
+
+
 def test_adversarial_huge_n_exits_two_at_once():
     # ceil(0.5 / eps) ~ 5e299: float steps of the candidate search could not move it
     proc = subprocess.run([sys.executable, "-m", "gpflab.cli", "adversarial",
@@ -1241,7 +1354,18 @@ def _cli_call(rnd, files):
         argv.insert(rnd.randint(1, len(argv)), extra)
     if rnd.random() < 0.05:  # an option left without its value
         argv.append(rnd.choice(options).option_strings[0])
-    return argv
+    if rnd.random() < 0.9:
+        return argv, False
+    # a unique prefix of an option, or an option given twice: refused
+    action = rnd.choice(options)
+    flag = action.option_strings[0]
+    value = [] if action.nargs == 0 else [rnd.choice(_option_values(action, files)[0])]
+    known = sub.choices[name]._option_string_actions
+    prefixes = [flag[:k] for k in range(3, len(flag))
+                if sum(s.startswith(flag[:k]) for s in known) == 1]
+    if prefixes and rnd.random() < 0.5:
+        return argv + [rnd.choice(prefixes)] + value, True
+    return argv + [flag] + value + [flag] + value, True
 
 
 def _parses(text, fmt):
@@ -1256,7 +1380,7 @@ def _parses(text, fmt):
 @given(seed=st.integers(0, 2**64))
 def test_fuzzed_calls_keep_the_contract(fuzz_files, seed):
     # hypothesis draws favour boundary values; a seeded stream spreads the calls
-    argv = _cli_call(random.Random(seed), fuzz_files)
+    argv, refused = _cli_call(random.Random(seed), fuzz_files)
     note(f"argv: {argv}")
     out, err = io.StringIO(), io.StringIO()
     try:
@@ -1265,7 +1389,7 @@ def test_fuzzed_calls_keep_the_contract(fuzz_files, seed):
     except SystemExit as exc:
         assert exc.code == 0 and "--help" in argv
         return
-    assert code in (0, 1, 2)
+    assert code == 1 if refused else code in (0, 1, 2)
     if code:
         lines = err.getvalue().splitlines()
         assert len(lines) == 1 and lines[0].startswith("error:"), lines

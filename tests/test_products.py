@@ -13,7 +13,7 @@ from gpflab import products
 from gpflab.cli import main
 from gpflab.errors import InvalidArgumentError, RangeBudgetError
 from gpflab.products import (LEDGER_PAIR_BUDGET, SQERR_N_BUDGET, LedgerReport,
-                             log_E, log_E1, log_E2, ledger_report, r_count,
+                             log_E, log_E1, log_E2, ledger_report,
                              square_errors_check)
 from gpflab.shifted import IndexSet, _product_table, adversarial_sets, gamma_plus
 
@@ -53,19 +53,6 @@ def brute_split(A, B, N):
                     s2.append((e - k_small) * log(p))
     return (math.fsum(s1) + math.fsum(s2), math.fsum(s1), math.fsum(s2),
             math.fsum(large))
-
-
-def test_r_count():
-    U = IndexSet.from_iterable([1, 4, 7, 10])
-    assert r_count(U, 1, 3) == 4
-    assert r_count(U, 0, 2) == 2
-    assert r_count(U, 4, 3) == 4
-    assert r_count(U, -2, 3) == 4
-    assert r_count(U, 0, 1) == 4
-    for m in (2, 3, 7):
-        assert sum(r_count(U, h, m) for h in range(m)) == len(U)
-    with pytest.raises(InvalidArgumentError):
-        r_count(U, 0, 0)
 
 
 def test_log_E_small():

@@ -1,5 +1,5 @@
-"""Weighted sequences, convolution, condition checks, the von Mangoldt
-expansion, and the divisor-sum family, each against direct enumeration."""
+"""Weighted sequences, condition checks, the von Mangoldt expansion, and the
+divisor-sum family, each against direct enumeration."""
 
 import math
 import random
@@ -16,11 +16,10 @@ from gpflab import _accel, sequences
 from gpflab.errors import InvalidArgumentError, RangeBudgetError
 from gpflab.sequences import (DIVISOR_SELECTORS, ConditionReport,
                               WeightedSequence, a1_lhs, check_A2, check_A3,
-                              check_A4, convolve, convolve3, delta,
-                              divisor_sum_lhs, divisor_sum_rhs_shape,
-                              heath_brown_terms, norm, selector_params)
-from gpflab.sieve import (_rough_mask, build_sieve, factorize, is_prime_u64,
-                          rough_indicator, tau_ell)
+                              check_A4, delta, divisor_sum_lhs,
+                              divisor_sum_rhs_shape, heath_brown_terms, norm,
+                              selector_params)
+from gpflab.sieve import _rough_mask, build_sieve, factorize, is_prime_u64
 
 
 def naive_phi(q: int) -> int:
@@ -113,53 +112,6 @@ def test_sequence_refuses_non_finite_weights(tmp_path):
         WeightedSequence.from_file(path)
 
 
-def test_convolve_small_example():
-    f = WeightedSequence.indicator(1, 2)
-    g = WeightedSequence.indicator(1, 2)
-    fg = convolve(f, g)
-    assert (fg.lo, fg.hi) == (1, 4)
-    assert fg.value(1) == 1.0
-    assert fg.value(2) == 2.0
-    assert fg.value(3) == 0.0
-    assert fg.value(4) == 1.0
-    one = WeightedSequence.from_pairs([(1, 1.0)])
-    h = WeightedSequence.from_pairs([(2, 0.5), (9, -3.0)])
-    assert convolve(one, h).values.tolist() == h.values.tolist()
-
-
-def test_convolve_matches_double_loop():
-    rng = random.Random(101)
-    for _ in range(8):
-        f, g = rand_seq(rng), rand_seq(rng)
-        fg = convolve(f, g)
-        for n in range(fg.lo, fg.hi + 1):
-            want = math.fsum(f.value(d) * g.value(n // d)
-                             for d in range(1, n + 1) if n % d == 0)
-            assert abs(fg.value(n) - want) < 1e-12
-
-
-def test_convolve_commutative_associative():
-    rng = random.Random(55)
-    for _ in range(6):
-        f, g, h = rand_seq(rng), rand_seq(rng), rand_seq(rng)
-        fg, gf = convolve(f, g), convolve(g, f)
-        assert (fg.lo, fg.hi) == (gf.lo, gf.hi)
-        assert all(abs(a - b) < 1e-12 for a, b in zip(fg.values, gf.values))
-        lhs = convolve(convolve(f, g), h)
-        rhs = convolve(f, convolve(g, h))
-        assert (lhs.lo, lhs.hi) == (rhs.lo, rhs.hi)
-        assert all(abs(a - b) < 1e-12 for a, b in zip(lhs.values, rhs.values))
-        tri = convolve3(f, g, h)
-        assert all(abs(a - b) < 1e-12 for a, b in zip(tri.values, lhs.values))
-
-
-def test_convolve_budget():
-    f = WeightedSequence.indicator(1, 100_000)
-    g = WeightedSequence.indicator(1, 10_001)
-    with pytest.raises(RangeBudgetError):
-        convolve(f, g)
-
-
 def test_delta_brute_and_residue_sum():
     rng = random.Random(202)
     for _ in range(6):
@@ -178,25 +130,6 @@ def test_delta_brute_and_residue_sum():
             assert abs(s) < 1e-12
     with pytest.raises(InvalidArgumentError):
         delta(WeightedSequence.indicator(1, 5), 0, 1)
-
-
-def test_delta_of_convolution_matches_pair_loop():
-    rng = random.Random(303)
-    for _ in range(5):
-        f, g = rand_seq(rng), rand_seq(rng)
-        fg = convolve(f, g)
-        for q, a in ((7, 2), (12, 5), (20, 19)):
-            s1 = s2 = 0.0
-            for m in range(f.lo, f.hi + 1):
-                for n in range(g.lo, g.hi + 1):
-                    w = f.value(m) * g.value(n)
-                    if w == 0.0:
-                        continue
-                    if (m * n - a) % q == 0:
-                        s1 += w
-                    if gcd(m * n, q) == 1:
-                        s2 += w
-            assert abs(delta(fg, q, a) - (s1 - s2 / naive_phi(q))) < 1e-9
 
 
 def test_a1_lhs_example_and_brute():
@@ -232,21 +165,25 @@ def test_check_a2():
 
 
 def per_integer_a2(f, bound, sieve):
-    """check_A2 by one tau_ell per supported n, the first maximum kept."""
+    """check_A2 by one divisor count per supported n, from its factorization,
+    the first maximum kept."""
+    def tau(n):
+        return math.prod(e + 1 for _, e in factorize(n, sieve).factors)
+
     worst, worst_ratio = None, -1.0
     for n in f.support().tolist():
-        ratio = abs(f.value(n)) / (bound * tau_ell(n, 2, sieve) ** bound)
+        ratio = abs(f.value(n)) / (bound * tau(n) ** bound)
         if ratio > worst_ratio:
             worst, worst_ratio = n, ratio
     if worst is None:
         return ConditionReport("A2", {"B": bound}, True, None, None, None)
     return ConditionReport("A2", {"B": bound}, worst_ratio <= 1.0, worst,
                            abs(f.value(worst)),
-                           bound * tau_ell(worst, 2, sieve) ** bound)
+                           bound * tau(worst) ** bound)
 
 
 def test_check_a2_strikes_match_per_integer_loop(sieve_m):
-    # the strided tau over the hull against tau_ell of each supported n:
+    # the strided tau over the hull against the divisor count of each supported n:
     # same floats, same first maximum; windows up to 1e12 leave one prime
     # above isqrt(hi) as cofactor
     rng = random.Random(14)
@@ -352,7 +289,7 @@ def test_check_a4():
         check_A4(wide, 1.5)
 
 
-def test_check_a4_strikes_match_rough_indicator(sieve_10k):
+def test_check_a4_strikes_match_rough_indicator():
     # windows whose threshold z sits just below, at and above isqrt(l2) + 1,
     # where an unstruck n turns from rough to "rough iff a prime >= z"
     rng = random.Random(4)
@@ -361,7 +298,7 @@ def test_check_a4_strikes_match_rough_indicator(sieve_10k):
         l1 = rng.randint(max(l2 // 2 + 1, l2 - 1_000), l2)
         z = isqrt(l2) + 1 + rng.choice([-1.5, -1, -0.5, 0, 0.5, 1, 2.5])
         z = max(z, 2)
-        rough = [rough_indicator(n, z, sieve_10k) for n in range(l1, l2 + 1)]
+        rough = [float(is_rough(n, z)) for n in range(l1, l2 + 1)]
         if not any(rough):
             continue
         f = WeightedSequence(l1, l2, rough)

@@ -308,9 +308,9 @@ def test_ford_exponent_value():
 def test_ford_ratio_formula():
     N = 100
     want = lv_count(N) * log(N) ** FORD_EXPONENT * log(log(N)) ** 1.5 / N**2
-    assert abs(ford_ratio(N) - want) < 1e-15
+    assert abs(ford_ratio(lv_count(N), N) - want) < 1e-15
     with pytest.raises(InvalidArgumentError):
-        ford_ratio(2)
+        ford_ratio(lv_count(2), 2)
 
 
 def test_adversarial_sets_example(sieve_10k):

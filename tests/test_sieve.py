@@ -2,12 +2,13 @@
 
 import subprocess
 import sys
-from math import inf, isqrt, log, prod
+from math import comb, inf, isqrt, log, prod
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from gpflab.ap import _mobius_phi
 from gpflab.errors import InvalidArgumentError, RangeBudgetError
 from gpflab.sieve import (
     MAX_SIEVE_LIMIT,
@@ -19,13 +20,8 @@ from gpflab.sieve import (
     greatest_prime_factor,
     greatest_prime_factor_batch,
     is_prime_u64,
-    moebius,
-    rough_indicator,
     segmented_primes,
-    smooth_rough_split,
-    tau_ell,
     tau_table,
-    theta_count,
     verify_factorization_roundtrip,
     von_mangoldt,
 )
@@ -56,6 +52,25 @@ def naive_is_prime(n: int) -> bool:
             return False
         p += 2
     return True
+
+
+def naive_factors(n: int) -> list[tuple[int, int]]:
+    """(p, e) of n by trial division, ascending."""
+    out, p = [], 2
+    while p * p <= n:
+        e = 0
+        while n % p == 0:
+            n //= p
+            e += 1
+        if e:
+            out.append((p, e))
+        p += 1
+    return out + [(n, 1)] * (n > 1)
+
+
+def naive_rough(n: int, z) -> bool:
+    """No prime factor of n below z (vacuous at n == 1)."""
+    return all(p >= z for p, _ in naive_factors(n))
 
 
 def test_build_rejects_bad_limits():
@@ -114,7 +129,7 @@ def test_factorize_known_values(sieve_m):
 def test_factorize_certified_range_edges():
     s = build_sieve(10)
     # 120 = 10 * 12 is the largest certified input for a limit-10 table
-    assert factorize(120, s).reconstruct() == 120
+    assert factorize(120, s).factors == [(2, 3), (3, 1), (5, 1)]
     assert factorize(101, s).factors == [(101, 1)]
     with pytest.raises(RangeBudgetError):
         factorize(121, s)
@@ -145,9 +160,10 @@ def test_gpf_batch_matches_scalar(sieve_m):
 
 
 def test_moebius_divisor_identity(sieve_m):
-    # sum of mu over divisors picks out n = 1
+    # sum of mu over divisors picks out n = 1; mu from the strikes that give
+    # the moduli their mu and phi
     N = 10_000
-    mu = np.array([0] + [moebius(n, sieve_m) for n in range(1, N + 1)])
+    mu = np.concatenate([[0], _mobius_phi(1, N + 1, sieve_m)[0]])
     acc = np.zeros(N + 1, dtype=np.int64)
     for d in range(1, N + 1):
         if mu[d]:
@@ -167,11 +183,12 @@ def test_von_mangoldt_divisor_identity(sieve_m):
         assert abs(acc[n] - log(n)) < 1e-9
 
 
-def test_tau_ell_multiplicative(sieve_m):
-    for ell in range(1, 6):
+def test_tau_ell_multiplicative():
+    tabs = {ell: tau_table(999_999, ell) for ell in range(1, 6)}
+    for ell, tab in tabs.items():
         for p in (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47,
                   53, 59, 61, 67, 71, 73, 79, 83, 89, 97):
-            assert tau_ell(p, ell, sieve_m) == ell
+            assert tab[p] == ell
     rng = np.random.default_rng(11)
     for _ in range(300):
         m = int(rng.integers(1, 1000))
@@ -179,43 +196,31 @@ def test_tau_ell_multiplicative(sieve_m):
         if np.gcd(m, n) != 1:
             continue
         for ell in (2, 3, 5):
-            assert tau_ell(m * n, ell, sieve_m) == \
-                tau_ell(m, ell, sieve_m) * tau_ell(n, ell, sieve_m)
+            assert tabs[ell][m * n] == tabs[ell][m] * tabs[ell][n]
 
 
-def test_tau_ell_known_values(sieve_m):
-    assert tau_ell(1, 3, sieve_m) == 1
-    assert tau_ell(12, 2, sieve_m) == 6  # ordinary divisor count
-    assert tau_ell(8, 3, sieve_m) == 10  # C(3+3-1, 3-1)
-    assert tau_ell(1, 0, sieve_m) == 1 and tau_ell(12, 0, sieve_m) == 0
+def test_tau_ell_known_values():
+    assert tau_table(12, 3)[1] == 1
+    assert tau_table(12, 2)[12] == 6  # ordinary divisor count
+    assert tau_table(12, 3)[8] == 10  # C(3+3-1, 3-1)
+    assert tau_table(12, 0)[1] == 1 and tau_table(12, 0)[12] == 0
     with pytest.raises(InvalidArgumentError):
-        tau_ell(12, 17, sieve_m)
+        tau_table(12, 17)
     with pytest.raises(InvalidArgumentError):
-        tau_ell(12, -1, sieve_m)
+        tau_table(12, -1)
 
 
-def test_tau_table_matches_pointwise(sieve_m):
+def test_tau_table_matches_pointwise():
     for ell in (1, 2, 3, 4):
         tab = tau_table(2000, ell)
         for n in range(1, 2001):
-            assert tab[n] == tau_ell(n, ell, sieve_m)
-
-
-def test_smooth_rough_split(sieve_m):
-    for z in (2, 10, 100):
-        for t in range(1, 100_001):
-            sm, rg = smooth_rough_split(t, z, sieve_m)
-            assert sm * rg == t
-            assert rough_indicator(rg, z, sieve_m) == 1
-            # smooth part carries every factor below z
-            if sm > 1:
-                assert naive_gpf(sm) < z
+            assert tab[n] == prod(comb(e + ell - 1, ell - 1) for _, e in naive_factors(n))
 
 
 def test_rough_table_matches_pointwise(sieve_m):
     tab = _rough_mask(0, 3000, 7, sieve_m.primes)
     for n in range(1, 3001):
-        assert bool(tab[n]) == bool(rough_indicator(n, 7, sieve_m))
+        assert bool(tab[n]) == naive_rough(n, 7)
 
 
 def test_rough_table_strikes_match_pointwise(sieve_10k):
@@ -226,15 +231,15 @@ def test_rough_table_strikes_match_pointwise(sieve_10k):
         r = isqrt(limit)
         for z in (1, 2, 2.5, 7, r, r + 1, r + 2, limit, limit + 1, inf):
             tab = _rough_mask(0, limit, z, sieve_10k.primes)
-            want = [False] + [bool(rough_indicator(n, z, sieve_10k))
-                              for n in range(1, limit + 1)]
+            want = [False] + [naive_rough(n, z) for n in range(1, limit + 1)]
             assert tab.tolist() == want, (limit, z)
 
 
 def test_rough_indicator_edges(sieve_m):
-    assert rough_indicator(1, 1000, sieve_m) == 1
-    assert rough_indicator(7, 7, sieve_m) == 1  # no factor strictly below z
-    assert rough_indicator(7, 8, sieve_m) == 0
+    assert _rough_mask(1, 1, 1000, sieve_m.primes).tolist() == [True]
+    # no factor strictly below z
+    assert _rough_mask(7, 7, 7, sieve_m.primes).tolist() == [True]
+    assert _rough_mask(7, 7, 8, sieve_m.primes).tolist() == [False]
 
 
 def test_is_prime_u64_spot_checks():
@@ -273,26 +278,6 @@ def test_segmented_primes_beyond_limit(sieve_m):
     # fast path inside the table
     got = segmented_primes(10, 50, sieve_m).tolist()
     assert got == [11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47]
-
-
-def test_theta_count_brute(sieve_m):
-    def smooth_part(n: int, u: int) -> int:
-        out = 1
-        m = n
-        p = 2
-        while p * p <= m:
-            while m % p == 0:
-                m //= p
-                if p <= u:
-                    out *= p
-            p += 1
-        if m > 1 and m <= u:
-            out *= m
-        return out
-
-    for (x, u, v) in ((100, 7, 101), (500, 5, 10), (1000, 3, 2), (100, 2, 1)):
-        want = sum(1 for n in range(1, x + 1) if smooth_part(n, u) >= v)
-        assert theta_count(x, u, v, sieve_m) == want
 
 
 def test_divisor_list(sieve_m):
