@@ -1,15 +1,25 @@
 """Prime counts in arithmetic progressions and discrepancy aggregates.
 
-The five aggregates share one progression-mass engine: each call builds one
-weight table over the integers, reads the progression mass of a modulus q on
-the strided slice ``w[a % q::q]`` and the coprime mass by Moebius inversion
-over the squarefree d | q, for a whole modulus range at once.  fsum-defined
-masses are summed exactly in fixed point and rounded once (``_accel``'s
-``_fixed``), left-to-right ones keep their order, so every per_q entry is
-the exact per-modulus value and the total is the fsum of the entries or of
-their absolute values.  Only bv_sum, whose per-modulus rank scans are long
-numpy calls, spreads its moduli over threads; the result does not depend on
-the thread count.  The tables live only as long as the call.
+Each of the five aggregates takes its whole modulus range in one call:
+
+- ``bv_sum`` scans the ranks of the primes up to x in the residue classes
+  of each q (``_accel.bv_max_scan``);
+- ``signed_sum`` and ``dyadic_abs_sum`` build one weight table over [0, x]
+  and read the progression mass of q on the strided slice ``w[a % q::q]``,
+  against pi(x)/phi(q) (or psi(x)/phi(q)), with no Moebius side;
+- ``theorem4_sum`` gathers the log weights of the windowed products p*m on
+  each progression a (mod q) (``_accel.divisor_scatter``) and takes the
+  coprime mass by Moebius inversion over the squarefree d | q;
+- ``lambda_extension_sum`` counts the pairs (n, t) of a prime power and its
+  dyadic block by their product m = n*t on the progression side, and the
+  coprime t per block by Moebius inversion over d | q.
+
+fsum-defined masses are summed exactly in fixed point and rounded once
+(``_accel``'s ``_fixed``), left-to-right ones keep their order, so every
+per_q entry is the exact per-modulus value and the total is the fsum of the
+entries or of their absolute values.  Only bv_sum, whose per-modulus rank
+scans are long numpy calls, spreads its moduli over threads; the result does
+not depend on the thread count.  The tables live only as long as the call.
 """
 
 from __future__ import annotations
@@ -115,15 +125,9 @@ class DiscrepancyReport:
     def per_q(self) -> list[tuple[int, float]]:
         return list(zip(self.qs.tolist(), self.values.tolist()))
 
-    def __eq__(self, other):
-        # by value; the generated __eq__ fails on the numpy fields
-        return isinstance(other, DiscrepancyReport) and (
-            (self.x, self.total, self.normalized, self.per_q)
-            == (other.x, other.total, other.normalized, other.per_q))
-
 
 # ---------------------------------------------------------------------------
-# the progression-mass engine
+# helpers of the aggregates
 
 
 def _ordered_map(fn, items, threads):
@@ -394,7 +398,6 @@ def lambda_extension_sum(x, Q: int, P1, P2, a: int, z,
     t per block (x/(2n), x/n] by Moebius over d | q, once per block."""
     _check("lambda_extension_sum", Q, x, 2, a, (P1, P2))
     xi = int(floor(x))
-    z = default_rough_z(x) if z is None else z
     p2c = min(float(P2), float(xi))
     qs = [q for q in range(Q, 2 * Q) if gcd(q, a) == 1]
     phi = _phi_of(qs, sieve)

@@ -357,7 +357,7 @@ def _cmd_cond_check(args):
     value = getattr(args, dest)
     if value is None:
         raise InvalidArgumentError(f"{cond} needs --{dest}")
-    rep = check(f, value)
+    rep: sequences.ConditionReport = check(f, value)
     return _row(condition=rep.condition, holds=rep.holds,
                 worst_case=rep.worst_case, lhs=rep.lhs, rhs=rep.rhs)
 

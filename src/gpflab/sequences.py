@@ -14,7 +14,8 @@ import numpy as np
 from . import _accel
 from .ap import check_modulus, default_rough_z
 from .errors import InvalidArgumentError, RangeBudgetError
-from .sieve import PrimeSieve, _rough_mask, _tau_order, build_sieve, euler_phi, factorize
+from .sieve import (MAX_TAU_ORDER, PrimeSieve, _rough_mask, build_sieve, euler_phi,
+                    factorize)
 
 _SPAN_BUDGET = 100_000_000  # widest window of a dense sequence
 
@@ -92,11 +93,6 @@ class WeightedSequence:
             raise InvalidArgumentError(f"{path}: empty sequence file")
         return cls.from_pairs(pairs)
 
-    def value(self, n: int) -> float:
-        if self.lo <= n <= self.hi:
-            return float(self.values[n - self.lo])
-        return 0.0
-
     def support(self) -> np.ndarray:
         return np.flatnonzero(self.values) + self.lo
 
@@ -145,7 +141,6 @@ class ConditionReport:
     """Outcome of a structural check on a weighted sequence."""
 
     condition: str
-    parameters: dict
     holds: bool | None
     worst_case: int | None
     lhs: float | None
@@ -158,7 +153,7 @@ def check_A2(f: WeightedSequence, bound: float) -> ConditionReport:
         raise InvalidArgumentError("check_A2 needs a positive bound")
     sup = f.support()
     if not sup.size:
-        return ConditionReport("A2", {"B": bound}, True, None, None, None)
+        return ConditionReport("A2", True, None, None, None)
     l1, l2 = int(sup[0]), int(sup[-1])
     tau = _accel.tau_table(_root_sieve(l2).primes, l1, l2, 2, 2)
     # ratios in Python floats (numpy's power may round another way); the
@@ -167,7 +162,7 @@ def check_A2(f: WeightedSequence, bound: float) -> ConditionReport:
     taus = tau[sup - l1].tolist()
     ratio = [v / (bound * t ** bound) for v, t in zip(lhs, taus)]
     i = max(range(len(ratio)), key=ratio.__getitem__)
-    return ConditionReport("A2", {"B": bound}, ratio[i] <= 1.0, int(sup[i]),
+    return ConditionReport("A2", ratio[i] <= 1.0, int(sup[i]),
                            lhs[i], bound * taus[i] ** bound)
 
 
@@ -179,7 +174,7 @@ def check_A3(f: WeightedSequence, x) -> ConditionReport:
     sup = f.support()
     sup = sup[sup != 1]  # no prime factors: vacuously rough
     if not sup.size:
-        return ConditionReport("A3", {"x": float(x)}, True, None, None, z0)
+        return ConditionReport("A3", True, None, None, z0)
     # strike the primes p <= isqrt(l2) in ascending order: the first to hit
     # the support is the least spf, its first hit the worst case; if none
     # hits, every supported n is prime and the smallest is the worst
@@ -193,8 +188,7 @@ def check_A3(f: WeightedSequence, x) -> ConditionReport:
         if hit.size:
             worst, worst_spf = l1 + -l1 % p + p * int(hit[0]), p
             break
-    return ConditionReport("A3", {"x": float(x)}, worst_spf > z0, worst,
-                           float(worst_spf), z0)
+    return ConditionReport("A3", worst_spf > z0, worst, float(worst_spf), z0)
 
 
 def check_A4(f: WeightedSequence, z) -> ConditionReport:
@@ -208,7 +202,7 @@ def check_A4(f: WeightedSequence, z) -> ConditionReport:
         raise InvalidArgumentError("check_A4 needs z >= 2")
     sup = f.support()
     if not sup.size:
-        return ConditionReport("A4", {"z": float(z)}, True, None, None, None)
+        return ConditionReport("A4", True, None, None, None)
     l1, l2 = int(sup[0]), int(sup[-1])
     have = f.values[l1 - f.lo:l2 - f.lo + 1]
     bad = np.flatnonzero((have != 0.0) & (have != 1.0))
@@ -216,8 +210,7 @@ def check_A4(f: WeightedSequence, z) -> ConditionReport:
         rough = _rough_mask(l1, l2, z, _root_sieve(l2).primes)
         bad = np.flatnonzero(rough != (have != 0.0))
     worst = l1 + int(bad[0]) if bad.size else (l2 if l2 >= 2 * l1 else None)
-    return ConditionReport("A4", {"z": float(z)}, worst is None, worst,
-                           float(l2), float(2 * l1))
+    return ConditionReport("A4", worst is None, worst, float(l2), float(2 * l1))
 
 
 @dataclass(frozen=True)
@@ -260,7 +253,7 @@ def heath_brown_terms(n: int, x, J: int, sieve: PrimeSieve) -> HeathBrownResult:
     if not x >= 1 or n > 2 * x:
         raise InvalidArgumentError("the expansion needs n <= 2x")
     M = _cutoff_root(x, J, n)
-    ps = [p for p, _ in factorize(n, sieve).factors]
+    ps = [p for p, _ in factorize(n, sieve)]
 
     def steps(k: int) -> list[tuple[int, int]]:
         # the squarefree m <= M dividing k, with mu(m)
@@ -310,13 +303,13 @@ _MULTI = 1_000_000  # largest table of a four- or s-fold sum
 _WALK = 1 << 18  # integers per block of the single-variable walk
 # The int64 sums are exact: D_k(x) = sum_{n<=x} tau_k(n) <= x (ln x + k-1)^(k-1)
 # / (k-1)!, by induction on D_{k+1}(x) = sum_{n<=x} D_k(x/n), and a weight is
-# at most tau_17 (j <= 16, plus one when glued).  So a block sum of glued
-# weights (rough-tau-hyperbola) stays below D_17(1e7) < 6.2e17 < 2**63 for
-# x <= _SINGLE, and a chain prefix below D_17(1e6) < 1.9e16 for x <= _MULTI;
-# the exact total, a Python int, is rounded once.
+# at most tau_17 (j <= MAX_TAU_ORDER = 16, plus one when glued).  So a block
+# sum of glued weights (rough-tau-hyperbola) stays below D_17(1e7) < 6.2e17
+# < 2**63 for x <= _SINGLE, and a chain prefix below D_17(1e6) < 1.9e16 for
+# x <= _MULTI; the exact total, a Python int, is rounded once.
 
-# selector: the parameters it reads (the s-fold sums also read j1..js), the
-# parameters whose product bounds its n, and the budget of that bound
+# selector: the keys of params it reads (the s-fold sums also read j1..js),
+# the keys whose product bounds its n, and the budget of that bound
 _SELECTORS = {
     "window-tau-power": (("x", "y", "ell", "k"), ("x",), _SINGLE),
     "rough-tau": (("x", "z", "j"), ("x",), _SINGLE),
@@ -335,13 +328,14 @@ DIVISOR_SELECTORS = tuple(_SELECTORS)
 
 
 def selector_params(selector: str, params: dict) -> tuple[list, int]:
-    """The values of the parameters ``selector`` reads, in the order of
+    """The values in params of the keys ``selector`` reads, in the order of
     ``_SELECTORS`` and then j1..js, and the largest integer its tables span.
 
     Raises before any table is built: an unknown selector, a missing
-    parameter, an s other than 5 or 6, a nu outside [1, s] or a value below
-    its lower bound (``InvalidArgumentError``), or a span above the
-    selector's budget (``RangeBudgetError``)."""
+    parameter, an s other than 5 or 6, a nu outside [1, s], a value below
+    its lower bound or a tau order (ell, j, j1..j6) above ``MAX_TAU_ORDER``
+    (``InvalidArgumentError``), or a span above the selector's budget
+    (``RangeBudgetError``)."""
     if selector not in _SELECTORS:
         raise InvalidArgumentError(f"unknown selector {selector!r}")
     keys, span, budget = _SELECTORS[selector]
@@ -358,6 +352,8 @@ def selector_params(selector: str, params: dict) -> tuple[list, int]:
         low = 0 if key == "k" or key[0] == "j" else 1
         if key not in ("s", "nu") and params[key] < low:
             raise InvalidArgumentError(f"{selector} needs {key} >= {low}")
+        if (key == "ell" or key[0] == "j") and params[key] > MAX_TAU_ORDER:
+            raise InvalidArgumentError(f"{selector} needs {key} <= {MAX_TAU_ORDER}")
     if selector == "window-tau-power" and params["y"] > params["x"]:
         raise InvalidArgumentError("needs 1 <= y <= x")
     if selector == "sfold-glued" and not 1 <= params["nu"] <= params["s"]:
@@ -372,7 +368,7 @@ def _weight_table(lo: int, hi: int, j: int, z, primes: np.ndarray, glued=False) 
     """tau_j(n) * [n is z-rough] as int64 over [lo, hi], from the primes up
     to isqrt(hi); with ``glued``, tau_{j+1} of the z-rough part of n (the
     convolution of tau_j with 1), which counts the glued free variable."""
-    tab = _accel.tau_table(primes, lo, hi, _tau_order(j) + glued, z)
+    tab = _accel.tau_table(primes, lo, hi, int(j) + glued, z)
     if not glued:
         tab *= _rough_mask(lo, hi, z, primes)
     return tab
@@ -390,7 +386,7 @@ def _single_sum(selector: str, given: list, hi: int, primes: np.ndarray) -> floa
     if selector == "window-tau-power":  # the n in (x - y, x], not empty as y >= 1
         x, y, j, k = given
         lo, z = floor(x - y) + 1, 2
-    else:  # with two leading parameters, the n past the first: harmonic-log
+    else:  # with two leading values, the n past the first: harmonic-log
         # sums the n > w (w may be inf), the two window sums the n > x
         *lead, z, j = given
         lo = floor(min(hi, lead[0])) + 1 if len(lead) == 2 else 1
@@ -472,7 +468,7 @@ def divisor_sum_lhs(selector: str, params: dict, sieve: PrimeSieve) -> float:
 
 def divisor_sum_rhs_shape(selector: str, params: dict) -> float:
     """The reference upper-bound shape for a selector, with constant 1, for
-    the parameters that ``selector_params`` accepts."""
+    the params that ``selector_params`` accepts."""
     selector_params(selector, params)
     p = params
 

@@ -25,7 +25,7 @@ class IndexSet:
 
     __slots__ = ("n_max", "bits")
 
-    def __init__(self, n_max: int, bits: np.ndarray | None = None):
+    def __init__(self, n_max: int):
         n_max = int(n_max)
         if n_max < 1:
             raise InvalidArgumentError("IndexSet needs n_max >= 1")
@@ -33,9 +33,7 @@ class IndexSet:
         if n_max > MAX_SIEVE_LIMIT:
             raise RangeBudgetError(f"IndexSet n_max {n_max} exceeds cap {MAX_SIEVE_LIMIT}")
         self.n_max = n_max
-        if bits is None:
-            bits = np.zeros(n_max + 1, dtype=bool)
-        self.bits = bits
+        self.bits = np.zeros(n_max + 1, dtype=bool)
 
     @classmethod
     def dense(cls, n_max: int) -> "IndexSet":
@@ -93,9 +91,6 @@ class IndexSet:
         """The largest member, 0 for the empty set."""
         return int(np.flatnonzero(self.bits).max(initial=0))
 
-    def cardinality(self) -> int:
-        return int(np.count_nonzero(self.bits))
-
     def members(self) -> np.ndarray:
         return np.flatnonzero(self.bits).astype(np.int64)
 
@@ -103,14 +98,11 @@ class IndexSet:
         v = int(v)
         return 1 <= v <= self.n_max and bool(self.bits[v])
 
-    def __iter__(self):
-        return iter(self.members().tolist())
-
     def __len__(self) -> int:
-        return self.cardinality()
+        return int(np.count_nonzero(self.bits))
 
     def __repr__(self):
-        return f"IndexSet(n_max={self.n_max}, cardinality={self.cardinality()})"
+        return f"IndexSet(n_max={self.n_max}, cardinality={len(self)})"
 
 
 @dataclass(frozen=True)
@@ -153,7 +145,7 @@ def _product_table(a_members: np.ndarray, b_arr: np.ndarray, counts: bool = Fals
 
 def check_gamma_pairs(A: IndexSet, B: IndexSet) -> None:
     """Refuse a gamma_plus call over more than GAMMA_PAIR_BUDGET pairs."""
-    pairs = A.cardinality() * B.cardinality()
+    pairs = len(A) * len(B)
     if pairs > GAMMA_PAIR_BUDGET:
         raise RangeBudgetError(
             f"gamma_plus budget is |A|*|B| <= {GAMMA_PAIR_BUDGET}, got {pairs}")
@@ -165,7 +157,7 @@ def gamma_plus(A: IndexSet, B: IndexSet, sieve: PrimeSieve) -> GammaResult:
     The witness is the pair achieving the max; among ties the largest
     product value wins, then the smallest a, then the smallest b.
     """
-    if A.cardinality() == 0 or B.cardinality() == 0:
+    if len(A) == 0 or len(B) == 0:
         raise InvalidArgumentError("gamma_plus needs nonempty sets")
     check_gamma_pairs(A, B)
     a_members = A.members()
@@ -253,10 +245,9 @@ def adversarial_sets(N: int, eps: float) -> tuple[int, IndexSet, IndexSet]:
     return p, A, B
 
 
-def prime_in_interval_search(N: int, lo, hi, sieve: PrimeSieve,
-                             B_opt: IndexSet | None = None):
-    """Largest prime p in [lo, hi] with p - 1 = a*b, a, b <= N (b in B_opt
-    when given).  Returns (p, a, b) with the smallest such a, or None."""
+def prime_in_interval_search(N: int, lo, hi, sieve: PrimeSieve):
+    """Largest prime p in [lo, hi] with p - 1 = a*b, a, b <= N.  Returns
+    (p, a, b) with the smallest such a, or None."""
     N = int(N)
     if N < 1:
         raise InvalidArgumentError("search needs N >= 1")
@@ -273,14 +264,8 @@ def prime_in_interval_search(N: int, lo, hi, sieve: PrimeSieve,
         for d in divisor_list(factorize(target, sieve)):
             if d > N:
                 break
-            if d < a_min:
-                continue
-            b = target // d
-            if B_opt is not None and b not in B_opt:
-                continue
-            if B_opt is None and b > N:
-                continue
-            return p, d, b
+            if d >= a_min:
+                return p, d, target // d
     return None
 
 

@@ -11,7 +11,6 @@ over the first twelve prime bases, valid for all 64-bit integers.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from math import ceil, floor, isqrt, log
 
 import numpy as np
@@ -20,6 +19,8 @@ from . import _accel
 from .errors import InvalidArgumentError, RangeBudgetError
 
 MAX_SIEVE_LIMIT = 100_000_000
+# largest order ell of a tau_ell table; sequences' exact int64 sums rely on it
+MAX_TAU_ORDER = 16
 
 _MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
 
@@ -124,14 +125,6 @@ def is_prime_u64(n: int) -> bool:
     return True
 
 
-@dataclass(frozen=True)
-class Factorization:
-    """Prime factorization n = prod p^e, factors ascending in p."""
-
-    n: int
-    factors: list[tuple[int, int]]
-
-
 def _max_factor_input(sieve: PrimeSieve) -> int:
     return sieve.limit * (sieve.limit + 2)
 
@@ -146,17 +139,17 @@ def _validate_factor_input(n, sieve) -> int:
     return n
 
 
-def factorize(n: int, sieve: PrimeSieve) -> Factorization:
-    """Exact factorization of n, valid up to sieve.limit*(sieve.limit+2)."""
-    n = _validate_factor_input(n, sieve)
-    if n == 1:
-        return Factorization(1, [])
+def factorize(n: int, sieve: PrimeSieve) -> list[tuple[int, int]]:
+    """The exact factorization n = prod p^e as its (p, e), ascending in p
+    (empty for n = 1); valid up to sieve.limit*(sieve.limit+2)."""
+    v = _validate_factor_input(n, sieve)
+    if v == 1:
+        return []
     factors: list[tuple[int, int]] = []
-    v = n
     if v > sieve.limit:
         factors, v = _strip_wide(v, 0, sieve)
         if v > sieve.limit:
-            return Factorization(n, factors + [(v, 1)])
+            return factors + [(v, 1)]
     spf = sieve.spf
     while v > 1:
         p = int(spf[v])
@@ -165,12 +158,12 @@ def factorize(n: int, sieve: PrimeSieve) -> Factorization:
             v //= p
             e += 1
         factors.append((p, e))
-    return Factorization(n, factors)
+    return factors
 
 
 def greatest_prime_factor(n: int, sieve: PrimeSieve) -> int:
     """P+(n): the largest prime factor of n, with P+(1) == 1."""
-    factors = factorize(n, sieve).factors
+    factors = factorize(n, sieve)
     return factors[-1][0] if factors else 1
 
 
@@ -270,26 +263,18 @@ def verify_factorization_roundtrip(sieve: PrimeSieve, n_max: int) -> bool:
 
 def euler_phi(n: int, sieve: PrimeSieve) -> int:
     """Euler totient."""
-    fact = factorize(n, sieve)
     out = 1
-    for p, e in fact.factors:
+    for p, e in factorize(n, sieve):
         out *= (p - 1) * p ** (e - 1)
     return out
 
 
 def von_mangoldt(n: int, sieve: PrimeSieve) -> float:
     """log p on prime powers p^k, zero elsewhere."""
-    fact = factorize(n, sieve)
-    if len(fact.factors) != 1:
+    factors = factorize(n, sieve)
+    if len(factors) != 1:
         return 0.0
-    return log(fact.factors[0][0])
-
-
-def _tau_order(ell) -> int:
-    ell = int(ell)
-    if ell < 0 or ell > 16:
-        raise InvalidArgumentError("tau_ell order must be in [0, 16]")
-    return ell
+    return log(factors[0][0])
 
 
 def segmented_primes(lo, hi, sieve: PrimeSieve) -> np.ndarray:
@@ -330,10 +315,10 @@ def _higher_powers(x: int, sieve: PrimeSieve) -> tuple[np.ndarray, np.ndarray, n
             np.array(lp, dtype=np.float64))
 
 
-def divisor_list(fact: Factorization) -> list[int]:
-    """All divisors of the factored integer, ascending."""
+def divisor_list(factors: list[tuple[int, int]]) -> list[int]:
+    """All divisors of the integer prod p^e over factors, ascending."""
     divs = [1]
-    for p, e in fact.factors:
+    for p, e in factors:
         base = list(divs)
         pk = 1
         for _ in range(e):
@@ -348,7 +333,9 @@ def tau_table(limit: int, ell: int) -> np.ndarray:
     limit = int(limit)
     if limit < 0:
         raise InvalidArgumentError("tau_table needs limit >= 0")
-    ell = _tau_order(ell)
+    ell = int(ell)
+    if not 0 <= ell <= MAX_TAU_ORDER:
+        raise InvalidArgumentError(f"tau_table needs 0 <= ell <= {MAX_TAU_ORDER}")
     if limit > MAX_SIEVE_LIMIT:
         raise RangeBudgetError(f"tau_table limit {limit} exceeds cap {MAX_SIEVE_LIMIT}")
     return _accel.tau_table(build_sieve(max(2, isqrt(limit))).primes, 0, limit, ell, 2)

@@ -129,13 +129,18 @@ def test_psi_ap_matches_trial_division(sieve_10k):
         assert abs(psi_ap(2000, q, a, sieve_10k) - want) < 1e-9
 
 
+def _by_value(rep):
+    """What a report says, in a form that compares with ==."""
+    return rep.x, rep.total, rep.normalized, rep.per_q
+
+
 def test_prime_powers_order_free(monkeypatch, sieve_m):
     """psi_ap and the psi discrepancies read the prime powers unsorted;
     sorting them by n, as they once were, changes no bit."""
     def run():
         return ([psi_ap(x, q, a, sieve_m) for x in (10, 1000, 10**6)
                  for q, a in ((1, 0), (3, 1), (4, 3), (10, 7))],
-                [dyadic_abs_sum(x, Q, 1, sieve_m, use_psi=True)
+                [_by_value(dyadic_abs_sum(x, Q, 1, sieve_m, use_psi=True))
                  for x in (10, 1000, 10**6) for Q in (2, 5, 30)])
     got = run()
     unsorted = ap._prime_powers
@@ -194,9 +199,6 @@ def test_bv_sum_matches_brute(sieve_10k):
     assert abs(rep.total - _brute_bv(2000, 20)) < 1e-9
     assert rep.per_q[0] == (1, 0.0)
     assert rep.normalized == rep.total / 2000.0
-    # reports compare by value
-    assert rep == bv_sum(2000, 20, sieve_10k)
-    assert rep != bv_sum(2000, 19, sieve_10k)
 
 
 def _scalar_bv_max(primes: list[int], q: int, phi: int) -> float:
@@ -359,14 +361,6 @@ def test_lambda_extension_matches_brute(sieve_10k):
         assert abs(g - w) < 1e-9
 
 
-def test_lambda_extension_default_threshold(sieve_10k):
-    # z=None uses the canonical threshold; result must match passing it
-    rep_auto = lambda_extension_sum(5000, 10, 10, 70, 1, None, sieve_10k)
-    rep_expl = lambda_extension_sum(5000, 10, 10, 70, 1,
-                                    default_rough_z(5000), sieve_10k)
-    assert rep_auto.total == rep_expl.total
-
-
 def test_default_rough_z():
     x = 1_000_000.0
     want = math.exp(log(x) / log(log(x)) ** 2)
@@ -514,7 +508,7 @@ def test_threads_do_not_change_results(sieve_20k):
     two = call(threads=2)
     assert one.total == two.total
     assert one.per_q == two.per_q
-    wide = [bv_sum(20_000, 150, sieve_20k, threads=n) for n in (1, 2)]
+    wide = [_by_value(bv_sum(20_000, 150, sieve_20k, threads=n)) for n in (1, 2)]
     assert wide[0] == wide[1]
 
 

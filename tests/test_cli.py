@@ -395,6 +395,17 @@ def test_lambda_ext_row(capsys):
     assert float(rows[0]["total"]) == pytest.approx(rep.total, rel=1e-12)
 
 
+def test_lambda_ext_default_threshold(capsys):
+    # without --z the row prints the canonical threshold and the sum taken at it
+    code, out, _ = run_cli(capsys, ["lambda-ext", "--x", "5000", "--Q", "10",
+                                    "--p1", "10", "--p2", "70"])
+    assert code == 0
+    _, rows = parse_csv(out)
+    z = ap.default_rough_z(5000.0)
+    rep = ap.lambda_extension_sum(5000.0, 10, 10.0, 70.0, 1, z, build_sieve(5001))
+    assert (rows[0]["z"], rows[0]["total"]) == (f"{z:.15g}", f"{rep.total:.15g}")
+
+
 def test_hb_verify_matches_von_mangoldt(capsys):
     code, out, _ = run_cli(capsys, ["hb-verify", "--n", "64", "--j", "3"])
     assert code == 0
@@ -537,6 +548,14 @@ _OVER_BUDGET = [
      "--w", "1", "--j1", "2", "--j2", "2", "--j3", "2", "--j4", "2"],
 ]
 
+_ORDER_ABOVE_16 = {  # each refused by the name of its order key
+    "j": ["--selector", "rough-tau", "--x", "100", "--z", "2", "--j", "17"],
+    "j1": ["--selector", "fourfold-ordered", "--x", "100", "--y", "2", "--z", "3",
+           "--w", "1", "--j1", "17", "--j2", "1", "--j3", "1", "--j4", "1"],
+    "ell": ["--selector", "window-tau-power", "--x", "100", "--y", "10",
+            "--ell", "17", "--k", "1"],
+}
+
 
 @pytest.mark.parametrize("argv", [
     ["--selector", "fourfold-glued", "--x", "1e7"],
@@ -547,6 +566,7 @@ _OVER_BUDGET = [
     ["--selector", "sfold-glued", "--x", "1e6", "--y", "2", "--z", "3", "--w", "1",
      "--s", "5", "--nu", "9", "--j1", "1", "--j2", "1", "--j3", "1", "--j4", "1",
      "--j5", "1"],
+    *_ORDER_ABOVE_16.values(),
 ])
 def test_divisor_lhs_checks_parameters_before_the_sieve(capsys, monkeypatch, argv):
     from gpflab import cli
@@ -558,6 +578,9 @@ def test_divisor_lhs_checks_parameters_before_the_sieve(capsys, monkeypatch, arg
     code, out, err = run_cli(capsys, ["divisor-lhs", *argv])
     assert code == (2 if argv in _OVER_BUDGET else 1) and out == ""
     assert len(err.splitlines()) == 1 and err.startswith("error:")
+    for key, refused in _ORDER_ABOVE_16.items():
+        if argv == refused:
+            assert err == f"error: {argv[1]} needs {key} <= 16\n"
 
 
 def test_divisor_lhs_overflowing_power_is_one_line():
@@ -1192,9 +1215,10 @@ def test_option_inventory():
 
 
 # ---------------------------------------------------------------------------
-# every public library function has a reader: a subcommand, a benchmark name
-# or an acceptance criterion.  Reachability is by name references in the
-# source, read with ast; nothing here imports the benchmark
+# every public library function, and every field of a result dataclass, has a
+# reader: a subcommand, the benchmark or an acceptance criterion.
+# Reachability is by name references in the source, read with ast; nothing
+# here imports the benchmark
 
 _REPO = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 _LIBRARY = ("sieve", "_accel", "ap", "shifted", "products", "sequences", "smooth")
@@ -1226,47 +1250,63 @@ def _gpflab_aliases(tree) -> dict:
     return out
 
 
+def _symbol(node, aliases, module=None, local=()):
+    """The (module, name) that ``node`` names, or None: a name of ``module``
+    defined at its top level in ``local``, a name imported from gpflab, or
+    an attribute chain such as ``ap.bv_sum`` or ``gpflab._accel.backend``."""
+    chain = []
+    while isinstance(node, ast.Attribute):
+        chain.insert(0, node.attr)
+        node = node.value
+    if not isinstance(node, ast.Name):
+        return None
+    if node.id in local:
+        return module, node.id
+    if node.id not in aliases:
+        return None
+    path = [p for p in aliases[node.id].split(".") + chain if p]
+    return (path[0], path[1]) if len(path) >= 2 else None
+
+
 def _reads(node, aliases, module=None, local=()) -> set:
-    """The (module, name) pairs a piece of source reads: names of ``module``
-    defined at its top level in ``local``, names imported from gpflab, and
-    attribute chains such as ``ap.bv_sum`` or ``gpflab._accel.backend``."""
-    out = set()
-    for sub in ast.walk(node):
-        chain = []
-        while isinstance(sub, ast.Attribute):
-            chain.insert(0, sub.attr)
-            sub = sub.value
-        if not isinstance(sub, ast.Name):
-            continue
-        if sub.id in local:
-            out.add((module, sub.id))
-        elif sub.id in aliases:
-            path = [p for p in aliases[sub.id].split(".") + chain if p]
-            if len(path) >= 2:
-                out.add((path[0], path[1]))
-    return out
+    """The (module, name) pairs a piece of source names (see ``_symbol``)."""
+    return {key for sub in ast.walk(node) if (key := _symbol(sub, aliases, module, local))}
 
 
-def _unread_library_functions() -> list[str]:
-    edges, public = {}, []
+def _library() -> dict:
+    """Per library module: its aliases and its top-level definitions by name."""
+    out = {}
     for module in _LIBRARY:
         tree = _source("src", "gpflab", f"{module}.py")
-        aliases = _gpflab_aliases(tree)
         names = {}
         for stmt in tree.body:
             if isinstance(stmt, (ast.FunctionDef, ast.ClassDef)):
                 names[stmt.name] = stmt
-                if not stmt.name.startswith("_"):
-                    public.append((module, stmt.name))
             elif isinstance(stmt, (ast.Assign, ast.AnnAssign)):
                 for target in stmt.targets if isinstance(stmt, ast.Assign) else [stmt.target]:
                     if isinstance(target, ast.Name):
                         names[target.id] = stmt
-        for name, stmt in names.items():
-            edges[module, name] = _reads(stmt, aliases, module, names)
-    cli = _source("src", "gpflab", "cli.py")
-    roots = _reads(cli, _gpflab_aliases(cli))
-    for parts in ("benchmark", "child.py"), ("tests", "test_acceptance.py"):
+        out[module] = _gpflab_aliases(tree), names
+    return out
+
+
+def _readers() -> list:
+    """(tree, aliases) of the files that read the library: cli.py, the
+    benchmark harness and the acceptance criteria."""
+    paths = [("src", "gpflab", "cli.py"), ("tests", "test_acceptance.py")]
+    paths += [("benchmark", f) for f in sorted(os.listdir(os.path.join(_REPO, "benchmark")))
+              if f.endswith(".py")]
+    return [(tree, _gpflab_aliases(tree)) for tree in (_source(*p) for p in paths)]
+
+
+def _reachable(lib) -> set:
+    """The (module, name) definitions reachable from cli.py,
+    benchmark/child.py, tests/test_acceptance.py and the per_layer names."""
+    edges = {(module, name): _reads(stmt, aliases, module, names)
+             for module, (aliases, names) in lib.items() for name, stmt in names.items()}
+    roots = set()
+    for parts in (("src", "gpflab", "cli.py"), ("benchmark", "child.py"),
+                  ("tests", "test_acceptance.py")):
         tree = _source(*parts)
         roots |= _reads(tree, _gpflab_aliases(tree))
     with open(os.path.join(_REPO, "BENCHMARK.json"), encoding="utf-8") as fh:
@@ -1280,11 +1320,93 @@ def _unread_library_functions() -> list[str]:
         if key in edges and key not in seen:
             seen.add(key)
             todo.extend(edges[key])
-    return [f"{m}.{n}" for m, n in public if (m, n) not in seen]
+    return seen
+
+
+def _unread_library_functions() -> list[str]:
+    lib = _library()
+    seen = _reachable(lib)
+    return [f"{module}.{name}" for module, (_, names) in lib.items()
+            for name, stmt in names.items()
+            if isinstance(stmt, (ast.FunctionDef, ast.ClassDef))
+            and not name.startswith("_") and (module, name) not in seen]
+
+
+def _field_reads(node, aliases, classes, returns, module=None, local=()) -> set:
+    """The (class, field) pairs of the result dataclasses that ``node`` reads.
+
+    ``value.f`` reads f of value's class when that is known: a call whose
+    return annotation names the class, or a name annotated with it or bound
+    to such a call in the same function.  Of a value of unknown class it
+    reads f only when no other result class has a field f.  ``vars(value)``
+    reads every field of value's class."""
+    def class_of(expr, bound):
+        if isinstance(expr, ast.Name):
+            return bound.get(expr.id)
+        if isinstance(expr, ast.Call):
+            return returns.get(_symbol(expr.func, aliases, module, local))
+        return None
+
+    def typed(annotation):
+        key = _symbol(annotation, aliases, module, local)
+        return key if key in classes else None
+
+    out = set()
+    functions = [n for n in ast.walk(node) if isinstance(n, ast.FunctionDef)]
+    for scope in dict.fromkeys([node, *functions]):  # node may be a function
+        bound = {}
+        if isinstance(scope, ast.FunctionDef):
+            for arg in scope.args.args + scope.args.kwonlyargs:
+                if arg.annotation is not None and (cls := typed(arg.annotation)):
+                    bound[arg.arg] = cls
+            for sub in ast.walk(scope):
+                if isinstance(sub, ast.AnnAssign) and isinstance(sub.target, ast.Name):
+                    if cls := typed(sub.annotation):
+                        bound[sub.target.id] = cls
+                elif (isinstance(sub, ast.Assign) and len(sub.targets) == 1
+                      and isinstance(sub.targets[0], ast.Name)):
+                    if cls := class_of(sub.value, bound):
+                        bound[sub.targets[0].id] = cls
+        for sub in ast.walk(scope):
+            if isinstance(sub, ast.Attribute):
+                cls = class_of(sub.value, bound)
+                owners = [cls] if cls else [c for c, fs in classes.items() if sub.attr in fs]
+                if len(owners) == 1 and sub.attr in classes[owners[0]]:
+                    out.add((owners[0], sub.attr))
+            elif (isinstance(sub, ast.Call) and isinstance(sub.func, ast.Name)
+                  and sub.func.id == "vars" and len(sub.args) == 1):
+                if cls := class_of(sub.args[0], bound):
+                    out |= {(cls, field) for field in classes[cls]}
+    return out
+
+
+def _unread_result_fields() -> list[str]:
+    lib = _library()
+    classes = {(module, name): [s.target.id for s in stmt.body
+                                if isinstance(s, ast.AnnAssign)]
+               for module, (_, names) in lib.items() for name, stmt in names.items()
+               if isinstance(stmt, ast.ClassDef)
+               and any("dataclass" in ast.unparse(d) for d in stmt.decorator_list)}
+    returns = dict(zip(classes, classes))  # a class call makes one of its own
+    for module, (aliases, names) in lib.items():
+        for name, stmt in names.items():
+            if isinstance(stmt, ast.FunctionDef) and stmt.returns is not None:
+                key = _symbol(stmt.returns, aliases, module, names)
+                if key in classes:
+                    returns[module, name] = key
+    read = set()
+    for tree, aliases in _readers():
+        read |= _field_reads(tree, aliases, classes, returns)
+    for module, name in _reachable(lib):
+        aliases, names = lib[module]
+        read |= _field_reads(names[name], aliases, classes, returns, module, names)
+    return [f"{module}.{cls}.{field}" for (module, cls), fields in classes.items()
+            for field in fields if ((module, cls), field) not in read]
 
 
 def test_every_public_library_function_has_a_reader():
     assert _unread_library_functions() == []
+    assert _unread_result_fields() == []
 
 
 def test_adversarial_huge_n_exits_two_at_once():

@@ -37,8 +37,8 @@ def brute_split(A, B, N):
     s1 = []
     s2 = []
     large = []
-    for a in A:
-        for b in B:
+    for a in A.members().tolist():
+        for b in B.members().tolist():
             for p, e in naive_factor(a * b + 1).items():
                 if p > N:
                     large.append(e * log(p))
@@ -294,7 +294,7 @@ def test_square_errors_matches_brute(sieve_10k):
             m = p
             while m <= N:
                 counts = [0] * m
-                for u in U:
+                for u in U.members().tolist():
                     counts[u % m] += 1
                 want += sum(c * c for c in counts) * log(p)
                 m *= p
@@ -347,8 +347,8 @@ def test_large_mass_support_matches_gamma(sieve_10k):
         A = IndexSet.from_iterable(rng.sample(range(1, N + 1), 15), n_max=N)
         B = IndexSet.from_iterable(rng.sample(range(1, N + 1), 15), n_max=N)
         support = set()
-        for a in A:
-            for b in B:
+        for a in A.members().tolist():
+            for b in B.members().tolist():
                 support.update(p for p in naive_factor(a * b + 1) if p > N)
         g = gamma_plus(A, B, sieve_10k).gamma_plus
         for p in support:
