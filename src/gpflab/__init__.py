@@ -86,5 +86,3 @@ from .smooth import (
     psi_approx_report,
     psi_count,
 )
-
-__version__ = "0.1.0"

@@ -26,7 +26,7 @@ from __future__ import annotations
 
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
-from math import exp, floor, fsum, gcd, isqrt, log
+from math import exp, floor, fsum, isqrt, log
 
 import numpy as np
 
@@ -156,10 +156,17 @@ def _mobius_phi(lo: int, hi: int, sieve: PrimeSieve) -> tuple[np.ndarray, np.nda
         raise RangeBudgetError(f"moduli up to {hi - 1} need a sieve limit of at least {root}")
     rem = np.arange(lo, hi, dtype=np.int64)
     phi = rem.copy()
+    words = phi.view(np.uint64)
     mu = np.ones(rem.size, dtype=np.int64)
     for p, k, s in _accel._strike(rem, lo, sieve.primes):
         if k == 1:
-            phi[s] -= phi[s] // p
+            # phi holds n times (1 - 1/r) over the primes r < p of n, a
+            # multiple of p, so phi * (p - 1)/p is one exact wrapping multiply
+            t = words[s]  # a view
+            if p > 2:
+                t *= (p - 1) * pow(p, -1, 1 << 64) % (1 << 64)
+            else:
+                t >>= 1
             mu[s] = -mu[s]
         elif k == 2:
             mu[s] = 0
@@ -246,14 +253,17 @@ def bv_sum(x, Q: int, sieve: PrimeSieve, threads: int = 1) -> DiscrepancyReport:
     xi = _xi_in_sieve(x, sieve, "bv_sum")
     ps = sieve.primes[:sieve.pi(xi)].astype(np.uint32)  # below the 1e8 cap
     qs = list(range(1, Q + 1))
-    devs = _ordered_map(lambda q: _accel.bv_max_scan(ps % q, q) if q > 1 else 0.0,
+    # ps - ps // q * q is ps % q at a quarter of the cost: numpy's floor
+    # division by a scalar multiplies (libdivide), its remainder divides
+    devs = _ordered_map(lambda q: _accel.bv_max_scan(ps - ps // q * q, q) if q > 1 else 0.0,
                         qs, threads)
     return _report(x, qs, devs, abs_total=False)
 
 
-def _progression_errors(xi: int, qs: list[int], a: int, sieve: PrimeSieve,
+def _progression_errors(xi: int, qs: np.ndarray, res: np.ndarray, sieve: PrimeSieve,
                         use_psi: bool) -> np.ndarray:
-    """pi(x;q,a) - pi(x)/phi(q), or the psi analogue, for each q in qs."""
+    """pi(x;q,a) - pi(x)/phi(q), or the psi analogue, for each q in qs and
+    its residue a mod q in res."""
     if use_psi:
         ns, ws = _prime_powers(xi, sieve)
         reduce, full = (lambda s: fsum(s[s != 0].tolist())), psi_cheb(xi, sieve)
@@ -262,23 +272,41 @@ def _progression_errors(xi: int, qs: list[int], a: int, sieve: PrimeSieve,
         reduce, full = np.count_nonzero, ns.size
     w = np.zeros(xi + 1, dtype=np.float64 if use_psi else bool)
     w[ns] = ws
-    mass = np.asarray([reduce(w[a % q::q]) for q in qs])
-    return np.where(np.asarray(qs) == 1, 0.0, mass - full / _phi_of(qs, sieve))
+    mass = np.asarray([reduce(w[r::q]) for r, q in zip(res.tolist(), qs.tolist())])
+    return np.where(qs == 1, 0.0, mass - full / _phi_of(qs, sieve))
 
 
-def _phi_of(qs: list[int], sieve: PrimeSieve) -> np.ndarray:
-    if not qs:
+def _phi_of(qs, sieve: PrimeSieve) -> np.ndarray:
+    qs = np.asarray(qs, dtype=np.int64)
+    if not qs.size:
         return np.empty(0, dtype=np.int64)
-    _, phi = _mobius_phi(qs[0], qs[-1] + 1, sieve)
-    return phi[np.asarray(qs) - qs[0]]
+    _, phi = _mobius_phi(int(qs[0]), int(qs[-1]) + 1, sieve)
+    return phi[qs - qs[0]]
+
+
+def _coprime_moduli(a: int, lo: int, hi: int) -> tuple[np.ndarray, np.ndarray]:
+    """The moduli q in [lo, hi) coprime to a, and a mod each, for any int a
+    and 1 <= lo <= hi <= 2**32: Horner over the 31-bit digits of |a|, all
+    moduli at once; as r < q < 2**32, each step r * 2**31 + digit < 2**63."""
+    q = np.arange(lo, hi, dtype=np.int64)
+    r = np.zeros(q.size, dtype=np.int64)
+    m = abs(a)
+    for shift in range((m.bit_length() - 1) // 31 * 31, -1, -31):
+        r <<= 31
+        r += (m >> shift) & 0x7FFFFFFF
+        np.remainder(r, q, out=r)
+    if a < 0:
+        r = (q - r) % q
+    keep = np.gcd(r, q) == 1
+    return q[keep], r[keep]
 
 
 def signed_sum(x, Q: int, a: int, sieve: PrimeSieve) -> DiscrepancyReport:
     """Signed sum over q <= Q, gcd(q, a) == 1, of pi(x;q,a) - pi(x)/phi(q)."""
     _check("signed_sum", Q, x)
     xi = _xi_in_sieve(x, sieve, "signed_sum")
-    qs = [q for q in range(1, Q + 1) if gcd(q, a) == 1]
-    errs = _progression_errors(xi, qs, a, sieve, False)
+    qs, res = _coprime_moduli(a, 1, Q + 1)
+    errs = _progression_errors(xi, qs, res, sieve, False)
     return _report(x, qs, errs, abs_total=False)
 
 
@@ -288,8 +316,8 @@ def dyadic_abs_sum(x, Q: int, a: int, sieve: PrimeSieve,
     at y = x, in the prime-counting or Chebyshev-psi normalization."""
     _check("dyadic_abs_sum", Q, x)
     xi = _xi_in_sieve(x, sieve, "dyadic_abs_sum")
-    qs = [q for q in range(Q, 2 * Q) if gcd(q, a) == 1]
-    errs = _progression_errors(xi, qs, a, sieve, use_psi)
+    qs, res = _coprime_moduli(a, Q, 2 * Q)
+    errs = _progression_errors(xi, qs, res, sieve, use_psi)
     return _report(x, qs, errs)
 
 
@@ -320,8 +348,8 @@ def theorem4_sum(x, Q: int, P1, P2, a: int, sieve: PrimeSieve) -> DiscrepancyRep
     acc = _accel.divisor_scatter(wlog, a, Q, 2 * Q)
     exact_hit = float(wlog[a]) if 2 <= a <= xi else 0.0
     del wlog  # the largest table; the coprime side does not read it
-    qs = [q for q in range(Q, 2 * Q) if gcd(q, a) == 1]
-    rows = np.asarray(qs, dtype=np.int64) - Q
+    qs, _ = _coprime_moduli(a, Q, 2 * Q)
+    rows = qs - Q
     a_side = acc[rows] + exact_hit
     if not window.size:
         return _report(x, qs, a_side)
@@ -399,13 +427,13 @@ def lambda_extension_sum(x, Q: int, P1, P2, a: int, z,
     _check("lambda_extension_sum", Q, x, 2, a, (P1, P2))
     xi = int(floor(x))
     p2c = min(float(P2), float(xi))
-    qs = [q for q in range(Q, 2 * Q) if gcd(q, a) == 1]
-    phi = _phi_of(qs, sieve)
+    q_arr, res = _coprime_moduli(a, Q, 2 * Q)
+    phi = _phi_of(q_arr, sieve)
 
     n, pn, w = _rough_stars(P1, p2c, z, xi, sieve)
     lo, hi = xi // (2 * n), xi // n
-    if not n.size or not qs:
-        return _report(x, qs, [0.0] * len(qs))
+    if not n.size or not q_arr.size:
+        return _report(x, q_arr, np.zeros(q_arr.size))
     span = hi - lo
 
     # term table: row star_off[s] + c is log p * c, the term of star s at count c
@@ -427,14 +455,13 @@ def lambda_extension_sum(x, Q: int, P1, P2, a: int, z,
     m_lo = xi // 2 + 1
     m_ptr = np.searchsorted(m_of_pair[order], np.arange(m_lo, xi + 2))
     star_of_m = star_t[order]
-    q_arr = np.asarray(qs, dtype=np.int64)
-    first = m_lo + (np.array([a % q for q in qs], dtype=np.int64) - m_lo) % q_arr
+    first = m_lo + (res - m_lo) % q_arr
     row, k = _expand(np.where(first <= xi, (xi - first) // q_arr + 1, 0))
     m = first[row] + k * q_arr[row] - m_lo
     row2, k2 = _expand(m_ptr[m + 1] - m_ptr[m])
     key = row[row2] * n.size + star_of_m[m_ptr[m][row2] + k2]
     key, cnt = np.unique(key, return_counts=True)
-    prog = np.zeros((len(qs), terms.shape[1]), dtype=np.int64)
+    prog = np.zeros((q_arr.size, terms.shape[1]), dtype=np.int64)
     np.add.at(prog, key // n.size, terms[star_off[key % n.size] + cnt])
 
     # coprime side, over all q in [Q, 2Q) in chunks: block sums, less the
@@ -451,7 +478,7 @@ def lambda_extension_sum(x, Q: int, P1, P2, a: int, z,
 
     s2 = _accel._round_fixed(cop[q_arr - Q], base) / phi
     errs = np.where(q_arr == 1, 0.0, _accel._round_fixed(prog, base) - s2)
-    return _report(x, qs, errs)
+    return _report(x, q_arr, errs)
 
 
 def trivial_bound_ratio(report: DiscrepancyReport) -> float:

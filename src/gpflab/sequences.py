@@ -333,27 +333,29 @@ def selector_params(selector: str, params: dict) -> tuple[list, int]:
 
     Raises before any table is built: an unknown selector, a missing
     parameter, an s other than 5 or 6, a nu outside [1, s], a value below
-    its lower bound or a tau order (ell, j, j1..j6) above ``MAX_TAU_ORDER``
-    (``InvalidArgumentError``), or a span above the selector's budget
-    (``RangeBudgetError``)."""
+    its lower bound, a tau order (ell, j, j1..j6) above ``MAX_TAU_ORDER`` or
+    a tau order or nu that is not a whole number (``InvalidArgumentError``),
+    or a span above the selector's budget (``RangeBudgetError``)."""
     if selector not in _SELECTORS:
         raise InvalidArgumentError(f"unknown selector {selector!r}")
     keys, span, budget = _SELECTORS[selector]
     keys = list(keys)
     if "s" in keys and "s" in params:
-        s = int(params["s"])
-        if s not in (5, 6):
+        if params["s"] not in (5, 6):
             raise InvalidArgumentError("s must be 5 or 6")
-        keys += [f"j{i}" for i in range(1, s + 1)]
+        keys += [f"j{i}" for i in range(1, int(params["s"]) + 1)]
     missing = [k for k in keys if k not in params]
     if missing:
         raise InvalidArgumentError(f"{selector} needs parameters {missing}")
     for key in keys:
         low = 0 if key == "k" or key[0] == "j" else 1
+        order = key == "ell" or key[0] == "j"
         if key not in ("s", "nu") and params[key] < low:
             raise InvalidArgumentError(f"{selector} needs {key} >= {low}")
-        if (key == "ell" or key[0] == "j") and params[key] > MAX_TAU_ORDER:
+        if order and params[key] > MAX_TAU_ORDER:
             raise InvalidArgumentError(f"{selector} needs {key} <= {MAX_TAU_ORDER}")
+        if (order or key == "nu") and not float(params[key]).is_integer():
+            raise InvalidArgumentError(f"{selector} needs an integer {key}")
     if selector == "window-tau-power" and params["y"] > params["x"]:
         raise InvalidArgumentError("needs 1 <= y <= x")
     if selector == "sfold-glued" and not 1 <= params["nu"] <= params["s"]:

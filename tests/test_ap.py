@@ -100,6 +100,30 @@ def test_mobius_phi_matches_trial_division(sieve_10k):
         _mobius_phi(1, 122, small)
 
 
+def test_mobius_phi_across_two_word_edges():
+    # phi takes each prime p by one wrapping multiply by (p - 1) / p mod 2**64
+    sympy = pytest.importorskip("sympy")
+    sieve = build_sieve(65_600)
+    for lo, hi in (((1 << 31) - 300, (1 << 31) + 300), ((1 << 32) - 300, (1 << 32) + 300),
+                   (1, 300)):
+        mu, phi = _mobius_phi(lo, hi, sieve)
+        assert mu.tolist() == [sympy.mobius(n) for n in range(lo, hi)], lo
+        assert phi.tolist() == [sympy.totient(n) for n in range(lo, hi)], lo
+
+
+def test_coprime_moduli_match_python_remainder():
+    big = int("9" * 199 + "7")  # 200 digits
+    cases = [(a, lo, hi) for a in (1, -1, 7, -7, 2**31, -(2**31) - 1, 2**62 + 1, -(2**64),
+                                   big, -big, 0)
+             for lo, hi in ((1, 500), (2**31 - 200, 2**31 + 200), (2**32 - 400, 2**32))]
+    for a, lo, hi in cases:
+        qs, res = ap._coprime_moduli(a, lo, hi)
+        want = [q for q in range(lo, hi) if gcd(q, a) == 1]
+        assert qs.dtype == res.dtype == np.int64
+        assert qs.tolist() == want, (a, lo)
+        assert res.tolist() == [a % q for q in want], (a, lo)
+
+
 def test_global_counts_known_values(sieve_10k):
     assert pi_of(100, sieve_10k) == 25
     assert abs(theta_of(10, sieve_10k) - log(210)) < 1e-12

@@ -75,6 +75,54 @@ def test_prime_fill_matches_trial_division():
         assert _accel.prime_fill(limit).tolist() == want, limit
 
 
+def plain_byte_sieve(limit: int) -> np.ndarray:
+    """Primes <= limit from a byte sieve over every integer."""
+    comp = np.zeros(limit + 1, np.bool_)
+    comp[:2] = True
+    for i in range(2, math.isqrt(limit) + 1):
+        if not comp[i]:
+            comp[i * i :: i] = True
+    return np.flatnonzero(~comp)
+
+
+def test_odd_only_prime_fill_matches_plain_byte_sieve():
+    plain = plain_byte_sieve(4_096)
+    for limit in range(4_097):
+        got = _accel.prime_fill(limit)
+        assert got.dtype == plain.dtype and np.array_equal(got, plain[plain <= limit]), limit
+    for limit in (65_535, 65_536, 65_537, 10**6, 10**6 + 1, (1 << 22) + 1):
+        got, want = _accel.prime_fill(limit), plain_byte_sieve(limit)
+        assert got.dtype == want.dtype and np.array_equal(got, want), limit
+
+
+def test_odd_only_spf_fill_matches_plain_strided_fill():
+    # limits of both parities, on either side of a square
+    for limit in (5, 6, 7, 8, 9, 10, 48, 49, 50, 51, 9_999, 10_000, 10_001, 65_536, 65_537):
+        want = np.arange(limit + 1, dtype=np.int32)
+        for p in plain_byte_sieve(math.isqrt(limit))[::-1].tolist():
+            want[p * p :: p] = p
+        got = _accel.spf_fill(limit)
+        assert got.dtype == want.dtype and np.array_equal(got, want), limit
+
+
+def test_odd_only_segment_mark_matches_trial_division():
+    # lo of both parities, lo < 2 <= hi, hi below 4, and p*p inside the range
+    plain = plain_byte_sieve(3_000)
+    composite = np.ones(3_001, np.bool_)
+    composite[plain] = False
+    composite[:2] = False  # 0 and 1 are not composite
+    base = plain_byte_sieve(60)
+    rng = np.random.default_rng(28)
+    cases = [(lo, hi) for lo in range(6) for hi in range(lo, 12)]
+    cases += [(lo, lo + d) for lo in (24, 25, 48, 49, 120, 121, 2_000, 2_001)
+              for d in (0, 1, 2, 97, 800)]
+    cases += [(int(lo), int(lo + d)) for lo, d in zip(rng.integers(0, 2_000, 60),
+                                                        rng.integers(0, 1_000, 60))]
+    for lo, hi in cases:
+        got = _accel.segment_mark(lo, hi, base)
+        assert got.dtype == np.bool_ and np.array_equal(got, composite[lo + 1:hi + 1]), (lo, hi)
+
+
 def test_spf_is_filled_once_on_first_read(monkeypatch):
     calls, fill = [], _accel.spf_fill
 
@@ -251,6 +299,23 @@ def test_strike_tau_table_matches_trial_division():
                 assert got.dtype == np.int64 and got.tolist() == want, (limit, z, ell)
                 if z <= 2 and ell in dirichlet:
                     assert np.array_equal(got, dirichlet[ell][:limit + 1])
+
+
+def test_strike_tau_table_across_two_word_edges():
+    # rem is int32 below 2**31 and int64 from there; the exact-inverse
+    # strikes wrap in uint32 or uint64, so both edges and 2**32 are checked
+    sympy = pytest.importorskip("sympy")
+    primes = build_sieve(65_600).primes
+    for mid in (1 << 31, 1 << 32):
+        for lo, hi in ((mid - 300, mid + 300), (mid - 200, mid - 1), (mid, mid + 200)):
+            facts = [sympy.factorint(n) for n in range(lo, hi + 1)]
+            assert np.array_equal(_accel.tau_table(primes, lo, hi, 2, 2),
+                                  [sympy.divisor_count(n) for n in range(lo, hi + 1)])
+            for ell, z in ((0, 2), (3, 2), (5, 7), (16, 1_000)):
+                want = [math.prod(math.comb(e + ell - 1, ell - 1) if ell else 0
+                                  for p, e in f.items() if p >= z) for f in facts]
+                got = _accel.tau_table(primes, lo, hi, ell, z)
+                assert got.dtype == np.int64 and got.tolist() == want, (lo, hi, ell, z)
 
 
 def test_strike_tau_window_matches_full_table():

@@ -583,6 +583,27 @@ def test_divisor_lhs_checks_parameters_before_the_sieve(capsys, monkeypatch, arg
             assert err == f"error: {argv[1]} needs {key} <= 16\n"
 
 
+def test_divisor_lhs_walks_every_order_key_to_its_bound(capsys):
+    # every selector with its other keys valid, one tau order at a time: 17
+    # is refused by the key's name, 16 answers (the fuzzed calls never reach
+    # this check with the other keys valid)
+    valid = dict(x=100, y=2, z=3, w=1, ell=1, k=1, j=1, s=6, nu=1,
+                 **{f"j{i}": 1 for i in range(1, 7)})
+    for sel in sequences.DIVISOR_SELECTORS:
+        keys = list(sequences._SELECTORS[sel][0])
+        keys += [f"j{i}" for i in range(1, 7)] * ("s" in keys)
+        for key in [k for k in keys if k == "ell" or k[0] == "j"]:
+            for order in (17, 16):
+                argv = ["divisor-lhs", "--selector", sel]
+                for k in keys:
+                    argv += [f"--{k}", str(order if k == key else valid[k])]
+                code, out, err = run_cli(capsys, argv)
+                if order == 17:
+                    assert (code, out, err) == (1, "", f"error: {sel} needs {key} <= 16\n"), argv
+                else:
+                    assert code == 0 and err == "" and out.count("\n") == 2, argv
+
+
 def test_divisor_lhs_overflowing_power_is_one_line():
     # tau^1000 overflows float64 and the exact sum refuses the inf; numpy's
     # RuntimeWarning must not reach stderr first (pytest would capture it

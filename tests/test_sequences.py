@@ -882,6 +882,38 @@ def test_divisor_sums_need_the_primes_up_to_isqrt(sieve_m):
             divisor_sum_lhs(sel, params, build_sieve(root - 1))
 
 
+# a valid value of every key any selector reads; the sfold sums read j1..j5
+_VALID_KEYS = dict(x=100, y=2, z=3, w=1, ell=1, k=1, j=1, s=5, nu=1,
+                   **{f"j{i}": 1 for i in range(1, 7)})
+
+
+def _keys_read(sel):
+    keys = list(sequences._SELECTORS[sel][0])
+    return keys + [f"j{i}" for i in range(1, 6)] * ("s" in keys)
+
+
+def test_fractional_order_refused_by_its_key():
+    # an order once reached the tables through int() and was truncated: j =
+    # 2.5 gave 482.0, the value at j = 2
+    sieve = build_sieve(11)
+    with pytest.raises(InvalidArgumentError, match="^rough-tau needs an integer j$"):
+        divisor_sum_lhs("rough-tau", {"x": 100, "z": 2, "j": 2.5}, sieve)
+    assert divisor_sum_lhs("rough-tau", {"x": 100, "z": 2, "j": 2.0}, sieve) == 482.0
+    for sel in DIVISOR_SELECTORS:
+        keys = _keys_read(sel)
+        for key in [k for k in keys if k in ("ell", "nu") or k[0] == "j"]:
+            for bad in (2.5, 1.5, float("nan")):
+                params = {k: _VALID_KEYS[k] for k in keys} | {key: bad}
+                with pytest.raises(InvalidArgumentError, match=f"^{sel} needs an integer {key}$"):
+                    selector_params(sel, params)
+            params = {k: _VALID_KEYS[k] for k in keys} | {key: 1.0}
+            assert selector_params(sel, params)[0] == [params[k] for k in keys]
+        if "s" in keys:
+            for bad in (5.5, float("nan")):
+                with pytest.raises(InvalidArgumentError, match="^s must be 5 or 6$"):
+                    selector_params(sel, {k: _VALID_KEYS[k] for k in keys} | {"s": bad})
+
+
 def test_rough_tau_hyperbola_peak_memory():
     """x = 4e6 on a sieve whose primes are already read: the walk holds a
     block of 2**18 integers at a time.  A table over all of [0, x] grew the
