@@ -26,7 +26,7 @@ from __future__ import annotations
 
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
-from math import exp, floor, fsum, isqrt, log
+from math import exp, floor, fsum, isfinite, isqrt, log
 
 import numpy as np
 
@@ -264,6 +264,7 @@ def _progression_errors(xi: int, qs: np.ndarray, res: np.ndarray, sieve: PrimeSi
                         use_psi: bool) -> np.ndarray:
     """pi(x;q,a) - pi(x)/phi(q), or the psi analogue, for each q in qs and
     its residue a mod q in res."""
+    phi = _phi_of(qs, sieve)  # refuses moduli beyond the sieve before the O(Q) loop
     if use_psi:
         ns, ws = _prime_powers(xi, sieve)
         reduce, full = (lambda s: fsum(s[s != 0].tolist())), psi_cheb(xi, sieve)
@@ -273,7 +274,7 @@ def _progression_errors(xi: int, qs: np.ndarray, res: np.ndarray, sieve: PrimeSi
     w = np.zeros(xi + 1, dtype=np.float64 if use_psi else bool)
     w[ns] = ws
     mass = np.asarray([reduce(w[r::q]) for r, q in zip(res.tolist(), qs.tolist())])
-    return np.where(qs == 1, 0.0, mass - full / _phi_of(qs, sieve))
+    return np.where(qs == 1, 0.0, mass - full / phi)
 
 
 def _phi_of(qs, sieve: PrimeSieve) -> np.ndarray:
@@ -327,18 +328,21 @@ def theorem4_sum(x, Q: int, P1, P2, a: int, sieve: PrimeSieve) -> DiscrepancyRep
     a (mod q) and its coprime average, summed over q.
 
     The progression side adds the weight at s == a last; the average side
-    sums theta-window masses over m coprime to q.  Needs |p*m - a| <= limit."""
+    sums theta-window masses over m coprime to q.  Needs |a| < 2**63."""
     _check("theorem4_sum", Q, x, 2, a, (P1, P2))
     xi = _xi_in_sieve(x, sieve, "theorem4_sum")
-    if max(abs(2 - a), abs(xi - a)) > sieve.limit:
-        raise RangeBudgetError("theorem4_sum needs |p*m - a| <= sieve.limit; "
-                               "shrink x or |a| or enlarge the sieve")
+    if abs(a) >= 1 << 63:
+        raise RangeBudgetError(f"theorem4_sum needs |a| < 2**63, got {a}")
     p2c = min(float(P2), float(xi))
     # primes strictly above P1: the first prime > floor(P1) already exceeds P1;
     # past p2c (P1 may be inf) the window is empty either way
     i = int(sieve.pi(floor(min(P1, p2c))))
     j = int(sieve.pi(floor(p2c)))
     window = sieve.primes[i:j]
+    qs, _ = _coprime_moduli(a, Q, 2 * Q)
+    if not window.size:  # no product p*m: every mass is 0
+        return _report(x, qs, np.zeros(qs.size))
+    phi = _phi_of(qs, sieve)  # refuses moduli beyond the sieve before the O(Q) gather
 
     # math.log: np.log is an ulp off on a few primes
     logs = np.fromiter(map(log, window.tolist()), np.float64, window.size)
@@ -348,12 +352,8 @@ def theorem4_sum(x, Q: int, P1, P2, a: int, sieve: PrimeSieve) -> DiscrepancyRep
     acc = _accel.divisor_scatter(wlog, a, Q, 2 * Q)
     exact_hit = float(wlog[a]) if 2 <= a <= xi else 0.0
     del wlog  # the largest table; the coprime side does not read it
-    qs, _ = _coprime_moduli(a, Q, 2 * Q)
     rows = qs - Q
     a_side = acc[rows] + exact_hit
-    if not window.size:
-        return _report(x, qs, a_side)
-    phi = _phi_of(qs, sieve)
 
     m_max = xi // (int(floor(P1)) + 1)
     caps = np.minimum(xi // np.arange(1, m_max + 1, dtype=np.int64), int(floor(p2c)))
@@ -392,12 +392,15 @@ def theorem4_sum(x, Q: int, P1, P2, a: int, sieve: PrimeSieve) -> DiscrepancyRep
 
 def default_rough_z(x) -> float:
     """exp(log x / (log log x)^2), the canonical roughness threshold."""
+    if not isfinite(x):
+        raise InvalidArgumentError(f"roughness threshold needs a finite x, got {x}")
     if x <= 2.8:
         raise InvalidArgumentError("roughness threshold needs x > e")
-    ll = log(log(x))
-    if ll <= 0:
-        raise InvalidArgumentError("roughness threshold needs log log x > 0")
-    return exp(log(x) / (ll * ll))
+    ll = log(log(x))  # above 0.029 for x > 2.8
+    try:
+        return exp(log(x) / (ll * ll))
+    except OverflowError:  # x just above 2.8: the exponent passes 709.78
+        raise RangeBudgetError(f"roughness threshold overflows a float at x = {x}") from None
 
 
 def _rough_stars(P1, p2c, z, xi, sieve) -> tuple[np.ndarray, ...]:

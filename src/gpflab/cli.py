@@ -294,7 +294,7 @@ def _cmd_thm4_sum(args):
     all_rows = []
     for x in xs:
         Q, P1, P2 = _window(args, x)
-        sieve = _sieve_for(args, int(x) + abs(args.a) + 2)
+        sieve = _sieve_for(args, int(x))
         rep = ap.theorem4_sum(x, Q, P1, P2, args.a, sieve)
         if args.per_q:
             return _report_rows(rep, args,

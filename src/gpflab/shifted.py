@@ -257,9 +257,7 @@ def prime_in_interval_search(N: int, lo, hi, sieve: PrimeSieve):
     for p in ps[::-1].tolist():
         if p < lo:
             continue
-        target = p - 1
-        if target == 0:
-            continue
+        target = p - 1  # >= 1, as p is a prime
         a_min = -(-target // N)  # ceil(target / N): ensures b <= N
         for d in divisor_list(factorize(target, sieve)):
             if d > N:

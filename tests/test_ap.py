@@ -389,8 +389,14 @@ def test_default_rough_z():
     x = 1_000_000.0
     want = math.exp(log(x) / log(log(x)) ** 2)
     assert abs(default_rough_z(x) - want) < 1e-12
-    with pytest.raises(InvalidArgumentError):
-        default_rough_z(2.0)
+    assert math.isfinite(default_rough_z(2.8264))
+    for bad in (2.0, 2.8, math.nan, math.inf, -math.inf):
+        with pytest.raises(InvalidArgumentError):
+            default_rough_z(bad)
+    # just above 2.8, log x / (log log x)^2 passes the largest float exponent
+    for x in (2.8000001, 2.81, 2.82639):
+        with pytest.raises(RangeBudgetError, match=f"at x = {x}$"):
+            default_rough_z(x)
 
 
 def test_reports_are_consistent(sieve_10k):
@@ -601,12 +607,58 @@ def test_argument_validation(sieve_10k):
         theorem4_sum(400, 5, 3, 50, 0, sieve_10k)
     with pytest.raises(InvalidArgumentError):
         theorem4_sum(400, 5, 50, 3, 1, sieve_10k)
-    with pytest.raises(RangeBudgetError):
-        theorem4_sum(9000, 5, 3, 50, -5000, sieve_10k)
+    # the progressions are reduced in int64: |a| < 2**63, refused by name
+    for a in (2**63, -2**63, 10**30):
+        with pytest.raises(RangeBudgetError, match=r"\|a\| < 2\*\*63"):
+            theorem4_sum(400, 5, 3, 50, a, sieve_10k)
     # the largest modulus numpy reduces by is 2**63 - 1
     assert pi_ap(100, 2**63 - 1, 97, sieve_10k) == 1
     with pytest.raises(RangeBudgetError, match=r"q < 2\*\*63"):
         pi_ap(100, 2**63, 1, sieve_10k)
+
+
+@pytest.mark.parametrize("x, Q, P1, P2, a", [
+    (200_000, 19_071, math.sqrt(200_000), 200_000, 40_009),  # the CLI's window at 2e5
+    (20_000, 60, 2, 3000, -(10**6 + 3)),
+    (5000, 10, 1, 5000, 7),
+    (5000, 9, 70, 5000, -5000),
+])
+def test_theorem4_reads_no_prime_above_x(x, Q, P1, P2, a):
+    # a sieve of x answers as one that also covers every |p*m - a|
+    small = theorem4_sum(x, Q, P1, P2, a, build_sieve(x))
+    large = theorem4_sum(x, Q, P1, P2, a, build_sieve(x + abs(a) + 2))
+    assert [v.hex() for v in small.values] == [v.hex() for v in large.values]
+    assert small.total.hex() == large.total.hex()
+
+
+def test_theorem4_reads_a_by_its_residues():
+    # 1000000007 = 3527 (mod lcm(5..9) = 2520), and neither is at most x
+    sieve = build_sieve(500)
+    want = theorem4_sum(500, 5, math.sqrt(500), 500, 3527, sieve)
+    got = theorem4_sum(500, 5, math.sqrt(500), 500, 1_000_000_007, sieve)
+    assert [v.hex() for v in got.values] == [v.hex() for v in want.values]
+    assert got.total.hex() == want.total.hex()
+    assert f"{got.total:.15g}" == "20.2184341718317"
+
+
+def test_moduli_beyond_the_sieve_are_refused_before_the_work(monkeypatch):
+    # moduli up to 2e4 need the primes up to 141; the per-modulus work reads
+    # the sieve's pi (signed/dyadic) or starts at the gather (theorem4)
+    sieve = build_sieve(100)
+
+    def boom(*_):
+        raise AssertionError("per-modulus work started")
+
+    monkeypatch.setattr(type(sieve), "pi", boom)
+    for call in (lambda: signed_sum(100, 20_000, 1, sieve),
+                 lambda: dyadic_abs_sum(100, 10_000, 1, sieve),
+                 lambda: dyadic_abs_sum(100, 10_000, 1, sieve, use_psi=True)):
+        with pytest.raises(RangeBudgetError, match="need a sieve limit of at least 141"):
+            call()
+    monkeypatch.undo()
+    monkeypatch.setattr(_accel, "divisor_scatter", boom)
+    with pytest.raises(RangeBudgetError, match="need a sieve limit of at least 141"):
+        theorem4_sum(100, 10_000, 10, 100, 1, sieve)
 
 
 def test_theorem4_weights_take_math_log():

@@ -904,6 +904,51 @@ def test_infinite_threshold_still_answers(capsys):
     assert rows[0]["P1"] == "inf" and rows[0]["total"] == "0"
 
 
+@pytest.mark.parametrize("argv, head", [
+    (["dyadic-sum", "--x", "100", "--Q", "2", "--a", "6"], "x,Q,a,weight"),
+    (["thm4-sum", "--x", "100", "--Q", "2", "--a", "6"], "x,Q,P1,P2,a"),
+    (["lambda-ext", "--x", "100", "--Q", "2", "--a", "6", "--z", "2"], "x,Q,P1,P2,a,z"),
+])
+def test_no_coprime_modulus_answers_zero(capsys, argv, head):
+    # 2 and 3 both divide a = 6: the set of moduli is empty
+    code, out, _ = run_cli(capsys, argv)
+    _, rows = parse_csv(out)
+    assert code == 0 and [(r["total"], r["normalized"]) for r in rows] == [("0", "0")]
+    assert run_cli(capsys, argv + ["--per-q"]) == (0, f"{head},q,value\n", "")
+
+
+def test_thm4_takes_any_int64_a(capsys):
+    # 1000000007 = 3527 (mod 2520): the row of --a 3527 with its a column
+    code, out, _ = run_cli(capsys, ["thm4-sum", "--x", "500", "--Q", "5", "--a", "1000000007"])
+    assert (code, out.splitlines()[1]) == (0, "500,5,22.3606797749979,500,1000000007,"
+                                              "20.2184341718317,0.0404368683436634,"
+                                              "0.0058538362623671")
+    code, out, err = run_cli(capsys, ["thm4-sum", "--x", "500", "--Q", "5", "--a", "1e30"])
+    assert (code, out) == (2, "")
+    assert err == f"error: theorem4_sum needs |a| < 2**63, got {10**30}\n"
+
+
+def test_thm4_moduli_need_their_root_in_the_sieve(capsys):
+    # moduli up to 199 read the primes up to 14; the sieve of x = 10 stops
+    # short whatever a is, and --sieve-limit covers it
+    argv = ["thm4-sum", "--x", "10", "--Q", "100", "--a", "30"]
+    code, out, err = run_cli(capsys, argv)
+    assert (code, out, err) == (2, "", "error: moduli up to 199 need a sieve limit of at least 14\n")
+    code, out, _ = run_cli(capsys, argv + ["--sieve-limit", "14"])
+    assert (code, out.splitlines()[1]) == (0, "10,100,3.16227766016838,10,30,1.00385203323261,"
+                                              "0.100385203323261,0.033509404097773")
+
+
+@pytest.mark.parametrize("argv", [
+    ["lambda-ext", "--x", "2.81"],
+    ["cond-check", "--indicator", "1,2", "--condition", "A3", "--x", "2.81"],
+])
+def test_rough_z_overflow_is_named(capsys, argv):
+    code, out, err = run_cli(capsys, argv)
+    assert (code, out) == (2, "")
+    assert err == "error: roughness threshold overflows a float at x = 2.81\n"
+
+
 @pytest.mark.parametrize("indicator", ["5", "1,x", "1,2,3", ""])
 def test_malformed_indicator_exits_one(capsys, indicator):
     for argv in (["delta", "--q", "3", "--a", "1"],
