@@ -152,15 +152,23 @@ def _strike(rem: np.ndarray, lo: int, primes: np.ndarray):
             pk, k = pk * p, k + 1
 
 
-def tau_table(primes: np.ndarray, lo: int, hi: int, ell: int, z) -> np.ndarray:
+def tau_table(primes: np.ndarray, lo: int, hi: int, ell: int, z, rough=False) -> np.ndarray:
     """tau_ell of the z-rough part of n (the product of its p^e with p >= z)
     for lo <= n <= hi, as int64, and 0 at n = 0; ``primes`` holds every prime
     <= isqrt(hi).  tau_ell(p^e) = C(e+ell-1, ell-1) and tau_0 is the indicator
-    of 1, so the strike of p^k moves a factor from lut[k - 1] to lut[k]."""
+    of 1, so the strike of p^k moves a factor from lut[k - 1] to lut[k].
+
+    With ``rough``, 0 at each n with a prime factor below z (z may be inf):
+    the p < z only zero their multiples, undivided, and a prime left over
+    below z zeroes its n."""
     lut = [comb(e + ell - 1, ell - 1) if ell else int(e == 0)
            for e in range(max(2, hi.bit_length()))]  # p^e <= hi needs e < this
     out = np.ones(hi - lo + 1, dtype=np.int64)
     rem = np.arange(lo, hi + 1, dtype=np.int32 if hi < 1 << 31 else np.int64)
+    if rough:  # such an n is 0 whatever else divides it: rem keeps these p
+        for p in primes[:np.searchsorted(primes, min(z, isqrt(hi) + 1))].tolist():
+            out[-lo % p::p] = 0
+        primes = primes[np.searchsorted(primes, z):]
     for p, k, s in _strike(rem, lo, primes):
         if p >= z and lut[k] != lut[k - 1]:
             t = out[s]  # a view
@@ -168,6 +176,8 @@ def tau_table(primes: np.ndarray, lo: int, hi: int, ell: int, z) -> np.ndarray:
                 t //= lut[k - 1]
             t *= lut[k]
     np.multiply(out, lut[1], out=out, where=rem >= max(z, 2))  # one prime above isqrt(hi)
+    if rough:
+        out[(rem >= 2) & (rem < z)] = 0
     if lo == 0:
         out[0] = 0
     return out

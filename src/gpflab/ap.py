@@ -14,6 +14,9 @@ Each of the five aggregates takes its whole modulus range in one call:
   dyadic block by their product m = n*t on the progression side, and the
   coprime t per block by Moebius inversion over d | q.
 
+A caller's sieve covers x only: mu and phi of the moduli read the primes up
+to the square root of the largest, which ``_mobius_phi`` sieves itself.
+
 fsum-defined masses are summed exactly in fixed point and rounded once
 (``_accel``'s ``_fixed``), left-to-right ones keep their order, so every
 per_q entry is the exact per-modulus value and the total is the fsum of the
@@ -32,7 +35,12 @@ import numpy as np
 
 from . import _accel
 from .errors import InvalidArgumentError, RangeBudgetError
-from .sieve import MAX_SIEVE_LIMIT, PrimeSieve, _higher_powers, segmented_primes
+from .sieve import MAX_SIEVE_LIMIT, PrimeSieve, _higher_powers, _root_sieve, segmented_primes
+
+# most moduli an aggregate takes; the default Q of x = 1e8, the cap, is 790,603
+Q_BUDGET = 1_000_000
+# most Q*(Q + pi(x)) of bv_sum: each q reduces the pi(x) primes and counts q classes
+BV_WORK_BUDGET = 1_000_000_000
 
 
 def check_modulus(what: str, name: str, q: int) -> None:
@@ -103,7 +111,7 @@ def psi_ap(x, q: int, a: int, sieve: PrimeSieve) -> float:
 def error_term(count: int, x, q: int, sieve: PrimeSieve) -> float:
     """pi(x; q, a) - pi(x)/phi(q) from count = pi_ap(x, q, a), gcd(a, q) == 1."""
     check_modulus("error_term", "q", q)
-    return count - pi_of(x, sieve) / int(_phi_of([q], sieve)[0])
+    return count - pi_of(x, sieve) / int(_phi_of([q])[0])
 
 
 @dataclass(frozen=True, eq=False)
@@ -139,8 +147,8 @@ def _ordered_map(fn, items, threads):
 
 def _check(what, Q, x, x_min=1, a=None, P=None) -> None:
     check_modulus(what, "Q", Q)
-    if Q > MAX_SIEVE_LIMIT:  # every aggregate lists its moduli one by one
-        raise RangeBudgetError(f"{what} needs Q <= {MAX_SIEVE_LIMIT}")
+    if Q > Q_BUDGET:
+        raise RangeBudgetError(f"{what} needs Q <= {Q_BUDGET}")
     if a == 0:
         raise InvalidArgumentError(f"{what} needs a != 0")
     if P is not None and (P[0] < 1 or P[1] < P[0]):
@@ -149,16 +157,16 @@ def _check(what, Q, x, x_min=1, a=None, P=None) -> None:
         raise InvalidArgumentError(f"{what} needs x >= {x_min}")
 
 
-def _mobius_phi(lo: int, hi: int, sieve: PrimeSieve) -> tuple[np.ndarray, np.ndarray]:
-    """Moebius mu and Euler phi of every n in [lo, hi), 1 <= lo < hi."""
-    root = isqrt(hi - 1)
-    if root > sieve.limit:
-        raise RangeBudgetError(f"moduli up to {hi - 1} need a sieve limit of at least {root}")
+def _mobius_phi(lo: int, hi: int) -> tuple[np.ndarray, np.ndarray]:
+    """Moebius mu and Euler phi of every n in [lo, hi), 1 <= lo < hi, from
+    the primes up to isqrt(hi - 1), sieved here."""
+    if isqrt(hi - 1) >= MAX_SIEVE_LIMIT:
+        raise RangeBudgetError(f"moduli up to {hi - 1} need primes past the cap {MAX_SIEVE_LIMIT}")
     rem = np.arange(lo, hi, dtype=np.int64)
     phi = rem.copy()
     words = phi.view(np.uint64)
     mu = np.ones(rem.size, dtype=np.int64)
-    for p, k, s in _accel._strike(rem, lo, sieve.primes):
+    for p, k, s in _accel._strike(rem, lo, _root_sieve(hi - 1).primes):
         if k == 1:
             # phi holds n times (1 - 1/r) over the primes r < p of n, a
             # multiple of p, so phi * (p - 1)/p is one exact wrapping multiply
@@ -201,13 +209,13 @@ def _expand_blocks(counts: np.ndarray):
         yield i, k - end[i] + counts[i]
 
 
-def _moebius_blocks(D: int, Q: int, width: int, sieve: PrimeSieve):
+def _moebius_blocks(D: int, Q: int, width: int):
     """The pairs (d, q) of a squarefree d <= D (D >= 1) and a q in [Q, 2Q)
     that d divides, grouped by q, in blocks of about ``_accel._BLOCK //
     width`` pairs, width being the array entries the caller makes per pair:
     (r0, r1, d, mu(d), bounds) for Q + r0 <= q < Q + r1, the pairs of
     q = Q + r0 + r at bounds[r]:bounds[r + 1] (never empty: d = 1)."""
-    mu, _ = _mobius_phi(1, min(D, 2 * Q - 1) + 1, sieve)  # no larger d divides a q
+    mu, _ = _mobius_phi(1, min(D, 2 * Q - 1) + 1)  # no larger d divides a q
     ds = np.flatnonzero(mu) + 1
     per_q = int(((2 * Q - 1) // ds - (Q - 1) // ds).sum()) // Q + 1
     step = max(1, _accel._BLOCK // (width * per_q))
@@ -251,6 +259,9 @@ def bv_sum(x, Q: int, sieve: PrimeSieve, threads: int = 1) -> DiscrepancyReport:
     """
     _check("bv_sum", Q, x)
     xi = _xi_in_sieve(x, sieve, "bv_sum")
+    work = Q * (Q + int(sieve.pi(xi)))
+    if work > BV_WORK_BUDGET:
+        raise RangeBudgetError(f"bv_sum budget is Q*(Q + pi(x)) <= {BV_WORK_BUDGET}, got {work}")
     ps = sieve.primes[:sieve.pi(xi)].astype(np.uint32)  # below the 1e8 cap
     qs = list(range(1, Q + 1))
     # ps - ps // q * q is ps % q at a quarter of the cost: numpy's floor
@@ -264,7 +275,7 @@ def _progression_errors(xi: int, qs: np.ndarray, res: np.ndarray, sieve: PrimeSi
                         use_psi: bool) -> np.ndarray:
     """pi(x;q,a) - pi(x)/phi(q), or the psi analogue, for each q in qs and
     its residue a mod q in res."""
-    phi = _phi_of(qs, sieve)  # refuses moduli beyond the sieve before the O(Q) loop
+    phi = _phi_of(qs)
     if use_psi:
         ns, ws = _prime_powers(xi, sieve)
         reduce, full = (lambda s: fsum(s[s != 0].tolist())), psi_cheb(xi, sieve)
@@ -277,11 +288,11 @@ def _progression_errors(xi: int, qs: np.ndarray, res: np.ndarray, sieve: PrimeSi
     return np.where(qs == 1, 0.0, mass - full / phi)
 
 
-def _phi_of(qs, sieve: PrimeSieve) -> np.ndarray:
+def _phi_of(qs) -> np.ndarray:
     qs = np.asarray(qs, dtype=np.int64)
     if not qs.size:
         return np.empty(0, dtype=np.int64)
-    _, phi = _mobius_phi(int(qs[0]), int(qs[-1]) + 1, sieve)
+    _, phi = _mobius_phi(int(qs[0]), int(qs[-1]) + 1)
     return phi[qs - qs[0]]
 
 
@@ -342,7 +353,7 @@ def theorem4_sum(x, Q: int, P1, P2, a: int, sieve: PrimeSieve) -> DiscrepancyRep
     qs, _ = _coprime_moduli(a, Q, 2 * Q)
     if not window.size:  # no product p*m: every mass is 0
         return _report(x, qs, np.zeros(qs.size))
-    phi = _phi_of(qs, sieve)  # refuses moduli beyond the sieve before the O(Q) gather
+    phi = _phi_of(qs)
 
     # math.log: np.log is an ulp off on a few primes
     logs = np.fromiter(map(log, window.tolist()), np.float64, window.size)
@@ -375,7 +386,7 @@ def theorem4_sum(x, Q: int, P1, P2, a: int, sieve: PrimeSieve) -> DiscrepancyRep
     mass = np.zeros((Q, T.shape[1]), dtype=np.int64)
     corr = np.zeros(Q, dtype=np.float64)
     owner, pq = _multiples(window, Q, 2 * Q)  # the pairs (p, q), by q and then ascending p
-    for r0, r1, d, mu, bounds in _moebius_blocks(m_max, Q, T.shape[1], sieve):
+    for r0, r1, d, mu, bounds in _moebius_blocks(m_max, Q, T.shape[1]):
         mass[r0:r1] = np.add.reduceat(mu[:, None] * S[d - 1], bounds[:-1], axis=0)
         e0, e1 = np.searchsorted(pq, (Q + r0, Q + r1))
         r, p = pq[e0:e1] - Q - r0, window[owner[e0:e1]]  # join (p, q) to the (d, q) of its q
@@ -431,7 +442,7 @@ def lambda_extension_sum(x, Q: int, P1, P2, a: int, z,
     xi = int(floor(x))
     p2c = min(float(P2), float(xi))
     q_arr, res = _coprime_moduli(a, Q, 2 * Q)
-    phi = _phi_of(q_arr, sieve)
+    phi = _phi_of(q_arr)
 
     n, pn, w = _rough_stars(P1, p2c, z, xi, sieve)
     lo, hi = xi // (2 * n), xi // n
@@ -471,7 +482,7 @@ def lambda_extension_sum(x, Q: int, P1, P2, a: int, z,
     # stars whose prime divides q
     cop = np.zeros((Q, terms.shape[1]), dtype=np.int64)
     ex_star, ex_q = _multiples(pn, Q, 2 * Q)  # the stars whose prime divides q
-    for r0, r1, d, mu, bounds in _moebius_blocks(int(b_hi.max()), Q, blocks.size, sieve):
+    for r0, r1, d, mu, bounds in _moebius_blocks(int(b_hi.max()), Q, blocks.size):
         d, mu = d[:, None], mu[:, None]
         cnt = np.add.reduceat(mu * (b_hi // d - b_lo // d), bounds[:-1], axis=0)
         cop[r0:r1] = block_terms[b_off + cnt].sum(axis=1)

@@ -309,7 +309,7 @@ def _cmd_lambda_ext(args):
     x = args.x
     Q, P1, P2 = _window(args, x)
     z = args.z if args.z is not None else ap.default_rough_z(x)
-    sieve = _sieve_for(args, max(int(x), 2 * Q) + 1)
+    sieve = _sieve_for(args, int(x))
     rep = ap.lambda_extension_sum(x, Q, P1, P2, args.a, z, sieve)
     extra = {"Q": Q, "P1": P1, "P2": P2, "a": args.a, "z": z}
     return _report_rows(rep, args, extra)
@@ -364,9 +364,7 @@ def _cmd_cond_check(args):
 
 def _cmd_divisor_lhs(args):
     params = {k: v for k, v in vars(args).items() if v is not None}
-    _, span = sequences.selector_params(args.selector, params)  # sizes the sieve
-    sieve = _sieve_for(args, isqrt(span) + 1)
-    lhs = sequences.divisor_sum_lhs(args.selector, params, sieve)
+    lhs = sequences.divisor_sum_lhs(args.selector, params)
     rhs = sequences.divisor_sum_rhs_shape(args.selector, params)
     return _row(selector=args.selector, lhs=lhs, rhs_shape=rhs,
                 ratio=lhs / rhs if rhs else None)
@@ -389,16 +387,14 @@ def _cmd_thm1_search(args):
 
 
 def _cmd_thm1_sum(args):
-    sieve = _sieve_for(args, args.n + 1)
     Y, Z1, Z2 = shifted.theorem1_thresholds(args.n, args.a_exp)
-    total = shifted.theorem1_sum(args.n, args.a_exp, sieve)
+    total = shifted.theorem1_sum(args.n, args.a_exp)
     return _row(N=args.n, A_exp=args.a_exp, Y=Y, Z1=Z1, Z2=Z2, total=total)
 
 
 def _cmd_thm2_sum(args):
     (B,) = _sets(args)
-    sieve = _sieve_for(args, args.n + 1)
-    total = shifted.theorem2_sum(args.n, args.delta, B, sieve)
+    total = shifted.theorem2_sum(args.n, args.delta, B)
     return _row(N=args.n, delta=args.delta, card_b=len(B), total=total)
 
 
@@ -567,7 +563,7 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--z", type=_parse_float, default=None)
 
     sp = cmd("divisor-lhs", _cmd_divisor_lhs,
-             "exact multi-variable divisor sums with reference shapes")
+             "exact multi-variable divisor sums with reference shapes", sieve=False)
     sp.add_argument("--selector", choices=sequences.DIVISOR_SELECTORS, required=True)
     sp.add_argument("--x", type=_parse_x, default=None)
     sp.add_argument("--y", type=_parse_x, default=None)
@@ -595,13 +591,13 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--hi", type=_parse_x, required=True)
 
     sp = cmd("thm1-sum", _cmd_thm1_sum,
-             "progression-prime pair count over the near-N window")
+             "progression-prime pair count over the near-N window", sieve=False)
     sp.add_argument("--n", type=_parse_int, required=True)
     sp.add_argument("--a-exp", type=_parse_float, default=1.0)
 
     sp = cmd("thm2-sum", _cmd_thm2_sum,
              "progression-prime pair count over a delta window for a set B",
-             sets=("--set-b",), n_required=True)
+             sets=("--set-b",), n_required=True, sieve=False)
     sp.add_argument("--delta", type=_parse_float, required=True)
 
     cmd("ledger", _cmd_ledger, "full log-mass ledger for a pair of sets",

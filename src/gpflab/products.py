@@ -63,7 +63,7 @@ class LogSplitResult:
 def _moduli(N: int, cap: int, sieve: PrimeSieve) -> list[tuple[int, int]]:
     """(p, m) with p prime <= N and m = p^k <= cap, in no particular order."""
     if sieve.limit < N:
-        raise InvalidArgumentError("sieve limit below N")
+        raise RangeBudgetError(f"sieve limit {sieve.limit} below N={N}")
     ps = sieve.primes[:sieve.pi(N)].tolist()
     pk, pp, _ = _higher_powers(cap, sieve)
     return list(zip(ps + pp.tolist(), ps + pk.tolist()))

@@ -14,8 +14,7 @@ import numpy as np
 from . import _accel
 from .ap import check_modulus, default_rough_z
 from .errors import InvalidArgumentError, RangeBudgetError
-from .sieve import (MAX_TAU_ORDER, PrimeSieve, _rough_mask, build_sieve, euler_phi,
-                    factorize)
+from .sieve import MAX_TAU_ORDER, PrimeSieve, _root_sieve, euler_phi, factorize
 
 _SPAN_BUDGET = 100_000_000  # widest window of a dense sequence
 
@@ -103,11 +102,6 @@ class WeightedSequence:
 def norm(f: WeightedSequence) -> float:
     """Euclidean norm of the weight vector."""
     return fsum(v * v for v in f.values.tolist()) ** 0.5
-
-
-def _root_sieve(n_max: int) -> PrimeSieve:
-    """A sieve that factors every integer up to n_max (see sieve.factorize)."""
-    return build_sieve(max(2, isqrt(n_max) + 1))
 
 
 def delta(f: WeightedSequence, q: int, a: int) -> float:
@@ -207,7 +201,7 @@ def check_A4(f: WeightedSequence, z) -> ConditionReport:
     have = f.values[l1 - f.lo:l2 - f.lo + 1]
     bad = np.flatnonzero((have != 0.0) & (have != 1.0))
     if not bad.size:
-        rough = _rough_mask(l1, l2, z, _root_sieve(l2).primes)
+        rough = _accel.tau_table(_root_sieve(l2).primes, l1, l2, 1, z, rough=True) != 0
         bad = np.flatnonzero(rough != (have != 0.0))
     worst = l1 + int(bad[0]) if bad.size else (l2 if l2 >= 2 * l1 else None)
     return ConditionReport("A4", worst is None, worst, float(l2), float(2 * l1))
@@ -366,16 +360,6 @@ def selector_params(selector: str, params: dict) -> tuple[list, int]:
     return [params[k] for k in keys], hi
 
 
-def _weight_table(lo: int, hi: int, j: int, z, primes: np.ndarray, glued=False) -> np.ndarray:
-    """tau_j(n) * [n is z-rough] as int64 over [lo, hi], from the primes up
-    to isqrt(hi); with ``glued``, tau_{j+1} of the z-rough part of n (the
-    convolution of tau_j with 1), which counts the glued free variable."""
-    tab = _accel.tau_table(primes, lo, hi, int(j) + glued, z)
-    if not glued:
-        tab *= _rough_mask(lo, hi, z, primes)
-    return tab
-
-
 def _single_sum(selector: str, given: list, hi: int, primes: np.ndarray) -> float:
     """One of the seven single-variable sums, by a walk over its window of n
     ``_WALK`` integers at a time, into one exact total * 2**base rounded once.
@@ -396,7 +380,7 @@ def _single_sum(selector: str, given: list, hi: int, primes: np.ndarray) -> floa
     total = base = 0
     for a in range(lo, hi + 1, _WALK):
         b = min(a + _WALK, hi + 1)
-        w = _weight_table(a, b - 1, j, z, primes, glued)
+        w = _accel.tau_table(primes, a, b - 1, int(j) + glued, z, rough=not glued)
         if selector in ("rough-tau", "rough-tau-hyperbola"):
             total += int(w.sum())
             continue
@@ -441,19 +425,18 @@ def _chain(xi: int, y: float, w_lo: float, tables: list[np.ndarray], caps: dict)
     return fsum(parts)
 
 
-def divisor_sum_lhs(selector: str, params: dict, sieve: PrimeSieve) -> float:
+def divisor_sum_lhs(selector: str, params: dict) -> float:
     """Exact value of one of the eleven windowed divisor sums.
 
     Selector tokens name the sum's structure; every sum is evaluated by
     nested enumeration with pruning (or an equivalent exact regrouping of
     the innermost free variable).  See divisor_sum_rhs_shape for the matching
-    reference upper-bound shapes evaluated with constant 1.  The sieve holds
-    the primes up to isqrt of the selector's bound on n."""
+    reference upper-bound shapes evaluated with constant 1.  The weights read
+    the primes up to isqrt of the selector's bound on n, sieved here."""
     given, hi = selector_params(selector, params)
-    if isqrt(hi) > sieve.limit:
-        raise RangeBudgetError(f"needs isqrt({'*'.join(_SELECTORS[selector][1])}) <= sieve.limit")
+    primes = _root_sieve(hi).primes
     if _SELECTORS[selector][2] == _SINGLE:
-        return _single_sum(selector, given, hi, sieve.primes)
+        return _single_sum(selector, given, hi, primes)
     if selector.startswith("fourfold"):
         x, y, z, w_lo, *js = given
         glued = [selector == "fourfold-glued", False, False, False]
@@ -464,7 +447,8 @@ def divisor_sum_lhs(selector: str, params: dict, sieve: PrimeSieve) -> float:
         glued = [i == nu for i in range(1, len(js) + 1)]
         caps = {len(js) - 2: len(js)}
     keys = [(int(j), g) for j, g in zip(js, glued)]
-    built = {(j, g): _weight_table(0, hi, j, z, sieve.primes, g) for j, g in dict.fromkeys(keys)}
+    built = {(j, g): _accel.tau_table(primes, 0, hi, j + g, z, rough=not g)
+             for j, g in dict.fromkeys(keys)}
     return _chain(hi, float(y), float(w_lo), [built[key] for key in keys], caps)
 
 

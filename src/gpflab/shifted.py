@@ -9,7 +9,7 @@ import numpy as np
 
 from . import _accel
 from .errors import ConstructionFailedError, InvalidArgumentError, RangeBudgetError
-from .sieve import (MAX_SIEVE_LIMIT, PrimeSieve, divisor_list, factorize,
+from .sieve import (MAX_SIEVE_LIMIT, PrimeSieve, _root_sieve, divisor_list, factorize,
                     greatest_prime_factor_batch, is_prime_u64, segmented_primes)
 
 LV_COUNT_CAP = 10_000
@@ -281,22 +281,22 @@ def theorem1_thresholds(N: int, A_exp: float) -> tuple[float, float, float]:
     return Y, Z1, Z2
 
 
-def _one_mod_pairs(moduli, lo: float, hi: float, sieve: PrimeSieve) -> int:
+def _one_mod_pairs(moduli, lo: float, hi: float) -> int:
     """Number of pairs (m, p): m in moduli, p prime in (lo, hi], p = 1 (mod m)."""
-    ps = segmented_primes(lo, hi, sieve)  # refuses a span over budget before w is made
+    ps = segmented_primes(lo, hi, _root_sieve(floor(hi)))  # refuses a span over budget before w
     base = floor(lo) + 1  # the integers lo < n <= hi are base, base + 1, ...
     w = np.zeros(max(0, floor(hi) - base + 1), dtype=bool)
     w[ps - base] = True
     return sum(int(np.count_nonzero(w[(1 - base) % m::m])) for m in moduli)
 
 
-def theorem1_sum(N: int, A_exp: float, sieve: PrimeSieve) -> int:
+def theorem1_sum(N: int, A_exp: float) -> int:
     """Number of pairs (a, p): Y <= a <= N, p prime in (Z2, Z1], p = 1 (mod a)."""
     Y, Z1, Z2 = theorem1_thresholds(N, A_exp)
-    return _one_mod_pairs(range(max(int(ceil(Y - 1e-9)), 1), N + 1), Z2, Z1, sieve)
+    return _one_mod_pairs(range(max(int(ceil(Y - 1e-9)), 1), N + 1), Z2, Z1)
 
 
-def theorem2_sum(N: int, delta: float, B: IndexSet, sieve: PrimeSieve) -> int:
+def theorem2_sum(N: int, delta: float, B: IndexSet) -> int:
     """Number of pairs (b, p): b in B with (1-delta)N < b <= N, p prime in
     ((1-2*delta)N^2, (1-delta)N^2], p = 1 (mod b)."""
     if not (0.0 < delta < 0.5):
@@ -307,4 +307,4 @@ def theorem2_sum(N: int, delta: float, B: IndexSet, sieve: PrimeSieve) -> int:
     lo = (1.0 - 2.0 * delta) * float(N) ** 2
     hi = (1.0 - delta) * float(N) ** 2
     bs = B.members()
-    return _one_mod_pairs(bs[(bs > (1.0 - delta) * N) & (bs <= N)].tolist(), lo, hi, sieve)
+    return _one_mod_pairs(bs[(bs > (1.0 - delta) * N) & (bs <= N)].tolist(), lo, hi)

@@ -11,7 +11,7 @@ over the first twelve prime bases, valid for all 64-bit integers.
 
 from __future__ import annotations
 
-from math import ceil, floor, isqrt, log
+from math import floor, isqrt, log
 
 import numpy as np
 
@@ -93,6 +93,11 @@ def build_sieve(limit: int) -> PrimeSieve:
     if limit > MAX_SIEVE_LIMIT:
         raise RangeBudgetError(f"sieve limit {limit} exceeds cap {MAX_SIEVE_LIMIT}")
     return PrimeSieve(limit)
+
+
+def _root_sieve(n_max: int) -> PrimeSieve:
+    """The sieve of the primes up to isqrt(n_max), which factors every n <= n_max."""
+    return build_sieve(max(2, isqrt(n_max) + 1))
 
 
 def is_prime_u64(n: int) -> bool:
@@ -338,20 +343,4 @@ def tau_table(limit: int, ell: int) -> np.ndarray:
         raise InvalidArgumentError(f"tau_table needs 0 <= ell <= {MAX_TAU_ORDER}")
     if limit > MAX_SIEVE_LIMIT:
         raise RangeBudgetError(f"tau_table limit {limit} exceeds cap {MAX_SIEVE_LIMIT}")
-    return _accel.tau_table(build_sieve(max(2, isqrt(limit))).primes, 0, limit, ell, 2)
-
-
-def _rough_mask(lo: int, hi: int, z, primes: np.ndarray) -> np.ndarray:
-    """Boolean mask over [lo, hi]: True where n >= 1 has no prime factor below
-    z, from strikes of the primes below z up to isqrt(hi), which ``primes``
-    holds.  If z lies above them all, an unstruck n >= 2 is a prime, rough
-    iff n >= z; z may be inf."""
-    out = np.ones(hi - lo + 1, dtype=bool)
-    out[:max(1 - lo, 0)] = False  # n = 0
-    ps = primes[:np.searchsorted(primes, isqrt(hi), side="right")]
-    for p in ps[ps < z].tolist():
-        out[-lo % p::p] = False
-    if z > isqrt(hi) + 1:
-        top = hi + 1 if z > hi else ceil(z)
-        out[max(2 - lo, 0):max(top - lo, 0)] = False
-    return out
+    return _accel.tau_table(_root_sieve(limit).primes, 0, limit, ell, 2)

@@ -4,6 +4,7 @@ Every oracle here recomputes from scratch (trial division, explicit loops
 over residues) rather than reusing library internals.
 """
 
+import hashlib
 import math
 import tracemalloc
 from math import gcd, log
@@ -82,7 +83,7 @@ def naive_mu_phi(n: int) -> tuple[int, int]:
     return mu, phi
 
 
-def test_mobius_phi_matches_trial_division(sieve_10k):
+def test_mobius_phi_matches_trial_division():
     # [2, 4) and [5, 8) hold no multiple of any p^2
     windows = [(1, 2), (1, 400), (2, 4), (5, 8), (999_999, 1_000_001)]
     rng = np.random.default_rng(5)
@@ -90,23 +91,18 @@ def test_mobius_phi_matches_trial_division(sieve_10k):
         lo = int(rng.integers(1, 1_000_000))
         windows.append((lo, lo + int(rng.integers(1, 64))))
     for lo, hi in windows:
-        mu, phi = _mobius_phi(lo, hi, sieve_10k)
+        mu, phi = _mobius_phi(lo, hi)
         assert mu.dtype == phi.dtype == np.int64
         want = [naive_mu_phi(n) for n in range(lo, hi)]
         assert list(zip(mu.tolist(), phi.tolist())) == want, (lo, hi)
-    small = build_sieve(10)
-    _mobius_phi(1, 121, small)  # isqrt(120) == 10
-    with pytest.raises(RangeBudgetError):
-        _mobius_phi(1, 122, small)
 
 
 def test_mobius_phi_across_two_word_edges():
     # phi takes each prime p by one wrapping multiply by (p - 1) / p mod 2**64
     sympy = pytest.importorskip("sympy")
-    sieve = build_sieve(65_600)
     for lo, hi in (((1 << 31) - 300, (1 << 31) + 300), ((1 << 32) - 300, (1 << 32) + 300),
                    (1, 300)):
-        mu, phi = _mobius_phi(lo, hi, sieve)
+        mu, phi = _mobius_phi(lo, hi)
         assert mu.tolist() == [sympy.mobius(n) for n in range(lo, hi)], lo
         assert phi.tolist() == [sympy.totient(n) for n in range(lo, hi)], lo
 
@@ -641,24 +637,50 @@ def test_theorem4_reads_a_by_its_residues():
     assert f"{got.total:.15g}" == "20.2184341718317"
 
 
-def test_moduli_beyond_the_sieve_are_refused_before_the_work(monkeypatch):
-    # moduli up to 2e4 need the primes up to 141; the per-modulus work reads
-    # the sieve's pi (signed/dyadic) or starts at the gather (theorem4)
+def test_moduli_past_the_sieve_answer_with_their_own_roots():
+    # moduli up to 2e4 read the primes up to 141, which mu and phi sieve
+    # themselves: a sieve of x = 100 gives the bits recorded with a sieve of 200
+    sieve = build_sieve(100)
+    for call, total, values in (
+            (lambda: signed_sum(100, 20_000, 1, sieve),
+             "-0x1.3fb29195bb8dcp+8", "4da66c85d028ec59"),
+            (lambda: dyadic_abs_sum(100, 10_000, 1, sieve),
+             "0x1.0d720a13cd161p+5", "1120d7937ee6a4fe"),
+            (lambda: dyadic_abs_sum(100, 10_000, 1, sieve, use_psi=True),
+             "0x1.facd393de66dbp+6", "c9e029dbe646477c"),
+            (lambda: theorem4_sum(100, 10_000, 10, 100, 1, sieve),
+             "0x1.3be768d296ac0p+7", "f7740b937b00da3c"),
+            (lambda: lambda_extension_sum(100, 10_000, 10, 100, 1, 2, sieve),
+             "0x1.ae0551ed5bcc5p+6", "e45949dbc91b7237")):
+        rep = call()
+        assert rep.total.hex() == total
+        assert hashlib.sha256(rep.values.astype("<f8").tobytes()).hexdigest()[:16] == values
+
+
+def test_budgets_refuse_before_the_per_modulus_work(monkeypatch):
+    # Q above Q_BUDGET, and a bv_sum whose Q*(Q + pi(x)) passes BV_WORK_BUDGET,
+    # are refused before any modulus is listed or scanned
     sieve = build_sieve(100)
 
     def boom(*_):
         raise AssertionError("per-modulus work started")
 
-    monkeypatch.setattr(type(sieve), "pi", boom)
-    for call in (lambda: signed_sum(100, 20_000, 1, sieve),
-                 lambda: dyadic_abs_sum(100, 10_000, 1, sieve),
-                 lambda: dyadic_abs_sum(100, 10_000, 1, sieve, use_psi=True)):
-        with pytest.raises(RangeBudgetError, match="need a sieve limit of at least 141"):
+    monkeypatch.setattr(ap, "_coprime_moduli", boom)
+    monkeypatch.setattr(_accel, "bv_max_scan", boom)
+    Q = ap.Q_BUDGET + 1
+    for what, call in (("bv_sum", lambda: bv_sum(100, Q, sieve)),
+                       ("signed_sum", lambda: signed_sum(100, Q, 1, sieve)),
+                       ("dyadic_abs_sum", lambda: dyadic_abs_sum(100, Q, 1, sieve)),
+                       ("theorem4_sum", lambda: theorem4_sum(100, Q, 10, 100, 1, sieve)),
+                       ("lambda_extension_sum",
+                        lambda: lambda_extension_sum(100, Q, 10, 100, 1, 2, sieve))):
+        with pytest.raises(RangeBudgetError, match=f"^{what} needs Q <= 1000000$"):
             call()
-    monkeypatch.undo()
-    monkeypatch.setattr(_accel, "divisor_scatter", boom)
-    with pytest.raises(RangeBudgetError, match="need a sieve limit of at least 141"):
-        theorem4_sum(100, 10_000, 10, 100, 1, sieve)
+    # pi(100) = 25: 31611 * 31636 passes 1e9, 31610 * 31635 does not
+    with pytest.raises(RangeBudgetError, match=r"<= 1000000000, got 1000045596$"):
+        bv_sum(100, 31_611, sieve)
+    with pytest.raises(AssertionError, match="per-modulus work started"):
+        bv_sum(100, 31_610, sieve)
 
 
 def test_theorem4_weights_take_math_log():

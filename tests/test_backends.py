@@ -12,10 +12,10 @@ import sys
 import numpy as np
 import pytest
 
-from gpflab import _accel, sequences
+from gpflab import _accel
 from gpflab.errors import InvalidArgumentError, RangeBudgetError
 from gpflab.sequences import WeightedSequence, check_A2
-from gpflab.sieve import (MAX_SIEVE_LIMIT, _rough_mask, build_sieve, factorize,
+from gpflab.sieve import (MAX_SIEVE_LIMIT, build_sieve, factorize,
                           greatest_prime_factor, greatest_prime_factor_batch,
                           segmented_primes, tau_table)
 
@@ -351,13 +351,16 @@ def test_rough_and_glued_tables_match_loop_forms():
     limit = 3_000
     sieve = build_sieve(limit)
     for z in (1, 2, 3, 5, 7.5, 60, 3_001):
-        rough = _rough_mask(0, limit, z, sieve.primes)
+        rough = np.ones(limit + 1, dtype=bool)  # every prime below z struck
+        rough[0] = False
+        for p in sieve.primes[sieve.primes < z].tolist():
+            rough[p::p] = False
         for j in (0, 1, 2, 3, 5, 16):
             want = dirichlet_tau_table(limit, j).astype(np.float64)
             want[~rough] = 0.0
-            got = sequences._weight_table(0, limit, j, z, sieve.primes)
+            got = _accel.tau_table(sieve.primes, 0, limit, j, z, rough=True)
             assert np.array_equal(got, want)
-            glued = sequences._weight_table(0, limit, j, z, sieve.primes, glued=True)
+            glued = _accel.tau_table(sieve.primes, 0, limit, j + 1, z)
             assert np.array_equal(glued, divisor_sum_table(want))
 
 

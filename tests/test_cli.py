@@ -24,7 +24,7 @@ from hypothesis import given, note, settings, strategies as st
 from gpflab import ap, sequences, shifted, smooth
 from gpflab.cli import (_bounds, _int_list, _parse_float, _parse_int, _parse_x,
                         _threads, _x_items, build_parser, main)
-from gpflab.sieve import build_sieve, greatest_prime_factor
+from gpflab.sieve import _root_sieve, build_sieve
 
 
 ALL_COMMANDS = [
@@ -504,33 +504,29 @@ def test_divisor_lhs_row(capsys):
     assert code == 0
     header, rows = parse_csv(out)
     assert header == ["selector", "lhs", "rhs_shape", "ratio"]
-    sieve = build_sieve(300)
-    lhs = sequences.divisor_sum_lhs("rough-tau",
-                                    {"x": 300.0, "z": 7.0, "j": 2}, sieve)
+    lhs = sequences.divisor_sum_lhs("rough-tau", {"x": 300.0, "z": 7.0, "j": 2})
     rhs = sequences.divisor_sum_rhs_shape("rough-tau",
                                           {"x": 300.0, "z": 7.0, "j": 2})
     assert float(rows[0]["lhs"]) == pytest.approx(lhs, rel=1e-12)
     assert float(rows[0]["ratio"]) == pytest.approx(lhs / rhs, rel=1e-10)
 
 
-def test_divisor_lhs_sieve_covers_the_span(capsys, monkeypatch):
-    from gpflab import cli
+def test_divisor_lhs_sieves_the_root_of_its_span(capsys, monkeypatch):
+    # the sum sieves the primes up to isqrt(x * y) itself, and prints the row
+    # recorded when the CLI sized a sieve of 13 for it
+    bounds = []
 
-    limits = []
+    def recording(n_max):
+        bounds.append(n_max)
+        return _root_sieve(n_max)
 
-    def recording_sieve(limit):
-        limits.append(limit)
-        return build_sieve(limit)
-
-    monkeypatch.setattr(cli, "build_sieve", recording_sieve)
-    code, out, _ = run_cli(capsys, ["divisor-lhs", "--selector",
-                                    "rough-tau-window-harmonic", "--x", "50",
-                                    "--y", "3", "--z", "7", "--j", "2"])
-    assert code == 0 and limits == [13]  # isqrt(50 * 3) + 1
-    _, rows = parse_csv(out)
-    lhs = sequences.divisor_sum_lhs("rough-tau-window-harmonic",
-                                    {"x": 50, "y": 3.0, "z": 7, "j": 2}, build_sieve(150))
-    assert float(rows[0]["lhs"]) == pytest.approx(lhs, rel=1e-12)
+    monkeypatch.setattr(sequences, "_root_sieve", recording)
+    argv = ["divisor-lhs", "--selector", "rough-tau-window-harmonic", "--x", "50",
+            "--y", "3", "--z", "7", "--j", "2"]
+    code, out, _ = run_cli(capsys, argv)
+    assert (code, bounds) == (0, [150])
+    assert out.splitlines()[1] == ("rough-tau-window-harmonic,0.662083352543929,"
+                                   "1.817449211773,0.364292629612488")
 
 
 def test_divisor_lhs_missing_param(capsys):
@@ -687,8 +683,7 @@ def test_thm2_sum_dense(capsys):
     header, rows = parse_csv(out)
     assert header == ["N", "delta", "card_b", "total"]
     assert rows[0]["card_b"] == "200"
-    sieve = build_sieve(201)
-    expected = shifted.theorem2_sum(200, 0.2, shifted.IndexSet.dense(200), sieve)
+    expected = shifted.theorem2_sum(200, 0.2, shifted.IndexSet.dense(200))
     assert float(rows[0]["total"]) == pytest.approx(expected, rel=1e-12)
 
 
@@ -852,6 +847,11 @@ def test_value_and_list_together_exit_one(capsys, argv):
     ["ford-ratio", "--n-list", "10", "--sieve-limit", "10"],
     ["cond-check", "--indicator", "1,30", "--condition", "A2", "--bound", "1",
      "--sieve-limit", "10"],
+    # these sieve the roots they read themselves
+    ["divisor-lhs", "--selector", "rough-tau", "--x", "300", "--z", "7", "--j", "2",
+     "--sieve-limit", "300"],
+    ["thm1-sum", "--n", "500", "--sieve-limit", "10"],
+    ["thm2-sum", "--n", "200", "--delta", "0.2", "--dense", "--sieve-limit", "201"],
 ])
 def test_option_the_command_never_reads_exits_one(capsys, argv):
     code, out, err = run_cli(capsys, argv)
@@ -928,15 +928,14 @@ def test_thm4_takes_any_int64_a(capsys):
     assert err == f"error: theorem4_sum needs |a| < 2**63, got {10**30}\n"
 
 
-def test_thm4_moduli_need_their_root_in_the_sieve(capsys):
-    # moduli up to 199 read the primes up to 14; the sieve of x = 10 stops
-    # short whatever a is, and --sieve-limit covers it
+def test_thm4_moduli_past_the_sieve_answer(capsys):
+    # moduli up to 199 read the primes up to 14, which phi sieves itself: the
+    # sieve of x = 10 gives the row recorded with --sieve-limit 14
     argv = ["thm4-sum", "--x", "10", "--Q", "100", "--a", "30"]
-    code, out, err = run_cli(capsys, argv)
-    assert (code, out, err) == (2, "", "error: moduli up to 199 need a sieve limit of at least 14\n")
-    code, out, _ = run_cli(capsys, argv + ["--sieve-limit", "14"])
-    assert (code, out.splitlines()[1]) == (0, "10,100,3.16227766016838,10,30,1.00385203323261,"
-                                              "0.100385203323261,0.033509404097773")
+    row = "10,100,3.16227766016838,10,30,1.00385203323261,0.100385203323261,0.033509404097773"
+    for extra in ([], ["--sieve-limit", "14"]):
+        code, out, err = run_cli(capsys, argv + extra)
+        assert (code, out.splitlines()[1], err) == (0, row, "")
 
 
 @pytest.mark.parametrize("argv", [
@@ -987,6 +986,33 @@ def test_sieve_limit_too_small_exits_two(capsys):
     code, _, err = run_cli(capsys, ["gpf", "--n", "997", "--sieve-limit", "10"])
     assert code == 2
     assert err.startswith("error:")
+    for cmd in ("ledger", "sqerr-check"):  # a sieve short of N, as gpf's is
+        code, out, err = run_cli(capsys, [cmd, "--n", "20", "--dense", "--sieve-limit", "5"])
+        assert (code, out, err) == (2, "", "error: sieve limit 5 below N=20\n")
+
+
+@pytest.mark.parametrize("argv, code, err_line", [
+    (["adversarial", "--n", "9", "--eps", "0.05"], 2,
+     "residue class -1 mod 11 is empty below N=9"),
+    (["thm2-sum", "--n", "1", "--delta", "0.2", "--dense"], 1, "theorem2_sum needs N >= 2"),
+    (["gamma-plus", "--n", "10", "--random-card", "3", "--rng-seed", "-1"], 1,
+     "--rng-seed needs a value >= 0"),
+    (["divisor-lhs", "--selector", "rough-tau", "--x", "0.5", "--z", "2", "--j", "1"], 1,
+     "rough-tau needs x >= 1"),
+    (["delta", "--indicator", "1,200000000", "--q", "3", "--a", "1"], 2,
+     "window [1, 200000000] exceeds budget 100000000"),
+    (["thm4-sum", "--x", "100", "--Q", "1000001"], 2, "theorem4_sum needs Q <= 1000000"),
+    (["bv-sum", "--x", "100", "--Q", "1e5"], 2,
+     "bv_sum budget is Q*(Q + pi(x)) <= 1000000000, got 10002500000"),
+])
+def test_refusals_name_their_cause(capsys, argv, code, err_line):
+    assert run_cli(capsys, argv) == (code, "", f"error: {err_line}\n")
+
+
+def test_thm1_search_skips_the_primes_below_lo(capsys):
+    # the primes are segmented from floor(lo): (6, 8] holds 7, below lo = 7.5
+    code, out, _ = run_cli(capsys, ["thm1-search", "--n", "2", "--lo", "7.5", "--hi", "8"])
+    assert (code, out.splitlines()[1]) == (0, "2,7.5,8,false,,,")
 
 
 # moduli beyond int64: each call must be refused by the parameter's name
@@ -1247,7 +1273,7 @@ _INVENTORY = {
         ("--k", _parse_int, None, False), ("--ell", _parse_int, None, False),
         ("--bound", _parse_float, None, False), ("--x", _parse_x, None, False),
         ("--z", _parse_float, None, False)},
-    "divisor-lhs": _SIEVE | {
+    "divisor-lhs": {
         ("--selector", None, None, True), ("--x", _parse_x, None, False),
         ("--y", _parse_x, None, False), ("--z", _parse_float, None, False),
         ("--w", _parse_float, None, False), ("--j", _parse_int, None, False),
@@ -1258,9 +1284,8 @@ _INVENTORY = {
                     ("--write-a", None, None, False), ("--write-b", None, None, False)},
     "thm1-search": _SIEVE | {("--n", _parse_int, None, True), ("--lo", _parse_x, None, True),
                              ("--hi", _parse_x, None, True)},
-    "thm1-sum": _SIEVE | {("--n", _parse_int, None, True),
-                          ("--a-exp", _parse_float, 1.0, False)},
-    "thm2-sum": _SIEVE | _RANDOM | {
+    "thm1-sum": {("--n", _parse_int, None, True), ("--a-exp", _parse_float, 1.0, False)},
+    "thm2-sum": _RANDOM | {
         ("--n", _parse_int, None, True), ("--delta", _parse_float, None, True),
         ("--dense", None, False, False), ("--set-b", None, None, False)},
     "ledger": _PAIR_SOURCES,
@@ -1272,6 +1297,7 @@ _INVENTORY = {
 
 def test_option_inventory():
     # no option added or lost, none retyped; only the order in --help may move
+    assert sum(_SIEVE <= options for options in _INVENTORY.values()) == 13
     sub = next(a for a in build_parser()._actions if isinstance(a.choices, dict))
     assert sorted(sub.choices) == sorted(_INVENTORY)
     for name, sp in sub.choices.items():

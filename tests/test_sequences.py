@@ -19,7 +19,7 @@ from gpflab.sequences import (DIVISOR_SELECTORS, ConditionReport,
                               check_A4, delta, divisor_sum_lhs,
                               divisor_sum_rhs_shape, heath_brown_terms, norm,
                               selector_params)
-from gpflab.sieve import _rough_mask, build_sieve, factorize, is_prime_u64
+from gpflab.sieve import _root_sieve, build_sieve, factorize, is_prime_u64
 
 
 def naive_phi(q: int) -> int:
@@ -46,6 +46,18 @@ def naive_spf(n: int) -> int:
 
 def is_rough(n: int, z: float) -> bool:
     return n == 1 or naive_spf(n) >= z
+
+
+def plain_rough_mask(hi: int, z) -> np.ndarray:
+    """[n is z-rough] over [0, hi]: the multiples of every prime below z
+    struck, the primes above isqrt(hi) included, and 0 struck."""
+    out = np.ones(hi + 1, dtype=bool)
+    out[0] = False
+    for p in build_sieve(max(2, hi)).primes.tolist():
+        if p >= z:
+            break
+        out[p::p] = False
+    return out
 
 
 def naive_lambda(n: int) -> float:
@@ -562,45 +574,41 @@ def test_heath_brown_merges_chains(sieve_10k):
     assert abs(res.total) < 1e-6
 
 
-def test_window_tau_power(sieve_10k):
+def test_window_tau_power():
     assert divisor_sum_lhs("window-tau-power",
-                           {"x": 10, "y": 10, "ell": 1, "k": 1}, sieve_10k) == 10.0
+                           {"x": 10, "y": 10, "ell": 1, "k": 1}) == 10.0
     x, y, ell, k = 50.5, 20.3, 3, 2
     want = math.fsum(naive_tau_j(n, ell) ** k
                      for n in range(1, 51) if x - y < n <= x)
     got = divisor_sum_lhs("window-tau-power",
-                          {"x": x, "y": y, "ell": ell, "k": k}, sieve_10k)
+                          {"x": x, "y": y, "ell": ell, "k": k})
     assert abs(got - want) < 1e-9
     with pytest.raises(InvalidArgumentError):
-        divisor_sum_lhs("window-tau-power", {"x": 5, "y": 9, "ell": 1, "k": 1},
-                        sieve_10k)
+        divisor_sum_lhs("window-tau-power", {"x": 5, "y": 9, "ell": 1, "k": 1})
 
 
-def test_rough_tau_family(sieve_10k):
-    assert divisor_sum_lhs("rough-tau", {"x": 50, "z": 51, "j": 3}, sieve_10k) == 1.0
+def test_rough_tau_family():
+    assert divisor_sum_lhs("rough-tau", {"x": 50, "z": 51, "j": 3}) == 1.0
     x, z, j = 300, 7, 2
     terms = [(n, naive_tau_j(n, j)) for n in range(1, x + 1) if is_rough(n, z)]
     want_plain = float(sum(t for _, t in terms))
     want_harm = math.fsum(t / n for n, t in terms)
     want_hyp = float(sum(t * (x // n) for n, t in terms))
-    assert abs(divisor_sum_lhs("rough-tau", {"x": x, "z": z, "j": j},
-                               sieve_10k) - want_plain) < 1e-9
-    assert abs(divisor_sum_lhs("rough-tau-harmonic", {"x": x, "z": z, "j": j},
-                               sieve_10k) - want_harm) < 1e-9
-    assert abs(divisor_sum_lhs("rough-tau-hyperbola", {"x": x, "z": z, "j": j},
-                               sieve_10k) - want_hyp) < 1e-9
+    assert abs(divisor_sum_lhs("rough-tau", {"x": x, "z": z, "j": j}) - want_plain) < 1e-9
+    assert abs(divisor_sum_lhs("rough-tau-harmonic", {"x": x, "z": z, "j": j}) - want_harm) < 1e-9
+    assert abs(divisor_sum_lhs("rough-tau-hyperbola", {"x": x, "z": z, "j": j}) - want_hyp) < 1e-9
 
     w = 5
     want_log = math.fsum(t / (n * log(2.0 * n)) for n, t in terms if n > w)
     assert abs(divisor_sum_lhs("rough-tau-harmonic-log",
-                               {"w": w, "x": x, "z": z, "j": j}, sieve_10k)
+                               {"w": w, "x": x, "z": z, "j": j})
                - want_log) < 1e-9
 
     xw, yw = 50, 3.0
     want_win = math.fsum(naive_tau_j(n, j) / n for n in range(51, 151)
                          if is_rough(n, z))
     assert abs(divisor_sum_lhs("rough-tau-window-harmonic",
-                               {"x": xw, "y": yw, "z": z, "j": j}, sieve_10k)
+                               {"x": xw, "y": yw, "z": z, "j": j})
                - want_win) < 1e-9
 
     want_hh = math.fsum((naive_tau_j(n, j) / n)
@@ -608,7 +616,7 @@ def test_rough_tau_family(sieve_10k):
                                                            (xw * 3) // n + 1))
                         for n in range(1, 151) if is_rough(n, z))
     assert abs(divisor_sum_lhs("rough-tau-hyperbola-harmonic",
-                               {"x": xw, "y": yw, "z": z, "j": j}, sieve_10k)
+                               {"x": xw, "y": yw, "z": z, "j": j})
                - want_hh) < 1e-8
 
 
@@ -644,14 +652,14 @@ def _brute_fourfold(x, y, z, w, js, glued=False):
     return total
 
 
-def test_fourfold_matches_brute(sieve_10k):
+def test_fourfold_matches_brute():
     params = {"x": 2000, "y": 4.0, "z": 3.0, "w": 2,
               "j1": 2, "j2": 1, "j3": 1, "j4": 1}
     want = _brute_fourfold(2000, 4.0, 3.0, 2, (2, 1, 1, 1))
-    got = divisor_sum_lhs("fourfold-ordered", params, sieve_10k)
+    got = divisor_sum_lhs("fourfold-ordered", params)
     assert abs(got - want) < 1e-9
     want_g = _brute_fourfold(2000, 4.0, 3.0, 2, (2, 1, 1, 1), glued=True)
-    got_g = divisor_sum_lhs("fourfold-glued", params, sieve_10k)
+    got_g = divisor_sum_lhs("fourfold-glued", params)
     assert abs(got_g - want_g) < 1e-9
 
 
@@ -689,47 +697,47 @@ def _brute_sfold(x, y, z, w, js, nu=None):
     return total
 
 
-def test_sfold_matches_brute(sieve_10k):
+def test_sfold_matches_brute():
     base = {"x": 500, "y": 3.0, "z": 3.0, "w": 1, "s": 5,
             "j1": 1, "j2": 1, "j3": 1, "j4": 1, "j5": 1}
     want = _brute_sfold(500, 3.0, 3.0, 1, (1, 1, 1, 1, 1))
-    assert abs(divisor_sum_lhs("sfold-ordered", base, sieve_10k) - want) < 1e-9
+    assert abs(divisor_sum_lhs("sfold-ordered", base) - want) < 1e-9
 
     glued = dict(base, nu=3)
     want_g = _brute_sfold(500, 3.0, 3.0, 1, (1, 1, 1, 1, 1), nu=3)
-    assert abs(divisor_sum_lhs("sfold-glued", glued, sieve_10k) - want_g) < 1e-9
+    assert abs(divisor_sum_lhs("sfold-glued", glued) - want_g) < 1e-9
 
     six = {"x": 200, "y": 2.5, "z": 2.0, "w": 1, "s": 6,
            "j1": 1, "j2": 1, "j3": 1, "j4": 1, "j5": 1, "j6": 1}
     want6 = _brute_sfold(200, 2.5, 2.0, 1, (1, 1, 1, 1, 1, 1))
-    assert abs(divisor_sum_lhs("sfold-ordered", six, sieve_10k) - want6) < 1e-9
+    assert abs(divisor_sum_lhs("sfold-ordered", six) - want6) < 1e-9
 
 
-def test_divisor_sum_monotone(sieve_10k):
+def test_divisor_sum_monotone():
     # growing the window adds mass; raising the roughness bar removes it
-    by_x = [divisor_sum_lhs("rough-tau", {"x": x, "z": 5, "j": 2}, sieve_10k)
+    by_x = [divisor_sum_lhs("rough-tau", {"x": x, "z": 5, "j": 2})
             for x in (100, 200, 400)]
     assert by_x[0] <= by_x[1] <= by_x[2]
-    by_z = [divisor_sum_lhs("rough-tau", {"x": 400, "z": z, "j": 2}, sieve_10k)
+    by_z = [divisor_sum_lhs("rough-tau", {"x": 400, "z": z, "j": 2})
             for z in (2, 5, 20)]
     assert by_z[0] >= by_z[1] >= by_z[2]
 
 
-def test_divisor_sum_rejects(sieve_10k):
+def test_divisor_sum_rejects():
     with pytest.raises(InvalidArgumentError):
-        divisor_sum_lhs("no-such-sum", {}, sieve_10k)
+        divisor_sum_lhs("no-such-sum", {})
     with pytest.raises(InvalidArgumentError):
-        divisor_sum_lhs("rough-tau", {"x": 100, "z": 5}, sieve_10k)
+        divisor_sum_lhs("rough-tau", {"x": 100, "z": 5})
     with pytest.raises(RangeBudgetError):
-        divisor_sum_lhs("rough-tau", {"x": 10_000_001, "z": 5, "j": 1}, sieve_10k)
+        divisor_sum_lhs("rough-tau", {"x": 10_000_001, "z": 5, "j": 1})
     with pytest.raises(InvalidArgumentError):
         divisor_sum_lhs("sfold-glued",
                         {"x": 100, "y": 2, "z": 2, "w": 1, "s": 5, "nu": 9,
-                         **{f"j{i}": 1 for i in range(1, 6)}}, sieve_10k)
+                         **{f"j{i}": 1 for i in range(1, 6)}})
     with pytest.raises(InvalidArgumentError):
         divisor_sum_lhs("sfold-ordered",
                         {"x": 100, "y": 2, "z": 2, "w": 1, "s": 7,
-                         **{f"j{i}": 1 for i in range(1, 8)}}, sieve_10k)
+                         **{f"j{i}": 1 for i in range(1, 8)}})
     # the shape reads its parameters through the same check as the sum
     with pytest.raises(InvalidArgumentError):
         divisor_sum_rhs_shape("rough-tau", {"x": 100})
@@ -809,13 +817,13 @@ _BRUTE_PINNED = [
 ]
 
 
-def test_divisor_sums_keep_their_bits(sieve_m):
+def test_divisor_sums_keep_their_bits():
     cases = [(sel, _FACTOR_TABLES[k], lhs, rhs)
              for k, rows in _PINNED.items()
              for sel, lhs, rhs in (row.split() for row in rows.splitlines())]
     assert {c[0] for c in cases} == set(DIVISOR_SELECTORS) == {c[0] for c in _BRUTE_PINNED}
     for sel, params, lhs, rhs in cases + _BRUTE_PINNED:
-        got = (divisor_sum_lhs(sel, params, sieve_m).hex(),
+        got = (divisor_sum_lhs(sel, params).hex(),
                divisor_sum_rhs_shape(sel, params).hex())
         assert got == (lhs, rhs), (sel, params)
 
@@ -828,10 +836,10 @@ def test_divisor_sums_keep_their_bits(sieve_m):
     (999, 1, 3, 0, "0x0.0p+0"),
     (7e4, 13, 2.5, 2, "0x1.33e325f0cb2bep+6"),
 ])
-def test_hyperbola_harmonic_keeps_its_bits(sieve_m, x, y, z, j, want):
+def test_hyperbola_harmonic_keeps_its_bits(x, y, z, j, want):
     # recorded while every term was computed over the whole range at once
     params = {"x": x, "y": y, "z": z, "j": j}
-    assert divisor_sum_lhs("rough-tau-hyperbola-harmonic", params, sieve_m).hex() == want
+    assert divisor_sum_lhs("rough-tau-hyperbola-harmonic", params).hex() == want
 
 
 def test_hyperbola_harmonic_peak_memory():
@@ -844,11 +852,9 @@ def test_hyperbola_harmonic_peak_memory():
             "    with open('/proc/self/status') as fh:\n"
             "        return next(int(l.split()[1]) for l in fh if l.startswith('VmHWM'))\n"
             "from gpflab.sequences import divisor_sum_lhs\n"
-            "from gpflab.sieve import build_sieve\n"
-            "sieve = build_sieve(4 * 10**6 + 1)\n"
             "before = hwm()\n"
             "divisor_sum_lhs('rough-tau-hyperbola-harmonic',\n"
-            "                {'x': 4e5, 'y': 10, 'z': 5, 'j': 3}, sieve)\n"
+            "                {'x': 4e5, 'y': 10, 'z': 5, 'j': 3})\n"
             "print(hwm() - before)")
     out = subprocess.run([sys.executable, "-c", code], capture_output=True,
                          text=True, check=True, timeout=120)
@@ -859,27 +865,32 @@ def test_hyperbola_harmonic_peak_memory():
 def test_hyperbola_is_the_next_divisor_sum(x):
     # sum_{n<=x} tau_j(n) * (x // n) and sum_{m<=x} tau_{j+1}(m) both count
     # the (j+1)-tuples with product at most x; at z = 2 every n is rough
-    sieve = build_sieve(isqrt(int(x)))
     for j in (1, 3, 15):
-        hyp = divisor_sum_lhs("rough-tau-hyperbola", {"x": x, "z": 2, "j": j}, sieve)
-        assert hyp == divisor_sum_lhs("rough-tau", {"x": x, "z": 2, "j": j + 1}, sieve), j
+        hyp = divisor_sum_lhs("rough-tau-hyperbola", {"x": x, "z": 2, "j": j})
+        assert hyp == divisor_sum_lhs("rough-tau", {"x": x, "z": 2, "j": j + 1}), j
 
 
-def test_divisor_sums_keep_their_bits_in_small_blocks(sieve_m, monkeypatch):
+def test_divisor_sums_keep_their_bits_in_small_blocks(monkeypatch):
     # a walk of 97 integers a block splits every window of the pinned rows
     monkeypatch.setattr(sequences, "_WALK", 97)
     for sel, params, lhs, _ in _BRUTE_PINNED:
-        assert divisor_sum_lhs(sel, params, sieve_m).hex() == lhs, (sel, params)
+        assert divisor_sum_lhs(sel, params).hex() == lhs, (sel, params)
 
 
-def test_divisor_sums_need_the_primes_up_to_isqrt(sieve_m):
-    # a sieve up to isqrt of the bound on n answers as a wide one does, one
-    # below it is refused
+def test_divisor_sums_sieve_the_primes_up_to_isqrt(monkeypatch):
+    # each sum sieves the primes up to isqrt of its bound on n, once, and
+    # answers with the bits pinned when the caller passed the sieve
+    bounds = []
+
+    def recording(n_max):
+        bounds.append(n_max)
+        return _root_sieve(n_max)
+
+    monkeypatch.setattr(sequences, "_root_sieve", recording)
     for sel, params, lhs, _ in _BRUTE_PINNED:
-        root = isqrt(selector_params(sel, params)[1])
-        assert divisor_sum_lhs(sel, params, build_sieve(root)).hex() == lhs, (sel, params)
-        with pytest.raises(RangeBudgetError, match="isqrt"):
-            divisor_sum_lhs(sel, params, build_sieve(root - 1))
+        bounds.clear()
+        assert divisor_sum_lhs(sel, params).hex() == lhs, (sel, params)
+        assert bounds == [selector_params(sel, params)[1]], (sel, params)
 
 
 # a valid value of every key any selector reads; the sfold sums read j1..j5
@@ -895,10 +906,9 @@ def _keys_read(sel):
 def test_fractional_order_refused_by_its_key():
     # an order once reached the tables through int() and was truncated: j =
     # 2.5 gave 482.0, the value at j = 2
-    sieve = build_sieve(11)
     with pytest.raises(InvalidArgumentError, match="^rough-tau needs an integer j$"):
-        divisor_sum_lhs("rough-tau", {"x": 100, "z": 2, "j": 2.5}, sieve)
-    assert divisor_sum_lhs("rough-tau", {"x": 100, "z": 2, "j": 2.0}, sieve) == 482.0
+        divisor_sum_lhs("rough-tau", {"x": 100, "z": 2, "j": 2.5})
+    assert divisor_sum_lhs("rough-tau", {"x": 100, "z": 2, "j": 2.0}) == 482.0
     for sel in DIVISOR_SELECTORS:
         keys = _keys_read(sel)
         for key in [k for k in keys if k in ("ell", "nu") or k[0] == "j"]:
@@ -915,18 +925,15 @@ def test_fractional_order_refused_by_its_key():
 
 
 def test_rough_tau_hyperbola_peak_memory():
-    """x = 4e6 on a sieve whose primes are already read: the walk holds a
-    block of 2**18 integers at a time.  A table over all of [0, x] grew the
+    """x = 4e6, the primes up to isqrt(x) sieved inside the call: the walk
+    holds a block of 2**18 integers at a time.  A table over all of [0, x] grew the
     peak by 146 MiB, the walk by about 2 MiB."""
     code = ("def hwm():\n"
             "    with open('/proc/self/status') as fh:\n"
             "        return next(int(l.split()[1]) for l in fh if l.startswith('VmHWM'))\n"
             "from gpflab.sequences import divisor_sum_lhs\n"
-            "from gpflab.sieve import build_sieve\n"
-            "sieve = build_sieve(4 * 10**6 + 1)\n"
-            "sieve.primes\n"
             "before = hwm()\n"
-            "value = divisor_sum_lhs('rough-tau-hyperbola', {'x': 4e6, 'z': 5, 'j': 3}, sieve)\n"
+            "value = divisor_sum_lhs('rough-tau-hyperbola', {'x': 4e6, 'z': 5, 'j': 3})\n"
             "print(hwm() - before, value)")
     out = subprocess.run([sys.executable, "-c", code], capture_output=True,
                          text=True, check=True, timeout=120)
@@ -936,18 +943,15 @@ def test_rough_tau_hyperbola_peak_memory():
 
 
 def test_rough_tau_harmonic_peak_memory():
-    """x = 4e6 on a sieve whose primes are already read: each block's float
-    terms are summed exactly and dropped, where one long-double array of the
+    """x = 4e6, the primes up to isqrt(x) sieved inside the call: each
+    block's float terms are summed exactly and dropped, where one long-double array of the
     whole window took 61 MiB."""
     code = ("def hwm():\n"
             "    with open('/proc/self/status') as fh:\n"
             "        return next(int(l.split()[1]) for l in fh if l.startswith('VmHWM'))\n"
             "from gpflab.sequences import divisor_sum_lhs\n"
-            "from gpflab.sieve import build_sieve\n"
-            "sieve = build_sieve(4 * 10**6 + 1)\n"
-            "sieve.primes\n"
             "before = hwm()\n"
-            "divisor_sum_lhs('rough-tau-harmonic', {'x': 4e6, 'z': 5, 'j': 3}, sieve)\n"
+            "divisor_sum_lhs('rough-tau-harmonic', {'x': 4e6, 'z': 5, 'j': 3})\n"
             "print(hwm() - before)")
     out = subprocess.run([sys.executable, "-c", code], capture_output=True,
                          text=True, check=True, timeout=120)
@@ -1014,7 +1018,6 @@ def test_float_divisor_sums_are_fsums_of_their_terms(monkeypatch):
     # each of the five float selectors is the correctly rounded sum of its
     # float64 terms, however the walk's blocks of 97 integers cut the window
     monkeypatch.setattr(sequences, "_WALK", 97)
-    sieve = build_sieve(isqrt(20_000))
     rng = random.Random(23)
     for _ in range(6):
         x = rng.choice([rng.randint(1, 20_000), rng.uniform(1, 20_000)])
@@ -1030,14 +1033,13 @@ def test_float_divisor_sums_are_fsums_of_their_terms(monkeypatch):
         for sel, p in params.items():
             p = {"z": rng.choice([1, 2, 2.5, 3, 7, 150, 20_001]), "j": rng.randint(0, 5), **p}
             want = math.fsum(_plain_terms(sel, p))
-            assert divisor_sum_lhs(sel, p, sieve) == want, (sel, p)
+            assert divisor_sum_lhs(sel, p) == want, (sel, p)
 
 
 def test_hyperbola_harmonic_is_the_glued_window_exactly():
     """sum_n w(n)/n * (H(hi // n) - H(x // n)), with w = tau_j * [z-rough] and
     exact harmonic numbers, equals the sum of glued(m)/m over x < m <= hi,
     both times L = lcm(1..hi) as integers; the float sum is within 1 ulp."""
-    sieve = build_sieve(isqrt(20_000))
     rng = random.Random(24)
     for _ in range(20):
         x = rng.choice([rng.randint(1, 20_000), rng.uniform(1, 20_000)])
@@ -1069,7 +1071,7 @@ def test_hyperbola_harmonic_is_the_glued_window_exactly():
                 assert r == 0
                 by_n += w * q
         assert by_n == by_m, p
-        got = divisor_sum_lhs("rough-tau-hyperbola-harmonic", p, sieve)
+        got = divisor_sum_lhs("rough-tau-hyperbola-harmonic", p)
         ulps = abs(Fraction(got) - Fraction(by_m, big)) / Fraction(math.ulp(got))
         assert ulps <= 1, (p, float(ulps))
 
@@ -1084,9 +1086,9 @@ def test_hyperbola_is_the_masked_sum_exactly(monkeypatch, walk, x_max):
     for _ in range(8):
         x = rng.choice([rng.randint(1, x_max), rng.uniform(1, x_max)])
         z, j, xi = rng.choice([1, 2, 2.5, 3, 7, 150, 450, 200_001]), rng.randint(0, 16), floor(x)
-        w = _accel.tau_table(sieve.primes, 0, xi, j, z) * _rough_mask(0, xi, z, sieve.primes)
+        w = _accel.tau_table(sieve.primes, 0, xi, j, z) * plain_rough_mask(xi, z)
         want = sum((w[1:] * (xi // np.arange(1, xi + 1))).tolist())
-        assert divisor_sum_lhs("rough-tau-hyperbola", {"x": x, "z": z, "j": j}, sieve) == float(want)
+        assert divisor_sum_lhs("rough-tau-hyperbola", {"x": x, "z": z, "j": j}) == float(want)
 
 
 def test_rhs_shapes_positive_finite():

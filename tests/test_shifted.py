@@ -367,7 +367,7 @@ def test_theorem1_thresholds_shape():
         theorem1_thresholds(1000, 0.0)
 
 
-def test_theorem1_sum_matches_brute(sieve_m):
+def test_theorem1_sum_matches_brute():
     N, A_exp = 1000, 1.0
     Y, Z1, Z2 = theorem1_thresholds(N, A_exp)
     want = 0
@@ -379,10 +379,10 @@ def test_theorem1_sum_matches_brute(sieve_m):
             if naive_is_prime(n):
                 want += 1
             n += a
-    assert theorem1_sum(N, A_exp, sieve_m) == want
+    assert theorem1_sum(N, A_exp) == want
 
 
-def test_theorem2_sum_matches_brute(sieve_m):
+def test_theorem2_sum_matches_brute():
     N, delta = 500, 0.2
     lo, hi = (1 - 2 * delta) * N * N, (1 - delta) * N * N
     rng = random.Random(3)
@@ -399,9 +399,9 @@ def test_theorem2_sum_matches_brute(sieve_m):
                 if naive_is_prime(n):
                     want += 1
                 n += b
-        assert theorem2_sum(N, delta, B, sieve_m) == want
+        assert theorem2_sum(N, delta, B) == want
     with pytest.raises(InvalidArgumentError):
-        theorem2_sum(N, 0.5, IndexSet.dense(N), sieve_m)
+        theorem2_sum(N, 0.5, IndexSet.dense(N))
 
 
 def test_indexset_basics():

@@ -8,11 +8,11 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from gpflab import _accel
 from gpflab.ap import _mobius_phi
 from gpflab.errors import InvalidArgumentError, RangeBudgetError
 from gpflab.sieve import (
     MAX_SIEVE_LIMIT,
-    _rough_mask,
     build_sieve,
     divisor_list,
     euler_phi,
@@ -159,11 +159,11 @@ def test_gpf_batch_matches_scalar(sieve_m):
         assert g == greatest_prime_factor(v, sieve_m)
 
 
-def test_moebius_divisor_identity(sieve_m):
+def test_moebius_divisor_identity():
     # sum of mu over divisors picks out n = 1; mu from the strikes that give
     # the moduli their mu and phi
     N = 10_000
-    mu = np.concatenate([[0], _mobius_phi(1, N + 1, sieve_m)[0]])
+    mu = np.concatenate([[0], _mobius_phi(1, N + 1)[0]])
     acc = np.zeros(N + 1, dtype=np.int64)
     for d in range(1, N + 1):
         if mu[d]:
@@ -217,8 +217,14 @@ def test_tau_table_matches_pointwise():
             assert tab[n] == prod(comb(e + ell - 1, ell - 1) for _, e in naive_factors(n))
 
 
+def rough_mask(lo, hi, z, primes):
+    """[n is z-rough] over [lo, hi] from the strike kernel: tau_1 zeroed at
+    each n with a prime factor below z."""
+    return _accel.tau_table(primes, lo, hi, 1, z, rough=True) != 0
+
+
 def test_rough_table_matches_pointwise(sieve_m):
-    tab = _rough_mask(0, 3000, 7, sieve_m.primes)
+    tab = rough_mask(0, 3000, 7, sieve_m.primes)
     for n in range(1, 3001):
         assert bool(tab[n]) == naive_rough(n, 7)
 
@@ -230,16 +236,16 @@ def test_rough_table_strikes_match_pointwise(sieve_10k):
     for limit in limits:
         r = isqrt(limit)
         for z in (1, 2, 2.5, 7, r, r + 1, r + 2, limit, limit + 1, inf):
-            tab = _rough_mask(0, limit, z, sieve_10k.primes)
+            tab = rough_mask(0, limit, z, sieve_10k.primes)
             want = [False] + [naive_rough(n, z) for n in range(1, limit + 1)]
             assert tab.tolist() == want, (limit, z)
 
 
 def test_rough_indicator_edges(sieve_m):
-    assert _rough_mask(1, 1, 1000, sieve_m.primes).tolist() == [True]
+    assert rough_mask(1, 1, 1000, sieve_m.primes).tolist() == [True]
     # no factor strictly below z
-    assert _rough_mask(7, 7, 7, sieve_m.primes).tolist() == [True]
-    assert _rough_mask(7, 7, 8, sieve_m.primes).tolist() == [False]
+    assert rough_mask(7, 7, 7, sieve_m.primes).tolist() == [True]
+    assert rough_mask(7, 7, 8, sieve_m.primes).tolist() == [False]
 
 
 def test_is_prime_u64_spot_checks():
